@@ -5,9 +5,7 @@ from .coeff import (
     CoefficientSES,
     GroupElement,
     Scalar,
-    group_arith,
     group_from_tag,
-    lift,
     parse_ses,
     ses_mod,
     ses_z_r_qmodz,
@@ -24,7 +22,7 @@ from .errors import (
     ParseError,
     TagError,
 )
-from .funclass import AffineMap, FunctionClass, FunctionElement, act, coordinates
+from .funclass import AffineMap, FunctionClass, FunctionElement, act
 from .presentation import (
     FiniteNerve,
     Generator,

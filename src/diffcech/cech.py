@@ -778,131 +778,95 @@ def _field_cohomology_from_matrices(pres, k: int, group, A_s, B_cols,
     """Generic field-coefficient H^k = ker A / span(B_cols) over Scalars."""
     kernel = linalg.nullspace(A_s)
     chosen = []
-    span = [list(col) for col in B_cols]
-    base_rank = linalg.rank(_cols_to_matrix(span, _veclen(A_s, B_cols, kernel)))
-    cur = base_rank
-    for v in kernel:
-        cand = span + [list(c) for c in chosen] + [list(v)]
-        if linalg.rank(_cols_to_matrix(cand, len(v))) > cur:
-            chosen.append(v)
-            cur += 1
-    dim = len(chosen)
+    if kernel:
+        # a column of [B | ker] is a pivot exactly when it leaves the span of
+        # the columns before it, so these pivots are the greedy choice
+        cols = B_cols + kernel
+        _, pivots = linalg.rref(
+            [[col[i] for col in cols] for i in range(len(kernel[0]))])
+        chosen = [kernel[p - len(B_cols)] for p in pivots if p >= len(B_cols)]
 
     def oracle(c: Cochain):
-        x = to_vector(c)
-        cols = span + [list(v) for v in chosen]
-        coords = linalg.column_span_coords(cols, x)
+        coords = linalg.column_span_coords(B_cols + chosen, to_vector(c))
         if coords is None:
             raise CocycleError("class oracle applied to a non-cocycle")
-        return tuple(coords[len(span):])
+        return tuple(coords[len(B_cols):])
 
     reps = [from_vector(v) for v in chosen]
-    return CohomologyReport(pres, k, group, "field", dimension=dim,
+    return CohomologyReport(pres, k, group, "field", dimension=len(chosen),
                             representatives=reps, oracle=oracle, note=note)
 
 
-def _veclen(A_s, B_cols, kernel):
-    if A_s:
-        return len(A_s[0])
-    if B_cols:
-        return len(B_cols[0])
-    return len(kernel[0]) if kernel else 0
-
-
-def _cols_to_matrix(cols, length):
-    if not cols:
-        return [[Scalar.of(0)] * 0 for _ in range(length)]
-    return [[col[i] for col in cols] for i in range(length)]
+def _columns(M) -> List[list]:
+    return [list(col) for col in zip(*M)]
 
 
 def _nerve_field_cohomology(pres, k: int, group) -> CohomologyReport:
-    A = boundary_matrix(pres, k)
-    A_s = linalg.smat(A) if A and A[0] else \
-        [[Scalar.of(0)] * len(pres.tuples(k)) for _ in range(0)]
-    n = len(pres.tuples(k))
-    if not A_s:
-        A_s = [[Scalar.of(0)] * n]
-    B_cols = []
-    if k > 0:
-        B = boundary_matrix(pres, k - 1)
-        for j in range(len(B[0]) if B else 0):
-            B_cols.append([Scalar.of(B[i][j]) for i in range(len(B))])
-
-    def to_vector(c):
-        return [Scalar.of(v) for v in _nerve_vector(c)]
-
-    def from_vector(v):
-        return _nerve_from_vector(pres, k, group, v)
-
-    return _field_cohomology_from_matrices(pres, k, group, A_s, B_cols,
-                                           to_vector, from_vector)
+    B_cols = (_columns(linalg.smat(boundary_matrix(pres, k - 1))) if k > 0
+              else [])
+    return _field_cohomology_from_matrices(
+        pres, k, group, linalg.smat(boundary_matrix(pres, k)), B_cols,
+        lambda c: [Scalar.of(v) for v in _nerve_vector(c)],
+        lambda v: _nerve_from_vector(pres, k, group, v))
 
 
-def _finite_quotient_basis(pres, degree: int, cls):
-    return [(kt, e) for kt in _k_tuples(pres, degree) for e in cls.basis]
+def _quotient_vector(c: Cochain, cls) -> list:
+    """Coordinates of a quotient cochain in cls: its value at (), at every
+    tuple of K^k for finite K, or at the generators for crossed data."""
+    pres = c.pres
+    if c.degree == 0:
+        values = [c.q_value(())]
+    elif pres.is_finite():
+        values = [c.q_value(kt) for kt in _k_tuples(pres, c.degree)]
+    elif c.payload_kind == "crossed":
+        values = [c.payload[i] for i in range(pres.rank)]
+    elif c.degree == 1:
+        values = [c.q_value((tuple(int(i == j) for j in range(pres.rank)),))
+                  for i in range(pres.rank)]
+    else:
+        raise DegreeError("infinite-group quotient cochains have coordinates "
+                          "only as degree-1 crossed data")
+    return [x for v in values for x in v.in_class(cls).coordinates()]
 
 
-def _finite_quotient_vector(c: Cochain, degree: int, cls):
-    out = []
-    for kt in _k_tuples(c.pres, degree):
-        out.extend(c.q_value(kt).in_class(cls).coordinates())
-    return out
-
-
-def _finite_quotient_from_vector(pres, degree: int, cls, vec) -> Cochain:
+def _quotient_from_vector(pres, k: int, cls, vec) -> Cochain:
     d = cls.dimension
-    table = {}
-    for idx, kt in enumerate(_k_tuples(pres, degree)):
-        table[kt] = cls.from_coordinates(vec[idx * d : (idx + 1) * d])
-    if degree == 0:
-        return Cochain.function(pres, table[()])
-    return Cochain.table(pres, degree, table)
+    values = [cls.from_coordinates(vec[i : i + d])
+              for i in range(0, len(vec), d)]
+    if k == 0:
+        return Cochain.function(pres, values[0])
+    if pres.is_finite():
+        return Cochain.table(pres, k, dict(zip(_k_tuples(pres, k), values)))
+    return Cochain.crossed(pres, dict(enumerate(values)))
+
+
+def _quotient_size(pres, k: int) -> int:
+    """Number of points a degree-k quotient cochain is read at."""
+    if k == 0:
+        return 1
+    return pres.k_order() ** k if pres.is_finite() else pres.rank
+
+
+def _coboundary_matrix(pres, k: int, cls) -> List[List[Scalar]]:
+    """Rows of d: C^k -> C^{k+1} of a quotient, in the coordinates of cls."""
+    n = _quotient_size(pres, k) * cls.dimension
+    cols = []
+    for j in range(n):
+        unit = [Scalar.of(0)] * n
+        unit[j] = Scalar.of(1)
+        dc = coboundary(_quotient_from_vector(pres, k, cls, unit))
+        cols.append(_quotient_vector(dc, cls))
+    return _columns(cols)
 
 
 def _finite_quotient_cohomology(pres, k: int, group) -> CohomologyReport:
     cls = pres.function_class()
-    d = cls.dimension
-
-    def dmatrix_cols(deg):
-        # columns of the coboundary matrix C^deg -> C^{deg+1}
-        cols = []
-        for kt in _k_tuples(pres, deg):
-            for e in cls.basis:
-                basis_cochain = _finite_quotient_from_vector(
-                    pres, deg,
-                    cls,
-                    _unit_vector(len(_k_tuples(pres, deg)) * d,
-                                 _k_tuples(pres, deg).index(kt) * d
-                                 + cls.basis.index(e)),
-                )
-                dc = coboundary(basis_cochain)
-                cols.append(_finite_quotient_vector(dc, deg + 1, cls))
-        return cols
-
-    A_cols = dmatrix_cols(k)
-    nrows = len(_k_tuples(pres, k + 1)) * d
-    A_s = _cols_to_matrix([list(c) for c in A_cols], nrows) if A_cols else \
-        [[Scalar.of(0)] * (len(_k_tuples(pres, k)) * d)]
-    if A_cols:
-        # transpose: A maps C^k coordinates to C^{k+1} coordinates
-        A_s = [[A_cols[j][i] for j in range(len(A_cols))] for i in range(nrows)]
-    B_cols = dmatrix_cols(k - 1) if k > 0 else []
-
-    def to_vector(c):
-        return _finite_quotient_vector(c, k, cls)
-
-    def from_vector(v):
-        return _finite_quotient_from_vector(pres, k, cls, v)
-
     note = f"relative to class (n={cls.n}, D={cls.max_degree})"
-    return _field_cohomology_from_matrices(pres, k, group, A_s, B_cols,
-                                           to_vector, from_vector, note)
-
-
-def _unit_vector(n, i):
-    v = [Scalar.of(0)] * n
-    v[i] = Scalar.of(1)
-    return v
+    return _field_cohomology_from_matrices(
+        pres, k, group, _coboundary_matrix(pres, k, cls),
+        _columns(_coboundary_matrix(pres, k - 1, cls)),
+        lambda c: _quotient_vector(c, cls),
+        lambda v: _quotient_from_vector(pres, k, cls, v), note)
 
 
 def cohomology(pres, group: Group, k: int) -> CohomologyReport:
@@ -980,24 +944,9 @@ def h0_global_sections(pres, group: Group) -> CohomologyReport:
                                     note=f"{len(comps)} component(s)")
         raise ParseError(f"unsupported coefficient tag {group.tag!r}")
 
-    # quotient: K-invariant functions of the class, by exact elimination
+    # quotient: K-invariant functions of the class, the kernel of d0
     cls = pres.function_class()
-    rows = []
-    for g in pres.generators:
-        for e in cls.basis:
-            shifted = act(g.affine, cls.monomial(e))
-            diff = shifted - cls.monomial(e)
-            rows.append(diff)
-    # constraint matrix: one row per (generator, output monomial)
-    M = []
-    for gi, g in enumerate(pres.generators):
-        block = [rows[gi * len(cls.basis) + j].coordinates()
-                 for j in range(len(cls.basis))]
-        for out in range(len(cls.basis)):
-            M.append([block[j][out] for j in range(len(cls.basis))])
-    if not M:
-        M = [[Scalar.of(0)] * cls.dimension]
-    basis = linalg.nullspace(M)
+    basis = linalg.nullspace(_coboundary_matrix(pres, 0, cls))
     reps = [Cochain.function(pres, cls.from_coordinates(v)) for v in basis]
 
     def oracle(c):
@@ -1153,83 +1102,23 @@ def classes_equal(f1: Cochain, f2: Cochain) -> ClassComparison:
 
 
 def _quotient_classes_equal(pres, k: int, diff: Cochain) -> ClassComparison:
-    cls = pres.function_class()
-    wide = cls.widen(1)
     if k == 0:
         if diff.is_zero():
             return ClassComparison(True, None, "equal functions")
         return ClassComparison(False, None, "functions differ")
-    if k == 1:
-        # unknown alpha in the widened class; d(alpha)(g) = alpha.g - alpha
-        rows = []
-        rhs = []
-        targets = (list(range(pres.rank)) if not pres.is_finite()
-                   else [None])
-        if pres.is_finite():
-            kts = [(kt,) for kt in pres.k_elements()]
-        else:
-            kts = [
-                (tuple(1 if j == i else 0 for j in range(pres.rank)),)
-                for i in range(pres.rank)
-            ]
-        cols = []
-        for e in wide.basis:
-            mono = wide.monomial(e)
-            col = []
-            for kt in kts:
-                de = act(pres.affine_of(kt[0]), mono) - mono
-                col.extend(de.in_class(wide).coordinates())
-            cols.append(col)
-        target_vec = []
-        for kt in kts:
-            target_vec.extend(diff.q_value(kt).in_class(wide).coordinates())
-        M = [[cols[j][i] for j in range(len(cols))]
-             for i in range(len(target_vec))]
-        sol = linalg.solve(M, target_vec)
-        if sol is None:
-            return ClassComparison(
-                False, None,
-                f"no witness in class (n={wide.n}, D={wide.max_degree})",
-            )
-        alpha = Cochain.function(pres, wide.from_coordinates(sol))
-        return ClassComparison(True, alpha, "witness found")
-    if pres.is_finite():
-        # unknown (k-1)-cochain table with widened class entries
-        kts_in = _k_tuples(pres, k - 1)
-        kts_out = _k_tuples(pres, k)
-        cols = []
-        for kt in kts_in:
-            for e in wide.basis:
-                table = {t: wide.zero() for t in kts_in}
-                table[kt] = wide.monomial(e)
-                basis_cochain = (Cochain.function(pres, table[()])
-                                 if k - 1 == 0
-                                 else Cochain.table(pres, k - 1, table))
-                dc = coboundary(basis_cochain)
-                col = []
-                for t in kts_out:
-                    col.extend(dc.q_value(t).in_class(wide).coordinates())
-                cols.append(col)
-        target_vec = []
-        for t in kts_out:
-            target_vec.extend(diff.q_value(t).in_class(wide).coordinates())
-        M = [[cols[j][i] for j in range(len(cols))]
-             for i in range(len(target_vec))]
-        sol = linalg.solve(M, target_vec)
-        if sol is None:
-            return ClassComparison(
-                False, None,
-                f"no witness in class (n={wide.n}, D={wide.max_degree})",
-            )
-        d = wide.dimension
-        table = {
-            kt: wide.from_coordinates(sol[i * d : (i + 1) * d])
-            for i, kt in enumerate(kts_in)
-        }
-        alpha = (Cochain.function(pres, table[()]) if k - 1 == 0
-                 else Cochain.table(pres, k - 1, table))
-        return ClassComparison(True, alpha, "witness found")
-    raise DegreeError("class comparison above degree 1 needs a finite group")
+    if k > 1 and not pres.is_finite():
+        raise DegreeError("class comparison above degree 1 needs a finite group")
+    # unknown (k-1)-cochain alpha with entries in the widened class
+    wide = pres.function_class().widen(1)
+    sol = linalg.solve(_coboundary_matrix(pres, k - 1, wide),
+                       _quotient_vector(diff, wide))
+    if sol is None:
+        return ClassComparison(
+            False, None,
+            f"no witness in class (n={wide.n}, D={wide.max_degree})",
+        )
+    return ClassComparison(True, _quotient_from_vector(pres, k - 1, wide, sol),
+                           "witness found")
 
 
 # ---------------------------------------------------------------------------

@@ -275,13 +275,7 @@ class Group:
         raise NotImplementedError
 
     def mul_int(self, n: int, x):
-        if n == 0:
-            return self.zero()
-        out = self.zero()
-        step = x if n > 0 else self.neg(x)
-        for _ in range(abs(n)):
-            out = self.add(out, step)
-        return out
+        raise NotImplementedError
 
     def div_int(self, n: int, x):
         """A solution g of n*g = x, or None if none exists."""
@@ -478,6 +472,25 @@ class RAlphaGroup(Group):
         return Scalar.parse(s)
 
 
+def _split_top(text: str):
+    """Split at the commas outside any brackets; no parts for ''."""
+    if not text:
+        return []
+    parts, depth, cur = [], 0, []
+    for ch in text:
+        if ch == "," and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+            continue
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        cur.append(ch)
+    parts.append("".join(cur))
+    return parts
+
+
 class ProductGroup(Group):
     def __init__(self, factors: Sequence[Group]):
         self.factors = tuple(factors)
@@ -514,18 +527,7 @@ class ProductGroup(Group):
         s = s.strip()
         if not (s.startswith("(") and s.endswith(")")):
             raise ParseError(f"bad product element {s!r}")
-        parts, depth, cur = [], 0, []
-        for ch in s[1:-1]:
-            if ch == "," and depth == 0:
-                parts.append("".join(cur))
-                cur = []
-            else:
-                if ch in "([":
-                    depth += 1
-                elif ch in ")]":
-                    depth -= 1
-                cur.append(ch)
-        parts.append("".join(cur))
+        parts = _split_top(s[1:-1])
         if len(parts) != len(self.factors):
             raise ParseError(f"bad product element {s!r}")
         return tuple(g.parse_el(p) for g, p in zip(self.factors, parts))
@@ -545,21 +547,7 @@ def group_from_tag(tag: str) -> Group:
         except ValueError:
             raise ParseError(f"bad group tag {tag!r}")
     if tag.startswith("prod[") and tag.endswith("]"):
-        inner = tag[5:-1]
-        parts, depth, cur = [], 0, []
-        for ch in inner:
-            if ch == "," and depth == 0:
-                parts.append("".join(cur))
-                cur = []
-            else:
-                if ch == "[":
-                    depth += 1
-                elif ch == "]":
-                    depth -= 1
-                cur.append(ch)
-        if cur or parts:
-            parts.append("".join(cur))
-        return ProductGroup([group_from_tag(p) for p in parts])
+        return ProductGroup([group_from_tag(p) for p in _split_top(tag[5:-1])])
     raise ParseError(f"unknown group tag {tag!r}")
 
 
@@ -611,23 +599,6 @@ class GroupElement:
         return f"<{self.group.tag}: {self}>"
 
 
-def group_arith(op: str, *args: GroupElement) -> GroupElement:
-    """Dispatch add/neg/zero on canonical representatives."""
-    if op == "zero":
-        (g,) = args
-        group = g.group if isinstance(g, GroupElement) else g
-        return GroupElement(group, group.zero())
-    if op == "neg":
-        (x,) = args
-        return -x
-    if op == "add":
-        out = args[0]
-        for x in args[1:]:
-            out = out + x
-        return out
-    raise ParseError(f"unknown group operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # short exact coefficient sequences
 
@@ -665,10 +636,6 @@ class CoefficientSES:
         if x.group != self.b:
             raise TagError(f"expected {self.b.tag} element")
         return GroupElement(self.a, self.injection_preimage(x.value))
-
-
-def lift(ses: CoefficientSES, c: GroupElement) -> GroupElement:
-    return ses.lift(c)
 
 
 def ses_mod(m: int) -> CoefficientSES:

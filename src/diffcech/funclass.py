@@ -15,6 +15,7 @@ from typing import Dict, Sequence, Tuple
 from .coeff import RAlphaGroup, Scalar
 from .errors import ClassError
 from .exprs import format_poly_terms, parse_poly_terms
+from . import linalg
 
 Expo = Tuple[int, ...]
 
@@ -73,23 +74,11 @@ class AffineMap:
 
     def inverse(self) -> "AffineMap":
         n = self.dim
-        # Gauss-Jordan over the scalar field
-        aug = [
-            [self.a[i][j] for j in range(n)]
-            + [Scalar.of(1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-            if piv is None:
-                raise ClassError("affine map is not invertible")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = Scalar.of(1) / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+        ident = AffineMap.identity(n).a
+        aug, pivots = linalg.rref(
+            [row + e for row, e in zip(self.a, ident)])
+        if pivots != list(range(n)):
+            raise ClassError("affine map is not invertible")
         ainv = [row[n:] for row in aug]
         binv = [
             -sum((ainv[i][k] * self.b[k] for k in range(n)), Scalar.of(0))
@@ -323,6 +312,3 @@ def act(phi: AffineMap, h: FunctionElement) -> FunctionElement:
     """The precomposition action: (act(phi, h))(y) = h(phi(y))."""
     return h.compose_affine(phi)
 
-
-def coordinates(h: FunctionElement):
-    return h.coordinates()

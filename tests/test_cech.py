@@ -22,6 +22,9 @@ from diffcech.cech import (
 )
 from diffcech.coeff import ALPHA, RAlphaGroup, Scalar, ZGroup, ZmodGroup, ses_mod
 from diffcech.errors import DegreeError, TagError
+from diffcech.funclass import AffineMap
+from diffcech.grpcoh import h1_group
+from diffcech.presentation import Generator, GroupQuotient
 
 
 class TestNerveCochains:
@@ -192,6 +195,39 @@ class TestQuotientCohomology:
         z2 = gallery.get_presentation("z2-reflection")
         assert cohomology(z2, RAlphaGroup(), 1).dimension == 0
         assert cohomology(z2, RAlphaGroup(), 2).dimension == 0
+
+
+GALLERY_NERVES = [
+    name for name in gallery.names()
+    if gallery.get(name).kind == "presentation"
+    and gallery.get_presentation(name).kind == "nerve"
+]
+
+
+class TestIndependentRoutes:
+    """Two unrelated computations of one answer must agree."""
+
+    @pytest.mark.parametrize("name", GALLERY_NERVES)
+    def test_field_dimension_is_integer_free_rank(self, name):
+        # universal coefficients: Q(a) row reduction against the integer SNF
+        pres = gallery.get_presentation(name)
+        for k in range(pres.k_max):
+            assert (cohomology(pres, RAlphaGroup(), k).dimension
+                    == cohomology(pres, ZGroup(), k).free_rank)
+
+    def test_torsion_vanishes_over_the_field(self):
+        rp2 = gallery.get_presentation("rp2")
+        assert cohomology(rp2, ZGroup(), 2).group_description() == "Z/2"
+        assert cohomology(rp2, RAlphaGroup(), 2).dimension == 0
+
+    def test_table_engine_matches_h1_group(self):
+        rotation = AffineMap([[0, -1], [1, 0]], [0, 0])
+        z4 = GroupQuotient(2, [Generator(4, rotation)], free=False,
+                           function_class_degree=1, name="z4-rotation")
+        for pres in (gallery.get_presentation("z2-reflection"), z4):
+            table = cohomology(pres, RAlphaGroup(), 1)
+            assert table.note.startswith("relative to class")
+            assert table.dimension == h1_group(pres).dimension == 0
 
 
 class TestClassesEqual:

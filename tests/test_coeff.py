@@ -147,8 +147,13 @@ class TestSmithNormalForm:
 
 class TestGroups:
     def test_tags_round_trip(self):
-        for tag in ["Z", "Z/4", "Q/Z", "R(alpha)", "prod[Z,Z/2]"]:
-            assert group_from_tag(tag).tag == tag
+        rng = random.Random(11)
+        for tag in ["Z", "Z/4", "Q/Z", "R(alpha)", "prod[Z,Z/2]", "prod[]",
+                    "prod[Z/3,prod[Z,R(alpha)]]"]:
+            g = group_from_tag(tag)
+            assert g.tag == tag
+            for x in (g.zero(), g.random(rng)):
+                assert g.parse_el(g.format_el(x)) == x
 
     def test_unknown_tag(self):
         with pytest.raises(ParseError):

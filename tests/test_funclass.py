@@ -54,6 +54,9 @@ class TestAffineMap:
             phi = _random_affine(rng, n)
             p = _random_point(rng, n)
             assert tuple(phi.inverse().apply(phi.apply(p))) == tuple(p)
+        singular = AffineMap([[1, 2], [2, 4]], [0, 1])
+        with pytest.raises(ClassError):
+            singular.inverse()
 
 
 class TestMonomialBasis:
