@@ -14,6 +14,9 @@ from .errors import ParseError
 
 _OPS = set("+-*/^()")
 
+# largest |k| accepted in x^k; powers are expanded term by term
+MAX_EXPONENT = 64
+
 
 def _tokenize(text):
     toks = []
@@ -179,6 +182,9 @@ class _Parser:
                 sign, k = -1, self.next()
             if not isinstance(k, int):
                 raise ParseError(f"bad exponent in {self.text!r}")
+            if k > MAX_EXPONENT:
+                raise ParseError(f"exponent {sign * k} in {self.text!r} "
+                                 f"exceeds the limit of {MAX_EXPONENT}")
             v = v.pow(sign * k)
         return v.neg() if neg else v
 

@@ -19,11 +19,14 @@ from . import linalg
 
 Expo = Tuple[int, ...]
 
+_ZERO = Scalar.of(0)
+_ONE = Scalar.of(1)
+
 
 class AffineMap:
     """x |-> A x + b with exact scalar entries."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "_images")
 
     def __init__(self, a, b):
         self.a = tuple(tuple(Scalar.of(x) for x in row) for row in a)
@@ -31,6 +34,8 @@ class AffineMap:
         n = len(self.b)
         if len(self.a) != n or any(len(row) != n for row in self.a):
             raise ClassError("affine map has inconsistent dimensions")
+        # monomial y^e -> sparse coefficients of (phi(y))^e, filled on demand
+        self._images = {(0,) * n: {(0,) * n: _ONE}}
 
     @property
     def dim(self):
@@ -71,6 +76,43 @@ class AffineMap:
             for i in range(n)
         ]
         return AffineMap(a, b)
+
+    def power(self, n: int) -> "AffineMap":
+        """self composed with itself n times (powers of the inverse for
+        n < 0), by repeated squaring."""
+        base = self if n >= 0 else self.inverse()
+        n, out = abs(n), None
+        while n:
+            if n & 1:
+                out = base if out is None else base.compose(out)
+            n >>= 1
+            if n:
+                base = base.compose(base)
+        return out if out is not None else AffineMap.identity(self.dim)
+
+    def monomial_image(self, e: Expo) -> Dict[Expo, Scalar]:
+        """y |-> (phi(y))^e as {exponent: coefficient}, memoized on self.
+
+        img(e) = img(e - u_i) * phi_i, peeling the first variable that e
+        uses; phi_i is the affine row sum_j a_ij y_j + b_i.
+        """
+        img = self._images.get(e)
+        if img is not None:
+            return img
+        i = next(j for j, k in enumerate(e) if k)
+        prev = self.monomial_image(e[:i] + (e[i] - 1,) + e[i + 1:])
+        row, bi = self.a[i], self.b[i]
+        img = {}
+        for ep, c in prev.items():
+            for j, aij in enumerate(row):
+                if not aij.is_zero():
+                    key = ep[:j] + (ep[j] + 1,) + ep[j + 1:]
+                    img[key] = img.get(key, _ZERO) + c * aij
+            if not bi.is_zero():
+                img[ep] = img.get(ep, _ZERO) + c * bi
+        img = {k: v for k, v in img.items() if not v.is_zero()}
+        self._images[e] = img
+        return img
 
     def inverse(self) -> "AffineMap":
         n = self.dim
@@ -238,53 +280,12 @@ class FunctionElement:
 
     def compose_affine(self, phi: AffineMap) -> "FunctionElement":
         """Coefficients of y |-> self(phi(y)), computed exactly."""
-        n = self.cls.n
-        if phi.dim != n:
+        if phi.dim != self.cls.n:
             raise ClassError("affine map has wrong dimension for this class")
-        # linear images of each variable, as sparse polynomials
-        images = []
-        for i in range(n):
-            img = {}
-            for j in range(n):
-                if not phi.a[i][j].is_zero():
-                    e = tuple(1 if k == j else 0 for k in range(n))
-                    img[e] = phi.a[i][j]
-            if not phi.b[i].is_zero():
-                img[(0,) * n] = phi.b[i]
-            images.append(img)
-
-        def mul(p, q):
-            out = {}
-            for e1, c1 in p.items():
-                for e2, c2 in q.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    s = out.get(e, Scalar.of(0)) + c1 * c2
-                    if s.is_zero():
-                        out.pop(e, None)
-                    else:
-                        out[e] = s
-            return out
-
-        # powers of each variable image, shared across terms
-        maxdeg = [0] * n
-        for e in self.terms:
-            for i, k in enumerate(e):
-                maxdeg[i] = max(maxdeg[i], k)
-        powers = []
-        for i in range(n):
-            ps = [{(0,) * n: Scalar.of(1)}]
-            for _ in range(maxdeg[i]):
-                ps.append(mul(ps[-1], images[i]))
-            powers.append(ps)
-
         result = {}
         for e, c in self.terms.items():
-            term = {(0,) * n: c}
-            for i, k in enumerate(e):
-                if k:
-                    term = mul(term, powers[i][k])
-            for ee, cc in term.items():
-                s = result.get(ee, Scalar.of(0)) + cc
+            for ee, cc in phi.monomial_image(e).items():
+                s = result.get(ee, _ZERO) + c * cc
                 if s.is_zero():
                     result.pop(ee, None)
                 else:

@@ -15,8 +15,8 @@ from .cech import (
     Cochain,
     CohomologyReport,
     CocycleError,
-    _crossed_single,
     _field_cohomology_from_matrices,
+    crossed_relations,
     crossed_value,
     is_cocycle,
 )
@@ -42,21 +42,8 @@ class CrossedHom:
 
     def is_valid(self) -> bool:
         """Generator compatibility and torsion consistency, symbolically."""
-        p = self.pres
-        for i in range(p.rank):
-            gi = p.generators[i]
-            for j in range(i + 1, p.rank):
-                gj = p.generators[j]
-                lhs = self.values[i] + act(gi.affine, self.values[j])
-                rhs = self.values[j] + act(gj.affine, self.values[i])
-                if not (lhs - rhs).is_zero():
-                    return False
-            if gi.torsion:
-                # the unreduced sum over the cyclic orbit must vanish
-                total = _crossed_single(p, self.values[i], i, gi.torsion)
-                if not total.is_zero():
-                    return False
-        return True
+        return all(residual.is_zero() for _, residual
+                   in crossed_relations(self.pres, self.values))
 
     def __add__(self, other: "CrossedHom") -> "CrossedHom":
         if self.pres != other.pres:
@@ -125,7 +112,8 @@ def h1_group(pres) -> CohomologyReport:
     """H1(K, C(M)) within the function class: crossed modulo principal.
 
     Cocycles are degree-D crossed data; principality is tested one degree up
-    (witness potentials live in the widened class).
+    (witness potentials live in the widened class).  Both matrices are read
+    off unit vectors in wide coordinates, one block per generator.
     """
     if pres.kind != "quotient":
         raise ParseError("h1_group needs a quotient presentation")
@@ -133,90 +121,32 @@ def h1_group(pres) -> CohomologyReport:
     wide = cls.widen(1)
     dim = wide.dimension
     r = pres.rank
-    group = RAlphaGroup()
+    top = [t for t, e in enumerate(wide.basis) if sum(e) > cls.max_degree]
 
-    zero = Scalar.of(0)
-    top = [j for j, e in enumerate(wide.basis) if sum(e) > cls.max_degree]
+    def to_vector(values):
+        return [x for i in range(r)
+                for x in values[i].in_class(wide).coordinates()]
 
-    # constraint rows in the ambient space (wide coordinates per generator):
-    # generator-pair compatibility, torsion sums, and "stay in class D"
-    rows = []
-    mono_elems = [wide.monomial(e) for e in wide.basis]
-
-    def transform(phi_elems):
-        # coordinates of each transformed monomial
-        return [elem.in_class(wide).coordinates() for elem in phi_elems]
-
-    ident = transform(mono_elems)
+    # cocycles: every crossed relation holds and the data lies in class D
+    monomials = [wide.monomial(e) for e in wide.basis]
+    rel_cols = []
     for i in range(r):
-        gi = pres.generators[i]
-        acted_i = transform([act(gi.affine, m) for m in mono_elems])
-        for j in range(i + 1, r):
-            gj = pres.generators[j]
-            acted_j = transform([act(gj.affine, m) for m in mono_elems])
-            # h_i + h_j.g_i - h_j - h_i.g_j = 0
-            for out in range(dim):
-                row = [zero] * (r * dim)
-                for t in range(dim):
-                    row[i * dim + t] += ident[t][out] - acted_j[t][out]
-                    row[j * dim + t] += acted_i[t][out] - ident[t][out]
-                rows.append(row)
-        if gi.torsion:
-            # sum over the cyclic orbit of g_i applied to h_i
-            phi = pres.affine_of(pres.k_identity())
-            total = [[zero] * dim for _ in range(dim)]
-            for step in range(gi.torsion):
-                acted = transform([act(phi, m) for m in mono_elems])
-                for t in range(dim):
-                    for out in range(dim):
-                        total[t][out] += acted[t][out]
-                phi = gi.affine.compose(phi)
-            for out in range(dim):
-                row = [zero] * (r * dim)
-                for t in range(dim):
-                    row[i * dim + t] = total[t][out]
-                rows.append(row)
-    # degree policy: cocycle data lives in the unwidened class
-    for i in range(r):
-        for j in top:
-            row = [zero] * (r * dim)
-            row[i * dim + j] = Scalar.of(1)
-            rows.append(row)
-    if not rows:
-        rows = [[zero] * (r * dim)]
-    A_s = rows
+        for m in monomials:
+            unit = {j: m if j == i else wide.zero() for j in range(r)}
+            rel_cols.append([x for _, res in crossed_relations(pres, unit)
+                             for x in res.in_class(wide).coordinates()])
+    A_s = [list(row) for row in zip(*rel_cols)]
+    A_s += [[Scalar.of(int(u == i * dim + t)) for u in range(r * dim)]
+            for i in range(r) for t in top]
 
-    # principal crossed homomorphisms with potentials in the wide class,
-    # intersected with the degree-D subspace
-    P_cols = []
-    for m in mono_elems:
-        ph = principal_crossed(pres, m)
-        col = []
-        for i in range(r):
-            col.extend(ph.values[i].in_class(wide).coordinates())
-        P_cols.append(col)
-    if P_cols and top:
-        P_top = [[P_cols[j][i * dim + t] for j in range(len(P_cols))]
-                 for i in range(r) for t in top]
-        combos = linalg.nullspace(P_top)
-    else:
-        combos = [[Scalar.of(1) if i == j else zero
-                   for i in range(len(P_cols))] for j in range(len(P_cols))]
-    B_cols = []
-    for combo in combos:
-        col = [zero] * (r * dim)
-        for j, c in enumerate(combo):
-            if not c.is_zero():
-                for t in range(r * dim):
-                    col[t] = col[t] + P_cols[j][t] * c
-        B_cols.append(col)
-
-    def to_vector(c: Cochain):
-        out = []
-        for i in range(r):
-            val = c.q_value((tuple(1 if j == i else 0 for j in range(r)),))
-            out.extend(val.in_class(wide).coordinates())
-        return out
+    # coboundaries: principal crossed data of wide potentials whose
+    # degree-(D+1) part cancels
+    P_cols = [to_vector(principal_crossed(pres, m).values) for m in monomials]
+    combos = linalg.nullspace([[col[i * dim + t] for col in P_cols]
+                               for i in range(r) for t in top])
+    B_cols = [[sum((col[u] * c for col, c in zip(P_cols, combo)),
+                   Scalar.of(0)) for u in range(r * dim)]
+              for combo in combos]
 
     def from_vector(v):
         values = {
@@ -229,7 +159,11 @@ def h1_group(pres) -> CohomologyReport:
             return Cochain.table(pres, 1, table)
         return Cochain.crossed(pres, values)
 
+    def cochain_vector(c: Cochain):
+        return to_vector({i: c.q_value((tuple(int(j == i) for j in range(r)),))
+                          for i in range(r)})
+
     note = (f"crossed mod principal; class (n={cls.n}, D={cls.max_degree}), "
             f"witnesses at D={wide.max_degree}")
-    return _field_cohomology_from_matrices(pres, 1, group, A_s, B_cols,
-                                           to_vector, from_vector, note)
+    return _field_cohomology_from_matrices(pres, 1, RAlphaGroup(), A_s, B_cols,
+                                           cochain_vector, from_vector, note)

@@ -194,14 +194,13 @@ class GroupQuotient:
             for h in self.generators[i + 1 :]:
                 if g.affine.compose(h.affine) != h.affine.compose(g.affine):
                     raise ParseError("generator affine maps do not commute")
-            if g.torsion:
-                comp = AffineMap.identity(self.dim)
-                for _ in range(g.torsion):
-                    comp = g.affine.compose(comp)
-                if not comp.is_identity():
-                    raise ParseError(
-                        f"torsion order {g.torsion} not satisfied by affine map"
-                    )
+            if g.torsion < 0:
+                raise ParseError(f"torsion order {g.torsion} is negative "
+                                 "(0 means infinite order)")
+            if g.torsion and not g.affine.power(g.torsion).is_identity():
+                raise ParseError(
+                    f"torsion order {g.torsion} not satisfied by affine map"
+                )
 
     # -- the acting group K -------------------------------------------
     @property
@@ -250,9 +249,8 @@ class GroupQuotient:
         if k not in self._affine_cache:
             phi = AffineMap.identity(self.dim)
             for g, n in zip(self.generators, k):
-                step = g.affine if n >= 0 else g.affine.inverse()
-                for _ in range(abs(n)):
-                    phi = step.compose(phi)
+                if n:
+                    phi = g.affine.power(n).compose(phi)
             self._affine_cache[k] = phi
         return self._affine_cache[k]
 

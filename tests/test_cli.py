@@ -99,6 +99,32 @@ class TestErrors:
         assert code == 2
         assert any("not face-closed" in ln for ln in lines)
 
+    @staticmethod
+    def _quotient_doc(tmp_path, torsion, a, b):
+        doc = {"kind": "quotient", "dim": 1, "free": False, "name": "neg",
+               "function_class_degree": 1,
+               "generators": [{"torsion": torsion,
+                               "affine": {"A": [[a]], "b": [b]}}]}
+        p = tmp_path / "quotient.json"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    def test_negative_torsion(self, tmp_path):
+        for torsion, a, b in ((-2, "-1", "0"), (-3, "1", "1")):
+            path = self._quotient_doc(tmp_path, torsion, a, b)
+            code, lines = _run(["cohomology", "--degree", "0", "--coeff",
+                                "R(alpha)", path])
+            assert code == 2
+            assert any(f"torsion order {torsion} is negative" in ln
+                       for ln in lines)
+
+    def test_exponent_over_the_cap(self, tmp_path):
+        path = self._quotient_doc(tmp_path, 0, "1", "a^65")
+        code, lines = _run(["cohomology", "--degree", "1", "--coeff",
+                            "R(alpha)", path])
+        assert code == 2
+        assert any("exceeds the limit of 64" in ln for ln in lines)
+
     def test_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{")

@@ -74,6 +74,22 @@ class TestScalar:
             s = Scalar.parse(text)
             assert Scalar.parse(str(s)) == s
 
+    def test_exponent_cap(self):
+        from diffcech.exprs import MAX_EXPONENT
+        from diffcech.funclass import FunctionClass
+
+        assert MAX_EXPONENT == 64
+        want = Scalar.of(1)
+        for _ in range(64):
+            want = want * ALPHA
+        assert Scalar.parse("a^64") == want
+        assert Scalar.parse("a^-64") == Scalar.of(1) / want
+        for text in ("a^65", "a^-65", "(a+1)^2000"):
+            with pytest.raises(ParseError, match="exceeds the limit of 64"):
+                Scalar.parse(text)
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            FunctionClass(1, 2).parse("x0^65")
+
     def test_rational_predicates(self):
         assert Scalar.of(5).is_integer()
         assert Scalar.of(Fraction(1, 2)).is_rational()

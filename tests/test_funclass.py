@@ -47,6 +47,35 @@ class TestAffineMap:
             p = _random_point(rng, n)
             assert phi.compose(psi).apply(p) == phi.apply(psi.apply(p))
 
+    def test_power_matches_repeated_compose(self):
+        rng = random.Random(14)
+        for _ in range(10):
+            n = rng.randrange(1, 3)
+            phi = _random_affine(rng, n)
+            step, inv = AffineMap.identity(n), AffineMap.identity(n)
+            for k in range(9):
+                assert phi.power(k) == step
+                assert phi.power(-k) == inv
+                step, inv = phi.compose(step), phi.inverse().compose(inv)
+
+    def test_monomial_image_is_the_power_product(self):
+        # (phi(y))^e expanded once and memoized, checked pointwise
+        rng = random.Random(16)
+        for _ in range(10):
+            n = rng.randrange(1, 3)
+            phi = _random_affine(rng, n)
+            cls = FunctionClass(n, 4)
+            p = _random_point(rng, n)
+            q = phi.apply(p)
+            for e in cls.basis:
+                img = FunctionElement(cls, phi.monomial_image(e))
+                want = Scalar.of(1)
+                for x, k in zip(q, e):
+                    for _ in range(k):
+                        want = want * x
+                assert img.evaluate(p) == want
+                assert phi.monomial_image(e) is phi.monomial_image(e)
+
     def test_inverse(self):
         rng = random.Random(4)
         for _ in range(20):

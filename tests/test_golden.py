@@ -9,6 +9,7 @@ change in a representative, a note or a witness shows up as a diff.
 import json
 import os
 import random
+import tempfile
 
 import pytest
 
@@ -21,7 +22,10 @@ from diffcech.cech import (
     random_cocycle,
 )
 from diffcech.cli import run
-from diffcech.coeff import RAlphaGroup
+from diffcech.coeff import ALPHA, RAlphaGroup
+from diffcech.funclass import AffineMap
+from diffcech.grpcoh import h1_group
+from diffcech.presentation import Generator, GroupQuotient
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_reports.json")
 R = RAlphaGroup()
@@ -59,6 +63,51 @@ def _itorus_witness():
     return _witness(kappa + coboundary(shift), kappa)
 
 
+def _h1(pres):
+    return [json.dumps(h1_group(pres).to_dict(), sort_keys=True)]
+
+
+def _itorus(d):
+    gens = gallery.get_presentation("irrational-torus").generators
+    return GroupQuotient(1, gens, True, d, f"irrational-torus-D{d}")
+
+
+def _z4_rotation():
+    rotation = AffineMap([[0, -1], [1, 0]], [0, 0])
+    return GroupQuotient(2, [Generator(4, rotation)], False, 1, "z4-rotation")
+
+
+def _lattice():
+    shifts = [[1, 0], [0, 1], [ALPHA, 0], [0, ALPHA]]
+    return GroupQuotient(
+        2, [Generator(0, AffineMap.translation(b)) for b in shifts], True, 1,
+        "lattice2")
+
+
+# a reflection of x0 (order 2) next to a unit translation of x1
+_MIXED = {
+    "kind": "quotient", "dim": 2, "free": False, "function_class_degree": 1,
+    "generators": [
+        {"torsion": 2, "affine": {"A": [["-1", "0"], ["0", "1"]],
+                                  "b": ["0", "0"]}},
+        {"torsion": 0, "affine": {"A": [["1", "0"], ["0", "1"]],
+                                  "b": ["0", "1"]}},
+    ],
+}
+
+
+def _check_cocycle(presentation, crossed):
+    doc = {"presentation": presentation, "group": "R(alpha)",
+           "cochain": {"degree": 1, "crossed": crossed}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cochain.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        lines = []
+        code = run(["check-cocycle", path], out=lines.append)
+    return [f"exit {code}"] + lines
+
+
 CASES = {
     "cli torus9 H^1": lambda: _cli("torus9", 1),
     "cli torus9 H^2": lambda: _cli("torus9", 2),
@@ -71,6 +120,21 @@ CASES = {
     "z2-reflection witness degree 1": lambda: _z2_witness(1),
     "z2-reflection witness degree 2": lambda: _z2_witness(2),
     "irrational-torus witness degree 1": _itorus_witness,
+    "h1_group irrational-torus D=1": lambda: _h1(_itorus(1)),
+    "h1_group irrational-torus D=2": lambda: _h1(_itorus(2)),
+    "h1_group irrational-torus D=3": lambda: _h1(_itorus(3)),
+    "h1_group circle-rz": lambda: _h1(gallery.get_presentation("circle-rz")),
+    "h1_group z2-reflection":
+        lambda: _h1(gallery.get_presentation("z2-reflection")),
+    "h1_group z4-rotation D=1": lambda: _h1(_z4_rotation()),
+    "h1_group lattice2 D=1": lambda: _h1(_lattice()),
+    # g1 then g2 on the irrational torus: x0 + 0 != 0 + (x0 + a)
+    "cli check-cocycle fails a generator pair":
+        lambda: _check_cocycle("gallery:irrational-torus",
+                               {"g1": "x0", "g2": "0"}),
+    # the orbit sum of the reflection: 1 + 1 != 0
+    "cli check-cocycle fails the torsion sum":
+        lambda: _check_cocycle(_MIXED, {"g1": "1", "g2": "0"}),
 }
 
 

@@ -41,6 +41,30 @@ class TestCrossedHom:
             rhs = beta.value(k1) + act(pres.affine_of(k1), beta.value(k2))
             assert lhs == rhs
 
+    def test_value_at_large_k(self):
+        # kappa(m + n*a) = n*a, evaluated in O(log |k|) steps
+        from diffcech.coeff import ALPHA
+        kappa = gallery.get("irrational-torus").cocycles["kappa"]
+        assert kappa.q_value(((10**6, -10**6),)).terms == {(0,): ALPHA * -10**6}
+        assert kappa.q_value(((300, 300),)).terms == {(0,): ALPHA * 300}
+
+    def test_crossed_sum_agrees_with_term_by_term_sum(self):
+        # S(n) = sum_{j<n} val.g^j against the plain loop, both signs
+        from diffcech.cech import _crossed_single
+        from diffcech.funclass import act
+        pres = _itorus()
+        val = pres.function_class().parse("x0^2 - a*x0 + 1")
+        for i in range(pres.rank):
+            unit = tuple(int(j == i) for j in range(pres.rank))
+            plain = pres.function_class().zero()
+            for n in range(1, 12):
+                plain = plain + act(pres.affine_of(
+                    tuple((n - 1) * u for u in unit)), val)
+                assert _crossed_single(pres, val, i, n) == plain
+                back = -act(pres.affine_of(tuple(-n * u for u in unit)),
+                            plain)
+                assert _crossed_single(pres, val, i, -n) == back
+
     def test_validity_detects_torsion_violation(self):
         z2 = gallery.get_presentation("z2-reflection")
         cls = z2.function_class()

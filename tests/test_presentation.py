@@ -1,5 +1,6 @@
 """Nerve and quotient presentations: validation, simplicial identities, maps."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -80,6 +81,30 @@ class TestGroupQuotient:
         shift = Generator(2, AffineMap.translation([Scalar.of(1)]))
         with pytest.raises(ParseError):
             GroupQuotient(1, [shift], free=False, function_class_degree=2)
+
+    def test_negative_torsion_rejected(self):
+        flip = AffineMap([[Scalar.of(-1)]], [Scalar.of(0)])
+        shift = AffineMap.translation([Scalar.of(1)])
+        for g in (Generator(-2, flip), Generator(-3, shift)):
+            with pytest.raises(ParseError, match="negative"):
+                GroupQuotient(1, [g], free=False, function_class_degree=1)
+
+    def test_affine_of_uses_repeated_squaring(self, monkeypatch):
+        gens = gallery.get_presentation("irrational-torus").generators
+        it = GroupQuotient(1, gens, free=True, function_class_degree=1)
+        calls = []
+        compose = AffineMap.compose
+
+        def counting(self, other):
+            calls.append(other)
+            return compose(self, other)
+
+        monkeypatch.setattr(AffineMap, "compose", counting)
+        phi = it.affine_of((10**4, 0))
+        assert len(calls) <= 2 * math.log2(10**4)
+        assert phi == AffineMap.translation([Scalar.of(10**4)])
+        assert it.affine_of((-10**4, 7)) == AffineMap.translation(
+            [Scalar.of(-10**4) + ALPHA * 7])
 
     def test_canonical_torsion_reduction(self):
         z2 = gallery.get_presentation("z2-reflection")
