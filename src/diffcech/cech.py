@@ -12,6 +12,7 @@ degree 1 over infinite groups.
 from __future__ import annotations
 
 import random
+from itertools import product
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .coeff import (
@@ -26,7 +27,6 @@ from .coeff import (
     mat_mul,
     mat_vec,
     rank_and_diag,
-    smith_normal_form,
 )
 from . import linalg
 from .errors import (
@@ -371,12 +371,23 @@ def _parse_ktuple_key(key: str) -> Tuple[Tuple[int, ...], ...]:
     return tuple(_parse_tuple_key(p) for p in key.split(";"))
 
 
+# most points a cochain of a finite-group quotient is tabulated on; degree-j
+# cochains are tables on K^j, so H^k needs |K|^(k+1) <= MAX_K_TUPLES
+MAX_K_TUPLES = 256
+
+
+def _check_k_tuples(pres, degree: int) -> None:
+    size = pres.k_order() ** degree
+    if size > MAX_K_TUPLES:
+        raise DegreeError(
+            f"|K|^{degree} = {size} group tuples exceed the limit of "
+            f"{MAX_K_TUPLES} (diffcech.cech.MAX_K_TUPLES)")
+
+
 def _k_tuples(pres, degree: int) -> List[Tuple]:
     """All degree-length tuples of elements of a finite acting group."""
-    from itertools import product
-
-    els = pres.k_elements()
-    return [kt for kt in product(els, repeat=degree)]
+    _check_k_tuples(pres, degree)
+    return list(product(pres.k_elements(), repeat=degree))
 
 
 def zero_cochain(pres, degree: int, group: Group) -> Cochain:
@@ -685,7 +696,7 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
     B = (boundary_matrix(pres, k - 1) if k > 0
          else [[] for _ in pres.tuples(0)])
     n = len(pres.tuples(k))
-    D, U, V, Vinv = _snf(A, want_u=True, want_v=True, want_vinv=True)
+    D, _, V, Vinv = _snf(A, want_u=False, want_v=True, want_vinv=True)
     r, diag = rank_and_diag(D)
     q = n - r
     VinvB = mat_mul(Vinv, B)
@@ -693,7 +704,7 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
 
     if group.tag == "Z":
         R = [VinvB[i] for i in range(r, n)]
-        DR, UR, VR = smith_normal_form(R)
+        DR, UR, _, _ = _snf(R, want_v=False)
         rR, eR = rank_and_diag(DR)
         torsion = [e for e in eR if e > 1]
         free = q - rR
@@ -745,7 +756,7 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
                     rel[i][j] = VinvB[i][j]
         for i in range(n):
             rel[i][p + i] = m // s[i] if i < r else m
-        DR, UR, VR = smith_normal_form(rel)
+        DR, UR, _, _ = _snf(rel, want_v=False)
         rR, eR = rank_and_diag(DR)
         out_idx = [i for i in range(rR) if eR[i] > 1]
         torsion = [eR[i] for i in out_idx]
@@ -873,6 +884,7 @@ def _coboundary_matrix(pres, k: int, cls) -> List[List[Scalar]]:
 
 
 def _finite_quotient_cohomology(pres, k: int, group) -> CohomologyReport:
+    _check_k_tuples(pres, k + 1)
     cls = pres.function_class()
     note = f"relative to class (n={cls.n}, D={cls.max_degree})"
     return _field_cohomology_from_matrices(

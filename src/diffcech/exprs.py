@@ -14,7 +14,8 @@ from .errors import ParseError
 
 _OPS = set("+-*/^()")
 
-# largest |k| accepted in x^k; powers are expanded term by term
+# largest |k| accepted in x^k, and largest degree (see _MP.degree) a power
+# may produce; powers are expanded term by term
 MAX_EXPONENT = 64
 
 
@@ -113,6 +114,12 @@ class _MP:
             raise ParseError("division by a non-constant expression")
         return _MP(self.n, {e: c / s for e, c in self.terms.items()})
 
+    def degree(self) -> int:
+        """The larger of the total degree in the variables and the degree in
+        a of the numerators and denominators of the coefficients."""
+        return max((max(sum(e), len(c.num) - 1, len(c.den) - 1)
+                    for e, c in self.terms.items()), default=0)
+
     def pow(self, k: int):
         if k < 0:
             s = self.as_scalar()
@@ -185,6 +192,10 @@ class _Parser:
             if k > MAX_EXPONENT:
                 raise ParseError(f"exponent {sign * k} in {self.text!r} "
                                  f"exceeds the limit of {MAX_EXPONENT}")
+            if v.degree() * k > MAX_EXPONENT:
+                raise ParseError(f"power ^{sign * k} of a degree-{v.degree()} "
+                                 f"expression in {self.text!r} exceeds the "
+                                 f"degree limit of {MAX_EXPONENT}")
             v = v.pow(sign * k)
         return v.neg() if neg else v
 

@@ -10,12 +10,16 @@ refinements.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeff import Scalar
 from .errors import CompatibilityError, DegreeError, ParseError
 from .funclass import AffineMap, FunctionClass
+
+# most alive tuples a nerve may have in one degree; cochain groups and
+# boundary matrices grow with this count
+MAX_TUPLES = 1 << 18
 
 
 class FiniteNerve:
@@ -80,28 +84,45 @@ class FiniteNerve:
         return frozenset(tup) in self.faces
 
     def tuples(self, k: int) -> List[Tuple[int, ...]]:
-        """Alive (k+1)-tuples in lexicographic order."""
+        """Alive (k+1)-tuples in lexicographic order.
+
+        Faces are closed under subsets, so every prefix of an alive tuple is
+        alive: degree j extends each tuple of degree j-1 by the charts that
+        share an edge with its last entry (only larger ones in alternating
+        mode), in increasing order.  Every degree up to k is cached.
+        """
         if k < 0:
             return [()]
         if k > self.k_max:
             raise DegreeError(f"degree {k} exceeds k_max={self.k_max}")
-        if k not in self._tuple_cache:
-            n = len(self.charts)
-            if self.alternating:
-                out = [
-                    t
-                    for t in product(range(n), repeat=k + 1)
-                    if all(t[i] < t[i + 1] for i in range(k))
-                    and frozenset(t) in self.faces
-                ]
-            else:
-                out = [
-                    t
-                    for t in product(range(n), repeat=k + 1)
-                    if frozenset(t) in self.faces
-                ]
-            self._tuple_cache[k] = out
-        return self._tuple_cache[k]
+        cache = self._tuple_cache
+        if k not in cache:
+            # nbrs[i]: the charts sharing an edge face with chart i, itself
+            # included, increasing; in alternating mode only the larger ones
+            nbrs = [{i} for i in range(len(self.charts))]
+            for f in self.faces:
+                if len(f) == 2:
+                    i, j = f
+                    nbrs[i].add(j)
+                    nbrs[j].add(i)
+            nbrs = [sorted(v for v in nb if not self.alternating or v > i)
+                    for i, nb in enumerate(nbrs)]
+            level = cache[len(cache) - 1] if cache else [()]
+            for j in range(len(cache), k + 1):
+                out = []
+                for t in level:
+                    if t:
+                        base = frozenset(t)
+                        out.extend(t + (v,) for v in nbrs[t[-1]]
+                                   if v in base or base | {v} in self.faces)
+                    else:
+                        out.extend((v,) for v in range(len(self.charts)))
+                    if len(out) > MAX_TUPLES:
+                        raise DegreeError(
+                            f"more than {MAX_TUPLES} alive tuples in degree "
+                            f"{j} (diffcech.presentation.MAX_TUPLES)")
+                cache[j] = level = out
+        return cache[k]
 
     def degeneracy(self, k: int, i: int, tup: Tuple[int, ...]) -> Tuple[int, ...]:
         """Drop the i-th factor of an alive (k+1)-tuple."""
@@ -428,8 +449,6 @@ def common_refinement(q, r, joint: Optional[FiniteNerve] = None):
     k_max = min(q.k_max, r.k_max)
     faces = set()
     for size in range(1, k_max + 2):
-        from itertools import combinations
-
         for combo in combinations(range(len(pairs)), size):
             support = frozenset()
             for ci in combo:
@@ -481,8 +500,6 @@ def circle_arc_nerve(arcs, k_max: int = 4, alternating: bool = True,
     n = len(arcs)
     faces = set()
     for size in range(1, min(n, k_max + 2) + 1):
-        from itertools import combinations
-
         for combo in combinations(range(n), size):
             if all(frozenset(c) in faces
                    for c in combinations(combo, size - 1)) or size == 1:

@@ -125,6 +125,33 @@ class TestErrors:
         assert code == 2
         assert any("exceeds the limit of 64" in ln for ln in lines)
 
+    def test_power_degree_over_the_cap(self, tmp_path):
+        path = self._quotient_doc(tmp_path, 0, "1", "((a+1)^64)^64")
+        code, lines = _run(["cohomology", "--degree", "1", "--coeff",
+                            "R(alpha)", path])
+        assert code == 2
+        assert any("exceeds the degree limit of 64" in ln for ln in lines)
+
+    def test_group_tuples_over_the_limit(self, tmp_path):
+        # an even torsion order is satisfied by the reflection, but H^1
+        # would tabulate cochains on |K|^2 = 4 * 10^8 group pairs
+        path = self._quotient_doc(tmp_path, 20000, "-1", "0")
+        code, lines = _run(["cohomology", "--degree", "1", "--coeff",
+                            "R(alpha)", path])
+        assert code == 2
+        assert any("exceed the limit of 256" in ln for ln in lines)
+
+    def test_nerve_tuples_over_the_limit(self, tmp_path):
+        doc = {"kind": "nerve", "charts": ["U0", "U1"],
+               "alive": [[0], [1], [0, 1]], "k_max": 24,
+               "alternating": False}
+        p = tmp_path / "two.json"
+        p.write_text(json.dumps(doc))
+        code, lines = _run(["cohomology", "--degree", "22", "--coeff", "Z",
+                            str(p)])
+        assert code == 2
+        assert any("alive tuples in degree 18" in ln for ln in lines)
+
     def test_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{")

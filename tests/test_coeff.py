@@ -90,6 +90,19 @@ class TestScalar:
         with pytest.raises(ParseError, match="exceeds the limit"):
             FunctionClass(1, 2).parse("x0^65")
 
+    def test_power_degree_cap(self):
+        # a power is checked by the degree it builds, before it is expanded
+        assert Scalar.parse("((a+1)^8)^8") == Scalar.parse("(a+1)^64")
+        assert Scalar.parse("(1/(a+1))^-64") == Scalar.parse("(a+1)^64")
+        for text in ("((a+1)^64)^64", "(((a+1)^8)^8)^8", "(a^2)^33",
+                     "(a^2)^-33"):
+            with pytest.raises(ParseError, match="degree limit of 64"):
+                Scalar.parse(text)
+        from diffcech.funclass import FunctionClass
+
+        with pytest.raises(ParseError, match="degree limit of 64"):
+            FunctionClass(2, 2).parse("(x0^2+x1)^33")
+
     def test_rational_predicates(self):
         assert Scalar.of(5).is_integer()
         assert Scalar.of(Fraction(1, 2)).is_rational()

@@ -1,5 +1,6 @@
 """Nerve and quotient presentations: validation, simplicial identities, maps."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from diffcech.coeff import ALPHA, Scalar
 from diffcech.errors import CompatibilityError, DegreeError, ParseError
 from diffcech.funclass import AffineMap
 from diffcech.presentation import (
+    MAX_TUPLES,
     FiniteNerve,
     Generator,
     GroupQuotient,
@@ -50,6 +52,50 @@ class TestFiniteNerve:
         n = FiniteNerve.from_facets(1, [(0,)], k_max=2)
         with pytest.raises(DegreeError):
             n.tuples(3)
+
+    @staticmethod
+    def _product_and_filter(nerve, k):
+        # the enumeration tuples() replaced: every (k+1)-word over the
+        # charts, kept when alive (and strictly increasing if alternating)
+        n = len(nerve.charts)
+        return [t for t in itertools.product(range(n), repeat=k + 1)
+                if (not nerve.alternating
+                    or all(t[i] < t[i + 1] for i in range(k)))
+                and frozenset(t) in nerve.faces]
+
+    def test_tuples_match_product_and_filter(self):
+        rng = random.Random(2024)
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            facets = [rng.sample(range(n), rng.randint(1, min(n, 4)))
+                      for _ in range(rng.randint(0, 5))]
+            k_max = rng.randint(0, 4)
+            for alternating in (True, False):
+                nerve = FiniteNerve.from_facets(n, facets, k_max, alternating)
+                degrees = list(range(-1, k_max + 1))
+                rng.shuffle(degrees)  # any order of first requests
+                for k in degrees:
+                    want = (self._product_and_filter(nerve, k) if k >= 0
+                            else [()])
+                    assert nerve.tuples(k) == want, (n, facets, alternating, k)
+
+    def test_tuple_count_limit(self):
+        two = FiniteNerve.from_facets(2, [(0, 1)], k_max=24,
+                                      alternating=False)
+        assert len(two.tuples(17)) == 2 ** 18 == MAX_TUPLES
+        with pytest.raises(DegreeError, match="alive tuples in degree 18"):
+            two.tuples(22)
+        # a 32x32 triangulated torus stays well inside the limit
+        def v(i, j):
+            return (i % 32) * 32 + j % 32
+
+        facets = [f for i in range(32) for j in range(32)
+                  for f in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                            (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+        for alternating, top in ((True, 0), (False, 117760)):
+            torus = FiniteNerve.from_facets(1024, facets, 3, alternating)
+            assert len(torus.tuples(2)) == (2048 if alternating else 31744)
+            assert len(torus.tuples(3)) == top
 
     def test_components(self):
         n = FiniteNerve.from_facets(4, [(0, 1), (2, 3)], k_max=4)
