@@ -21,7 +21,15 @@ from diffcech.cech import (
     random_cocycle,
     zero_cochain,
 )
-from diffcech.coeff import ALPHA, RAlphaGroup, Scalar, ZGroup, ZmodGroup, ses_mod
+from diffcech.coeff import (
+    ALPHA,
+    RAlphaGroup,
+    Scalar,
+    ZGroup,
+    ZmodGroup,
+    group_from_tag,
+    ses_mod,
+)
 from diffcech.errors import DegreeError, TagError
 from diffcech.funclass import AffineMap
 from diffcech.grpcoh import h1_group
@@ -228,8 +236,44 @@ def _circle_nerve(m, alternating):
     return circle_arc_nerve(arcs, k_max=2, alternating=alternating)
 
 
+def _loop_sum(c):
+    """Sum of a 1-cochain around the loop of arcs 0 -> 1 -> ... -> 0."""
+    n = len(c.pres.charts)
+    return sum(c.value_at((j, (j + 1) % n)) for j in range(n))
+
+
 class TestIndependentRoutes:
     """Two unrelated computations of one answer must agree."""
+
+    @pytest.mark.parametrize("tag", ["Z", "Z/2", "Z/3", "Z/4", "Z/6"])
+    def test_circle_class_is_the_loop_sum(self, tag):
+        # H^1 of an arc cover of the circle is read off by one loop, so the
+        # SNF oracle must agree with the loop sum up to one sign per report;
+        # the double cover runs the loop of circle3 twice
+        group = group_from_tag(tag)
+        rng = random.Random(53)
+        reports, signs = {}, {}
+
+        def check(name, c, loop):
+            (coord,) = reports[name].class_coordinates(c)
+            signs[name] &= {s for s in (1, -1)
+                            if group.canonical(coord - s * loop) == 0}
+            assert signs[name], (name, coord, loop)
+
+        for name in ("circle3", "circle6"):
+            pres = gallery.get_presentation(name)
+            rep = reports[name] = cohomology(pres, group, 1)
+            signs[name] = {1, -1}
+            for c in rep.representatives + [
+                    random_cocycle(pres, 1, group, rng, rep.representatives)
+                    for _ in range(8)]:
+                check(name, c, _loop_sum(c))
+        cover = gallery.circle_double_cover()
+        c3 = gallery.get_presentation("circle3")
+        for _ in range(8):
+            c = random_cocycle(c3, 1, group, rng,
+                               reports["circle3"].representatives)
+            check("circle6", pullback_cochain(cover, c), 2 * _loop_sum(c))
 
     @pytest.mark.parametrize("build,size,betti", [
         (_torus_nerve, 3, (1, 2, 1)), (_torus_nerve, 4, (1, 2, 1)),

@@ -1,4 +1,4 @@
-"""Byte-level golden reports of the field-coefficient engines.
+"""Byte-level golden reports of the cohomology engines.
 
 Each case below renders a report exactly as a user sees it: CLI stdout lines,
 or canonical JSON of a cohomology report or a class-comparison witness.  The
@@ -18,22 +18,23 @@ from diffcech.cech import (
     classes_equal,
     coboundary,
     cohomology,
+    h0_global_sections,
     random_cochain,
     random_cocycle,
 )
 from diffcech.cli import run
-from diffcech.coeff import ALPHA, RAlphaGroup
+from diffcech.coeff import ALPHA, RAlphaGroup, group_from_tag
 from diffcech.funclass import AffineMap
 from diffcech.grpcoh import h1_group
-from diffcech.presentation import Generator, GroupQuotient
+from diffcech.presentation import FiniteNerve, Generator, GroupQuotient
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_reports.json")
 R = RAlphaGroup()
 
 
-def _cli(name, k):
+def _cli(name, k, coeff="R(alpha)"):
     lines = []
-    run(["cohomology", "--degree", str(k), "--coeff", "R(alpha)",
+    run(["cohomology", "--degree", str(k), "--coeff", coeff,
          f"gallery:{name}"], out=lines.append)
     return lines
 
@@ -41,6 +42,43 @@ def _cli(name, k):
 def _report(name, k):
     rep = cohomology(gallery.get_presentation(name), R, k)
     return [json.dumps(rep.to_dict(), sort_keys=True)]
+
+
+def _full_torus9_h1():
+    pres = gallery.full_variant(gallery.get_presentation("torus9"))
+    rep = cohomology(pres, group_from_tag("Z"), 1)
+    return [json.dumps(rep.to_dict(), sort_keys=True)]
+
+
+def _coords(name, k, tag, seed):
+    """Oracle coordinates of the reported generators, then of seeded
+    cocycles: coboundaries plus random multiples of the generators."""
+    pres = gallery.get_presentation(name)
+    group = group_from_tag(tag)
+    rep = cohomology(pres, group, k)
+    rng = random.Random(seed)
+    cocycles = rep.representatives + [
+        random_cocycle(pres, k, group, rng, rep.representatives)
+        for _ in range(6)
+    ]
+    return [json.dumps(list(rep.class_coordinates(c))) for c in cocycles]
+
+
+# a triangle and a separate edge: two components
+_TWO_PIECES = FiniteNerve.from_facets(5, [[0, 1, 2], [3, 4]], k_max=3,
+                                      name="two-pieces")
+
+
+def _h0(pres, tag):
+    """The global-sections report, then the coordinates of the section that
+    is 2 on the first component and 5 on the others."""
+    group = group_from_tag(tag)
+    rep = h0_global_sections(pres, group)
+    section = rep.representatives[0].scale_int(2)
+    for other in rep.representatives[1:]:
+        section = section + other.scale_int(5)
+    return [json.dumps(rep.to_dict(), sort_keys=True),
+            json.dumps([str(x) for x in rep.class_coordinates(section)])]
 
 
 def _witness(f1, f2):
@@ -113,6 +151,25 @@ CASES = {
     "cli torus9 H^2": lambda: _cli("torus9", 2),
     "cli circle3 H^0": lambda: _cli("circle3", 0),
     "cli circle3 H^1": lambda: _cli("circle3", 1),
+    "cli rp2 H^1 Z/2": lambda: _cli("rp2", 1, "Z/2"),
+    "cli rp2 H^2 Z": lambda: _cli("rp2", 2, "Z"),
+    "cli rp2 H^2 Z/2": lambda: _cli("rp2", 2, "Z/2"),
+    "cli torus9 H^1 Z/3": lambda: _cli("torus9", 1, "Z/3"),
+    "cli torus9 H^2 Z": lambda: _cli("torus9", 2, "Z"),
+    "cli circle3 H^0 Z/4": lambda: _cli("circle3", 0, "Z/4"),
+    "cli circle6 H^1 Z": lambda: _cli("circle6", 1, "Z"),
+    "torus9-full H^1 Z": _full_torus9_h1,
+    "coords torus9 H^1 Z": lambda: _coords("torus9", 1, "Z", 3),
+    "coords torus9 H^2 Z": lambda: _coords("torus9", 2, "Z", 4),
+    "coords torus9 H^1 Z/6": lambda: _coords("torus9", 1, "Z/6", 5),
+    "coords rp2 H^1 Z/2": lambda: _coords("rp2", 1, "Z/2", 6),
+    "coords rp2 H^2 Z": lambda: _coords("rp2", 2, "Z", 7),
+    "coords rp2 H^2 Z/4": lambda: _coords("rp2", 2, "Z/4", 8),
+    "coords circle6 H^1 Z/4": lambda: _coords("circle6", 1, "Z/4", 9),
+    "h0 torus9 Z": lambda: _h0(gallery.get_presentation("torus9"), "Z"),
+    "h0 two-pieces Z": lambda: _h0(_TWO_PIECES, "Z"),
+    "h0 two-pieces Z/3": lambda: _h0(_TWO_PIECES, "Z/3"),
+    "h0 two-pieces R(alpha)": lambda: _h0(_TWO_PIECES, "R(alpha)"),
     "z2-reflection H^0": lambda: _report("z2-reflection", 0),
     "z2-reflection H^1": lambda: _report("z2-reflection", 1),
     "z2-reflection H^2": lambda: _report("z2-reflection", 2),
