@@ -11,6 +11,7 @@ degree 1 over infinite groups.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import product
 from typing import Callable, Dict, List, Optional, Tuple
@@ -140,6 +141,9 @@ class Cochain:
             if kt not in table:
                 raise ParseError(f"missing table value at {kt}")
             full[kt] = table[kt]
+        for kt in table:
+            if kt not in full:
+                raise ParseError(f"table value at unknown group tuple {kt}")
         return Cochain(pres, degree, RAlphaGroup(), "table", full)
 
     @staticmethod
@@ -595,10 +599,20 @@ def is_cocycle(c: Cochain, seed: int = DEFAULT_SEED) -> CocycleCheck:
 # boundary matrices and the cohomology engines
 
 
+# longest side of a dense boundary matrix; the SNF of an a x b matrix also
+# keeps b x b (or a x a) transforms
+MAX_MATRIX_SIDE = 4096
+
+
 def boundary_matrix(pres, k: int) -> List[List[int]]:
     """Integer matrix of d: C^k -> C^{k+1} on a nerve (rows = (k+2)-tuples)."""
     cols = pres.tuples(k)
     rows = pres.tuples(k + 1)
+    if max(len(rows), len(cols)) > MAX_MATRIX_SIDE:
+        raise DegreeError(
+            f"the degree-{k} boundary matrix is {len(rows)} x {len(cols)}; "
+            f"a side exceeds the limit of {MAX_MATRIX_SIDE} "
+            f"(diffcech.cech.MAX_MATRIX_SIDE)")
     idx = {t: j for j, t in enumerate(cols)}
     if not rows:
         # no tuples upstairs: d is the zero map, kept as one zero row so the
@@ -692,108 +706,62 @@ def _nerve_from_vector(pres, degree, group, vec) -> Cochain:
 
 
 def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
+    """H^k over Z or Z/m as a presented group: generator cochains modulo
+    relations, reduced by one SNF of the relations."""
     A = boundary_matrix(pres, k)
     B = (boundary_matrix(pres, k - 1) if k > 0
          else [[] for _ in pres.tuples(0)])
     n = len(pres.tuples(k))
     D, _, V, Vinv = _snf(A, want_u=False, want_v=True, want_vinv=True)
     r, diag = rank_and_diag(D)
-    q = n - r
     VinvB = mat_mul(Vinv, B)
-    kernel_cols = [[V[i][j] for i in range(n)] for j in range(r, n)]
-
+    # rows < r of VinvB vanish since AB = 0: boundaries lie in the span of
+    # the columns r.. of V
     if group.tag == "Z":
-        R = [VinvB[i] for i in range(r, n)]
-        DR, UR, _, _ = _snf(R, want_v=False)
-        rR, eR = rank_and_diag(DR)
-        torsion = [e for e in eR if e > 1]
-        free = q - rR
-        tor_idx = [i for i in range(rR) if eR[i] > 1]
-        out_idx = tor_idx + list(range(rR, q))
+        # ker A is spanned by the columns r.. of V
+        gens = [[V[i][j] for i in range(n)] for j in range(r, n)]
+        rel = VinvB[r:]
 
-        def oracle(c: Cochain):
-            z = mat_vec(Vinv, _nerve_vector(c))
-            if any(z[i] != 0 for i in range(r)):
+        def to_gens(z):
+            if any(z[:r]):
                 raise CocycleError("class oracle applied to a non-cocycle")
-            w = mat_vec(UR, z[r:])
-            return tuple(
-                w[i] % eR[i] if i < rR else w[i] for i in out_idx
-            )
-
-        reps = []
-        if out_idx:
-            solver = IntSolver([list(row) for row in UR])
-            for i in out_idx:
-                e = [1 if j == i else 0 for j in range(q)]
-                w = solver.solve(e)
-                vec = [
-                    sum(kernel_cols[j][t] * w[j] for j in range(q))
-                    for t in range(n)
-                ]
-                reps.append(_nerve_from_vector(pres, k, group, vec))
-        return CohomologyReport(pres, k, group, "integer", free_rank=free,
-                                invariant_factors=torsion,
-                                representatives=reps, oracle=oracle)
-
-    if group.tag.startswith("Z/"):
-        import math
-
+            return z[r:]
+    else:
+        # mod m, x times column j of V is a cocycle exactly when s_j divides
+        # x, for s_j = m / gcd(d_j, m) (d_j = 0, so s_j = 1, past the rank);
+        # the scaled column then has order m / s_j
         m = group.m
-        s = [m // math.gcd(diag[i], m) for i in range(r)]
-        # generators of the mod-m kernel: scaled pivot columns plus free ones
-        gen_cols = [
-            [V[i][j] * s[j] for i in range(n)] for j in range(r)
-        ] + kernel_cols
-        # relations: boundaries (rows < r of VinvB vanish since AB = 0)
-        p = len(B[0]) if B else 0
-        rel = [[0] * (p + n) for _ in range(n)]
-        for i in range(n):
-            for j in range(p):
-                if i < r:
-                    if VinvB[i][j] != 0:
-                        raise CocycleError("boundary outside the kernel")
-                else:
-                    rel[i][j] = VinvB[i][j]
-        for i in range(n):
-            rel[i][p + i] = m // s[i] if i < r else m
-        DR, UR, _, _ = _snf(rel, want_v=False)
-        rR, eR = rank_and_diag(DR)
-        out_idx = [i for i in range(rR) if eR[i] > 1]
-        torsion = [eR[i] for i in out_idx]
+        s = [m // math.gcd(d, m) for d in diag + [0] * (n - r)]
+        gens = [[V[i][j] * s[j] for i in range(n)] for j in range(n)]
+        rel = [VinvB[i] + [m // s[i] if j == i else 0 for j in range(n)]
+               for i in range(n)]
 
-        def oracle(c: Cochain):
-            x = _nerve_vector(c)
-            z = mat_vec(Vinv, x)
-            w = []
-            for i in range(n):
-                if i < r:
-                    zi = z[i] % m
-                    if zi % s[i] != 0:
-                        raise CocycleError(
-                            "class oracle applied to a non-cocycle"
-                        )
-                    w.append(zi // s[i])
-                else:
-                    w.append(z[i] % m)
-            cvec = mat_vec(UR, w)
-            return tuple(cvec[i] % eR[i] for i in out_idx)
+        def to_gens(z):
+            z = [x % m for x in z]
+            if any(x % sj for x, sj in zip(z, s)):
+                raise CocycleError("class oracle applied to a non-cocycle")
+            return [x // sj for x, sj in zip(z, s)]
 
-        reps = []
-        if out_idx:
-            solver = IntSolver([list(row) for row in UR])
-            for i in out_idx:
-                e = [1 if j == i else 0 for j in range(n)]
-                w = solver.solve(e)
-                vec = [
-                    sum(gen_cols[j][t] * w[j] for j in range(n)) % m
-                    for t in range(n)
-                ]
-                reps.append(_nerve_from_vector(pres, k, group, vec))
-        return CohomologyReport(pres, k, group, "integer", free_rank=0,
-                                invariant_factors=torsion,
-                                representatives=reps, oracle=oracle)
+    q = len(gens)
+    DR, UR, _, _ = _snf(rel, want_v=False)
+    rR, eR = rank_and_diag(DR)
+    out_idx = [i for i in range(rR) if eR[i] > 1] + list(range(rR, q))
 
-    raise ParseError(f"unsupported coefficient tag {group.tag!r}")
+    def oracle(c: Cochain):
+        w = mat_vec(UR, to_gens(mat_vec(Vinv, _nerve_vector(c))))
+        return tuple(w[i] % eR[i] if i < rR else w[i] for i in out_idx)
+
+    reps = []
+    if out_idx:
+        solver = IntSolver(UR)
+        for i in out_idx:
+            w = solver.solve([int(j == i) for j in range(q)])
+            vec = [sum(gens[j][t] * w[j] for j in range(q)) for t in range(n)]
+            reps.append(_nerve_from_vector(pres, k, group, vec))
+    return CohomologyReport(pres, k, group, "integer", free_rank=q - rR,
+                            invariant_factors=[eR[i] for i in out_idx
+                                               if i < rR],
+                            representatives=reps, oracle=oracle)
 
 
 def _field_cohomology_from_matrices(pres, k: int, group, A_s, B_cols,
@@ -926,48 +894,29 @@ def h0_global_sections(pres, group: Group) -> CohomologyReport:
     """H^0 as global sections: locally constant data glued over the nerve,
     or the K-invariant functions of a quotient."""
     if pres.kind == "nerve":
+        tag = group.tag
+        if tag not in ("Z", "R(alpha)") and not tag.startswith("Z/"):
+            raise ParseError(f"unsupported coefficient tag {tag!r}")
         comps = pres.components()
-        reps = []
-        for comp in comps:
-            one = _one_like(group)
-            vals = {
-                (i,): (one if i in comp else group.zero())
+        reps = [
+            Cochain.nerve(pres, 0, group, {
+                (i,): group.canonical(int(i in comp))
                 for i in range(len(pres.charts))
-            }
-            reps.append(Cochain.nerve(pres, 0, group, vals))
-
-        chart_comp = {}
-        for ci, comp in enumerate(comps):
-            for i in comp:
-                chart_comp[i] = ci
-
-        if group.tag == "R(alpha)":
-            def oracle(c):
-                _require_cocycle(c)
-                return tuple(
-                    Scalar.of(c.payload[(comp[0],)]) for comp in comps
-                )
-
-            return CohomologyReport(pres, 0, group, "field",
-                                    dimension=len(comps),
-                                    representatives=reps, oracle=oracle,
-                                    note=f"{len(comps)} component(s)")
+            })
+            for comp in comps
+        ]
 
         def oracle(c):
             _require_cocycle(c)
             return tuple(c.payload[(comp[0],)] for comp in comps)
 
-        if group.tag == "Z":
-            return CohomologyReport(pres, 0, group, "integer",
-                                    free_rank=len(comps),
-                                    representatives=reps, oracle=oracle,
-                                    note=f"{len(comps)} component(s)")
-        if group.tag.startswith("Z/"):
-            return CohomologyReport(pres, 0, group, "integer",
-                                    invariant_factors=[group.m] * len(comps),
-                                    representatives=reps, oracle=oracle,
-                                    note=f"{len(comps)} component(s)")
-        raise ParseError(f"unsupported coefficient tag {group.tag!r}")
+        n, field = len(comps), tag == "R(alpha)"
+        return CohomologyReport(
+            pres, 0, group, "field" if field else "integer",
+            free_rank=n if tag == "Z" else 0,
+            invariant_factors=[group.m] * n if tag.startswith("Z/") else (),
+            dimension=n if field else 0, representatives=reps, oracle=oracle,
+            note=f"{n} component(s)")
 
     # quotient: K-invariant functions of the class, the kernel of d0
     cls = pres.function_class()
@@ -993,16 +942,6 @@ def _require_cocycle(c: Cochain):
     chk = is_cocycle(c)
     if not chk:
         raise CocycleError(f"not a cocycle: {chk.location} -> {chk.detail}")
-
-
-def _one_like(group: Group):
-    if group.tag == "R(alpha)":
-        return Scalar.of(1)
-    if group.tag == "Q/Z":
-        from fractions import Fraction
-
-        return Fraction(1, 2)
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -1165,13 +1104,9 @@ def random_cochain(pres, degree: int, group: Group, rng) -> Cochain:
         return Cochain.crossed(pres, {i: cls.random(rng)
                                       for i in range(pres.rank)})
     seed = rng.randrange(1 << 30)
-
-    def fn(kt, _cache={}):
-        if kt not in _cache:
-            _cache[kt] = cls.random(random.Random(f"{seed}:{kt}"))
-        return _cache[kt]
-
-    return Cochain.lazy(pres, degree, fn)
+    # the lazy payload memoizes each value (Cochain.q_value)
+    return Cochain.lazy(pres, degree,
+                        lambda kt: cls.random(random.Random(f"{seed}:{kt}")))
 
 
 def random_cocycle(pres, degree: int, group: Group, rng,

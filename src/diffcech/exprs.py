@@ -230,7 +230,7 @@ def parse_scalar(text: str) -> Scalar:
     s = v.as_scalar()
     if s is None:
         raise ParseError(f"{text!r} is not a scalar expression")
-    return s if s is not None else Scalar.of(0)
+    return s
 
 
 def parse_poly_terms(text: str, nvars: int):

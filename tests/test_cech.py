@@ -30,7 +30,7 @@ from diffcech.coeff import (
     group_from_tag,
     ses_mod,
 )
-from diffcech.errors import DegreeError, TagError
+from diffcech.errors import DegreeError, ParseError, TagError
 from diffcech.funclass import AffineMap
 from diffcech.grpcoh import h1_group
 from diffcech.presentation import (
@@ -152,6 +152,15 @@ class TestQuotientCochains:
         assert v == it.function_class().from_coordinates(
             [ALPHA * 3] + [Scalar.of(0)] * 3)
         assert kappa.q_value(((5, 0),)).is_zero()
+
+    def test_table_rejects_unknown_keys(self):
+        z2 = gallery.get_presentation("z2-reflection")
+        table = {"(0)": "0", "(1)": "x0", "(3)": "x0^2", "(7,7)": "5"}
+        with pytest.raises(ParseError, match="unknown group tuple"):
+            Cochain.from_dict(z2, RAlphaGroup(), {"degree": 1, "table": table})
+        del table["(3)"], table["(7,7)"]
+        c = Cochain.from_dict(z2, RAlphaGroup(), {"degree": 1, "table": table})
+        assert sorted(c.payload) == [((0,),), ((1,),)]
 
     def test_degree_zero_invariance_check(self):
         it = gallery.get_presentation("irrational-torus")

@@ -2,6 +2,7 @@
 
 import json
 import os
+from itertools import combinations
 
 import pytest
 
@@ -151,6 +152,21 @@ class TestErrors:
                             str(p)])
         assert code == 2
         assert any("alive tuples in degree 18" in ln for ln in lines)
+
+    def test_boundary_matrix_over_the_limit(self, tmp_path):
+        # every face of one 7-chart simplex, repeats allowed: the boundary
+        # matrix out of degree 3 is 7^5 x 7^4 = 16807 x 2401
+        doc = {"kind": "nerve", "charts": [f"U{i}" for i in range(7)],
+               "alive": [list(f) for j in range(1, 8)
+                         for f in combinations(range(7), j)],
+               "k_max": 5, "alternating": False}
+        p = tmp_path / "simplex.json"
+        p.write_text(json.dumps(doc))
+        for degree in (3, 4):
+            code, lines = _run(["cohomology", "--degree", str(degree),
+                                "--coeff", "Z", str(p)])
+            assert code == 2
+            assert any("exceeds the limit of 4096" in ln for ln in lines)
 
     def test_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"
