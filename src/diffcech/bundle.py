@@ -21,6 +21,7 @@ from .cech import (
 )
 from .coeff import Group, GroupElement, Scalar
 from .errors import CocycleError, FiberError, ParseError
+from .funclass import AffineMap
 from . import linalg
 
 
@@ -112,39 +113,23 @@ def _arrow(pres, y1, y2):
     # translation actions: solve sum n_i t_i = y2 - y1 exactly
     shifts = []
     for g in pres.generators:
-        if not g.affine.a == tuple(
-            tuple(Scalar.of(1 if i == j else 0) for j in range(pres.dim))
-            for i in range(pres.dim)
-        ):
+        if g.affine.a != AffineMap.identity(pres.dim).a:
             raise FiberError("arrow search supports translation actions only")
         shifts.append(g.affine.b)
     diff = [Scalar.of(b) - Scalar.of(a) for a, b in zip(y1, y2)]
-    # compare coefficient-wise in the symbol a, coordinate by coordinate
-    degree = 0
-    for s in shifts:
-        for x in s:
-            degree = max(degree, len(x.alpha_coefficients()))
-    for x in diff:
-        degree = max(degree, len(x.alpha_coefficients()))
-    rows = []
-    rhs = []
-    for c in range(pres.dim):
-        for p in range(degree):
-            rows.append([
-                Scalar.of(_coeff(s[c], p)) for s in shifts
-            ])
-            rhs.append(Scalar.of(_coeff(diff[c], p)))
+    # compare coefficient-wise in the symbol a, coordinate by coordinate:
+    # a linear system over Q
+    degree = max((len(x.alpha_coefficients())
+                  for x in diff + [x for s in shifts for x in s]), default=0)
+    rows = [[_coeff(s[c], p) for s in shifts]
+            for c in range(pres.dim) for p in range(degree)]
+    rhs = [_coeff(diff[c], p) for c in range(pres.dim) for p in range(degree)]
     if not rows:
-        rows, rhs = [[Scalar.of(0)] * len(shifts)], [Scalar.of(0)]
+        rows, rhs = [[0] * len(shifts)], [0]
     sol = linalg.solve(rows, rhs)
-    if sol is None:
+    if sol is None or any(x.denominator != 1 for x in sol):
         raise FiberError("points lie in different orbits")
-    k = []
-    for x in sol:
-        if not x.is_integer():
-            raise FiberError("points lie in different orbits")
-        k.append(x.as_int())
-    k = pres.k_canonical(tuple(k))
+    k = pres.k_canonical(tuple(int(x) for x in sol))
     if pres.act_point(y1, k) != tuple(Scalar.of(x) for x in y2):
         raise FiberError("points lie in different orbits")
     return k

@@ -767,7 +767,11 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
 def _field_cohomology_from_matrices(pres, k: int, group, A_s, B_cols,
                                     to_vector, from_vector,
                                     note: str = "") -> CohomologyReport:
-    """Generic field-coefficient H^k = ker A / span(B_cols) over Scalars."""
+    """Field-coefficient H^k = ker A / span(B_cols), reduced by `linalg` in
+    the entries as given: integer nerve matrices over Q, function-class
+    systems over Q(a).  Since Q lies in Q(a) and the RREF is unique, both
+    give the same kernel basis and representatives; the oracle's cochain
+    vector is Q(a), so its coordinates are Scalars."""
     kernel = linalg.nullspace(A_s)
     chosen = []
     if kernel:
@@ -794,11 +798,9 @@ def _columns(M) -> List[list]:
 
 
 def _nerve_field_cohomology(pres, k: int, group) -> CohomologyReport:
-    B_cols = (_columns(linalg.smat(boundary_matrix(pres, k - 1))) if k > 0
-              else [])
+    B_cols = _columns(boundary_matrix(pres, k - 1)) if k > 0 else []
     return _field_cohomology_from_matrices(
-        pres, k, group, linalg.smat(boundary_matrix(pres, k)), B_cols,
-        lambda c: [Scalar.of(v) for v in _nerve_vector(c)],
+        pres, k, group, boundary_matrix(pres, k), B_cols, _nerve_vector,
         lambda v: _nerve_from_vector(pres, k, group, v))
 
 
@@ -844,8 +846,8 @@ def _coboundary_matrix(pres, k: int, cls) -> List[List[Scalar]]:
     n = _quotient_size(pres, k) * cls.dimension
     cols = []
     for j in range(n):
-        unit = [Scalar.of(0)] * n
-        unit[j] = Scalar.of(1)
+        unit = [0] * n
+        unit[j] = 1
         dc = coboundary(_quotient_from_vector(pres, k, cls, unit))
         cols.append(_quotient_vector(dc, cls))
     return _columns(cols)

@@ -14,8 +14,8 @@ from .errors import ParseError
 
 _OPS = set("+-*/^()")
 
-# largest |k| accepted in x^k, and largest degree (see _MP.degree) a power
-# may produce; powers are expanded term by term
+# largest |k| accepted in x^k, and largest degree (see _MP.degree) a power,
+# product or quotient may produce; each is checked before it is expanded
 MAX_EXPONENT = 64
 
 
@@ -140,10 +140,11 @@ def _scalar_pow(s: Scalar, k: int) -> Scalar:
 
 
 class _Parser:
-    def __init__(self, toks, text):
+    def __init__(self, toks, text, nvars):
         self.toks = toks
         self.pos = 0
         self.text = text
+        self.nvars = nvars
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -172,6 +173,11 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.next()
             f = self.factor()
+            d = v.degree() + f.degree()
+            if d > MAX_EXPONENT:
+                raise ParseError(f"{'product' if op == '*' else 'quotient'} "
+                                 f"of degree {d} in {self.text!r} exceeds "
+                                 f"the degree limit of {MAX_EXPONENT}")
             v = v.mul(f) if op == "*" else v.div(f)
         return v
 
@@ -208,6 +214,9 @@ class _Parser:
         if t == "a":
             return _MP.const(Scalar.alpha())
         if isinstance(t, tuple) and t[0] == "var":
+            if t[1] >= self.nvars:
+                raise ParseError(f"{self.text!r} uses more than {self.nvars} "
+                                 "variables")
             return _MP.var(t[1])
         if t == "(":
             v = self.expr()
@@ -217,29 +226,18 @@ class _Parser:
         raise ParseError(f"unexpected token {t!r} in {self.text!r}")
 
 
-def parse_expression(text: str) -> _MP:
-    p = _Parser(_tokenize(text), text)
+def parse_poly_terms(text: str, nvars: int):
+    """Parse into a {exponent tuple: Scalar} dict with tuples of length
+    nvars; a variable x_i with i >= nvars is refused before it is built."""
+    p = _Parser(_tokenize(text), text, nvars)
     v = p.expr()
     if p.peek() is not None:
         raise ParseError(f"trailing input in {text!r}")
-    return v
+    return dict(v._pad(nvars).terms)
 
 
 def parse_scalar(text: str) -> Scalar:
-    v = parse_expression(text)
-    s = v.as_scalar()
-    if s is None:
-        raise ParseError(f"{text!r} is not a scalar expression")
-    return s
-
-
-def parse_poly_terms(text: str, nvars: int):
-    """Parse into a {exponent tuple: Scalar} dict with tuples of length nvars."""
-    v = parse_expression(text)
-    if v.n > nvars:
-        raise ParseError(f"{text!r} uses more than {nvars} variables")
-    v = v._pad(nvars)
-    return dict(v.terms)
+    return parse_poly_terms(text, 0).get((), Scalar.of(0))
 
 
 def _fmt_monomial(e) -> str:

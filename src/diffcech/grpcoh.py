@@ -136,7 +136,7 @@ def h1_group(pres) -> CohomologyReport:
             rel_cols.append([x for _, res in crossed_relations(pres, unit)
                              for x in res.in_class(wide).coordinates()])
     A_s = [list(row) for row in zip(*rel_cols)]
-    A_s += [[Scalar.of(int(u == i * dim + t)) for u in range(r * dim)]
+    A_s += [[int(u == i * dim + t) for u in range(r * dim)]
             for i in range(r) for t in top]
 
     # coboundaries: principal crossed data of wide potentials whose

@@ -1,25 +1,24 @@
-"""Exact linear algebra over the scalar field Q(a).
+"""Exact linear algebra over any field of exact elements.
 
-Matrices are lists of rows of Scalars.  Used wherever coefficients live in the
-field model of R: field-coefficient cohomology of nerves and the function-class
-linear systems of quotient presentations.
+Matrices are lists of rows.  Entries may be ints, Fractions or Scalars of
+Q(a), mixed freely: an entry is zero when it is falsy, and pivots are
+inverted as ``Fraction(1) / pivot``, so integer and rational systems are
+reduced over Q as they are and never meet floating point.  The reduced row
+echelon form is unique, so a rational matrix gives the same pivots and
+values here as its lift to Q(a).  Used wherever coefficients live in a field:
+field-coefficient cohomology of nerves and the function-class linear systems
+of quotient presentations.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .coeff import Scalar
-
-_ZERO = Scalar.of(0)
-_ONE = Scalar.of(1)
+_ONE = Fraction(1)
 
 
-def smat(rows) -> List[List[Scalar]]:
-    return [[Scalar.of(x) for x in row] for row in rows]
-
-
-def rref(M) -> Tuple[List[List[Scalar]], List[int]]:
+def rref(M) -> Tuple[List[list], List[int]]:
     """Reduced row echelon form and the pivot column indices."""
     A = [list(row) for row in M]
     m = len(A)
@@ -27,14 +26,14 @@ def rref(M) -> Tuple[List[List[Scalar]], List[int]]:
     pivots = []
     r = 0
     for col in range(n):
-        piv = next((i for i in range(r, m) if not A[i][col].is_zero()), None)
+        piv = next((i for i in range(r, m) if A[i][col]), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
         inv = _ONE / A[r][col]
         A[r] = [x * inv for x in A[r]]
         for i in range(m):
-            if i != r and not A[i][col].is_zero():
+            if i != r and A[i][col]:
                 f = A[i][col]
                 A[i] = [x - f * y for x, y in zip(A[i], A[r])]
         pivots.append(col)
@@ -48,47 +47,44 @@ def rank(M) -> int:
     return len(rref(M)[1])
 
 
-def nullspace(M) -> List[List[Scalar]]:
+def nullspace(M) -> List[list]:
     """Basis of the kernel, one vector per free column, deterministic order."""
     m = len(M)
     n = len(M[0]) if m else 0
     if n == 0:
         return []
     if m == 0:
-        return [[_ONE if i == j else _ZERO for i in range(n)] for j in range(n)]
+        return [[int(i == j) for i in range(n)] for j in range(n)]
     R, pivots = rref(M)
     pivot_set = set(pivots)
     basis = []
     for free in range(n):
         if free in pivot_set:
             continue
-        v = [_ZERO] * n
-        v[free] = _ONE
+        v = [0] * n
+        v[free] = 1
         for r, col in enumerate(pivots):
             v[col] = -R[r][free]
         basis.append(v)
     return basis
 
 
-def solve(M, b) -> Optional[List[Scalar]]:
-    """One exact solution of M x = b, or None when inconsistent."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    aug = [list(row) + [Scalar.of(bv)] for row, bv in zip(M, b)]
-    R, pivots = rref(aug)
-    for row in R:
-        if all(x.is_zero() for x in row[:n]) and not row[n].is_zero():
-            return None
-    x = [_ZERO] * n
+def solve(M, b) -> Optional[list]:
+    """One exact solution of M x = b, free unknowns 0, or None when
+    inconsistent (the augmented column is a pivot)."""
+    n = len(M[0]) if M else 0
+    R, pivots = rref([list(row) + [bv] for row, bv in zip(M, b)])
+    if pivots and pivots[-1] == n:
+        return None
+    x = [0] * n
     for r, col in enumerate(pivots):
-        if col < n:
-            x[col] = R[r][n]
+        x[col] = R[r][n]
     return x
 
 
-def column_span_coords(columns, v) -> Optional[List[Scalar]]:
+def column_span_coords(columns, v) -> Optional[list]:
     """Coordinates of v in the span of the given column vectors, or None."""
     if not columns:
-        return [] if all(Scalar.of(x).is_zero() for x in v) else None
+        return [] if not any(v) else None
     M = [[columns[j][i] for j in range(len(columns))] for i in range(len(v))]
     return solve(M, v)

@@ -1,6 +1,7 @@
 """Bundle presentations: cocycle laws, division, classification."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,8 @@ from diffcech.bundle import (
 from diffcech.cech import Cochain, coboundary, random_cochain, zero_cochain
 from diffcech.coeff import ALPHA, RAlphaGroup, Scalar, ZGroup
 from diffcech.errors import CocycleError, FiberError
+from diffcech.funclass import AffineMap
+from diffcech.presentation import Generator, GroupQuotient
 
 
 def _winding_bundle():
@@ -85,6 +88,24 @@ class TestCocycleLaw:
         bq = _itorus_bundle()
         with pytest.raises(FiberError):
             bq.f_value((Scalar.of(0),), (Scalar.of(1) / 2,))
+
+    @pytest.mark.parametrize("shifts,reached,missed", [
+        ([1, 2], [3, -7], [Fraction(1, 2), ALPHA]),
+        ([1, ALPHA, 1 + ALPHA], [2 + 3 * ALPHA, -ALPHA, 5],
+         [ALPHA / 2, Fraction(1, 3)]),
+    ])
+    def test_dependent_translations(self, shifts, reached, missed):
+        # with linearly dependent translations the arrow search leaves a
+        # free unknown, which must still come back as an integer
+        pres = GroupQuotient(
+            1, [Generator(0, AffineMap([[Scalar.of(1)]], [Scalar.of(t)]))
+                for t in shifts], free=False)
+        b = bundle_from_cocycle(pres, zero_cochain(pres, 1, RAlphaGroup()))
+        y = (Scalar.of(Fraction(2, 5)),)
+        for t in reached:
+            assert b.f_value(y, (y[0] + t,)).is_zero()
+        for t in missed:
+            assert not b.same_fiber(b.tau0(y), b.tau0((y[0] + t,)))
 
 
 class TestDivision:

@@ -310,6 +310,29 @@ class TestIndependentRoutes:
             assert (cohomology(pres, RAlphaGroup(), k).dimension
                     == cohomology(pres, ZGroup(), k).free_rank)
 
+    @pytest.mark.parametrize("pres", [
+        *(gallery.get_presentation(name) for name in GALLERY_NERVES),
+        _torus_nerve(3, True), _torus_nerve(4, True),
+        *(_circle_nerve(m, True) for m in (3, 4, 5, 6))],
+        ids=GALLERY_NERVES + ["torus3", "torus4", "arcs3", "arcs4", "arcs5",
+                              "arcs6"])
+    def test_euler_characteristic(self, pres):
+        # with no tuples in degree k_max every boundary matrix is in play, so
+        # the alternating sum of the H^k dimensions is that of the tuple
+        # counts, which reads nothing of the row reduction
+        assert not pres.tuples(pres.k_max)
+        reps = [cohomology(pres, RAlphaGroup(), k) for k in range(pres.k_max)]
+        assert (sum((-1) ** k * rep.dimension for k, rep in enumerate(reps))
+                == sum((-1) ** k * len(pres.tuples(k))
+                       for k in range(pres.k_max)))
+        rng = random.Random(59)
+        for k, rep in enumerate(reps):
+            for c in rep.representatives + [random_cocycle(
+                    pres, k, RAlphaGroup(), rng, rep.representatives)]:
+                assert all(isinstance(v, Scalar) for v in c.payload.values())
+                assert all(isinstance(x, Scalar)
+                           for x in rep.class_coordinates(c))
+
     def test_torsion_vanishes_over_the_field(self):
         rp2 = gallery.get_presentation("rp2")
         assert cohomology(rp2, ZGroup(), 2).group_description() == "Z/2"

@@ -133,6 +133,25 @@ class TestErrors:
         assert code == 2
         assert any("exceeds the degree limit of 64" in ln for ln in lines)
 
+    def test_product_degree_over_the_cap(self, tmp_path):
+        path = self._quotient_doc(tmp_path, 0, "1", "*".join(["(a+1)^64"] * 20))
+        code, lines = _run(["cohomology", "--degree", "1", "--coeff",
+                            "R(alpha)", path])
+        assert code == 2
+        assert any("exceeds the degree limit of 64" in ln for ln in lines)
+
+    def test_variable_index_over_the_arity(self, tmp_path):
+        # a 9-byte function naming x10000000 in a one-variable class
+        doc = {"presentation": serialize.presentation_to_dict(
+                   gallery.get_presentation("irrational-torus")),
+               "group": "R(alpha)",
+               "cochain": {"degree": 0, "function": "x10000000"}}
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps(doc))
+        code, lines = _run(["check-cocycle", str(p)])
+        assert code == 2
+        assert any("uses more than 1 variables" in ln for ln in lines)
+
     def test_group_tuples_over_the_limit(self, tmp_path):
         # an even torsion order is satisfied by the reflection, but H^1
         # would tabulate cochains on |K|^2 = 4 * 10^8 group pairs

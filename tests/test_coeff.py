@@ -103,6 +103,32 @@ class TestScalar:
         with pytest.raises(ParseError, match="degree limit of 64"):
             FunctionClass(2, 2).parse("(x0^2+x1)^33")
 
+    def test_product_degree_cap(self):
+        # products and quotients are checked by the degree they build,
+        # before they are expanded
+        assert Scalar.parse("(a+1)^32*(a+1)^32") == Scalar.parse("(a+1)^64")
+        assert Scalar.parse("a^63/(a+1)") * (ALPHA + 1) == Scalar.parse("a^63")
+        factors = "*".join(["(a+1)^64"] * 20)
+        for text in ("a^64*a", "(a+1)^64/(a+2)", factors):
+            with pytest.raises(ParseError, match="degree limit of 64"):
+                Scalar.parse(text)
+        from diffcech.funclass import FunctionClass
+
+        with pytest.raises(ParseError, match="degree limit of 64"):
+            FunctionClass(1, 2).parse("x0^64*x0")
+
+    def test_variable_index_cap(self):
+        # an index past the arity is refused before its exponent tuple
+        # (of that length) is built
+        from diffcech.funclass import FunctionClass
+
+        assert FunctionClass(2, 1).parse("x1").terms == {(0, 1): Scalar.of(1)}
+        for text in ("x2", "x10000000", "1 + x0*x99"):
+            with pytest.raises(ParseError, match="uses more than 2 variables"):
+                FunctionClass(2, 1).parse(text)
+        with pytest.raises(ParseError, match="uses more than 0 variables"):
+            Scalar.parse("x10000000")
+
     def test_rational_predicates(self):
         assert Scalar.of(5).is_integer()
         assert Scalar.of(Fraction(1, 2)).is_rational()
