@@ -846,8 +846,7 @@ def _coboundary_matrix(pres, k: int, cls) -> List[List[Scalar]]:
     n = _quotient_size(pres, k) * cls.dimension
     cols = []
     for j in range(n):
-        unit = [0] * n
-        unit[j] = 1
+        unit = [int(i == j) for i in range(n)]
         dc = coboundary(_quotient_from_vector(pres, k, cls, unit))
         cols.append(_quotient_vector(dc, cls))
     return _columns(cols)
