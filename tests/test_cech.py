@@ -9,6 +9,8 @@ from diffcech import gallery
 from diffcech.cech import (
     Cochain,
     GroupHom,
+    _quotient_from_vector,
+    _quotient_vector,
     classes_equal,
     coboundary,
     cohomology,
@@ -30,15 +32,22 @@ from diffcech.coeff import (
     group_from_tag,
     ses_mod,
 )
-from diffcech.errors import DegreeError, ParseError, TagError
+from diffcech.errors import CocycleError, DegreeError, ParseError, TagError
 from diffcech.funclass import AffineMap
 from diffcech.grpcoh import h1_group
 from diffcech.presentation import (
     FiniteNerve,
     Generator,
     GroupQuotient,
+    PresentationMorphism,
     circle_arc_nerve,
 )
+
+GALLERY_QUOTIENTS = [
+    name for name in gallery.names()
+    if gallery.get(name).kind == "presentation"
+    and gallery.get_presentation(name).kind == "quotient"
+]
 
 
 class TestNerveCochains:
@@ -162,6 +171,18 @@ class TestQuotientCochains:
         c = Cochain.from_dict(z2, RAlphaGroup(), {"degree": 1, "table": table})
         assert sorted(c.payload) == [((0,),), ((1,),)]
 
+    @pytest.mark.parametrize("name", GALLERY_QUOTIENTS)
+    def test_coordinates_round_trip(self, name):
+        # a quotient cochain has coordinates at (), on K^k for a finite K,
+        # and at the generators in degree 1 otherwise
+        pres = gallery.get_presentation(name)
+        cls = pres.function_class()
+        rng = random.Random(67)
+        for k in ((0, 1, 2) if pres.is_finite() else (0, 1)):
+            c = random_cochain(pres, k, RAlphaGroup(), rng)
+            vec = _quotient_vector(c, cls)
+            assert _quotient_from_vector(pres, k, cls, vec) == c, k
+
     def test_degree_zero_invariance_check(self):
         it = gallery.get_presentation("irrational-torus")
         cls = it.function_class()
@@ -212,7 +233,14 @@ class TestQuotientCohomology:
         assert h0.dimension == 1  # only the constants are invariant
         z2 = gallery.get_presentation("z2-reflection")
         # invariants of the reflection are spanned by 1 and x^2
-        assert cohomology(z2, RAlphaGroup(), 0).dimension == 2
+        h0 = cohomology(z2, RAlphaGroup(), 0)
+        assert h0.dimension == 2
+        assert h0.note == "invariants of class (n=1, D=3)"
+        cls = z2.function_class()
+        assert h0.class_coordinates(Cochain.function(
+            z2, cls.parse("3*x0^2 - 1"))) == (Scalar.of(-1), Scalar.of(3))
+        with pytest.raises(CocycleError):
+            h0.class_coordinates(Cochain.function(z2, cls.parse("x0")))
 
     def test_finite_quotient_vanishing(self):
         z2 = gallery.get_presentation("z2-reflection")
@@ -385,6 +413,43 @@ class TestPullbacks:
         lhs = pullback_cochain(m, coboundary(f))
         rhs = coboundary(pullback_cochain(m, f))
         assert (lhs - rhs).is_zero()
+
+    @staticmethod
+    def _doubling():
+        # x -> 2x on the irrational torus, g1 -> (2, 0), g2 -> (0, 2)
+        it = gallery.get_presentation("irrational-torus")
+        return PresentationMorphism(it, it, affine=AffineMap([[2]], [0]),
+                                    hom=[(2, 0), (0, 2)], name="doubling")
+
+    def test_doubling_doubles_kappa(self):
+        m = self._doubling()
+        kappa = gallery.get("irrational-torus").cocycles["kappa"]
+        pulled = pullback_cochain(m, kappa)
+        assert pulled.payload_kind == "crossed"
+        assert pulled.to_dict() == {"degree": 1,
+                                    "crossed": {"g1": "0", "g2": "2*a"}}
+        h1 = cohomology(m.source, RAlphaGroup(), 1)
+        assert h1.class_coordinates(kappa) == (Scalar.of(-1),)
+        assert h1.class_coordinates(pulled) == (Scalar.of(-2),)
+
+    def test_quotient_pullback_commutes_with_coboundary(self):
+        z2 = gallery.get_presentation("z2-reflection")
+        tripling = PresentationMorphism(z2, z2, affine=AffineMap([[3]], [0]),
+                                        hom=[(1,)], name="tripling")
+        rng = random.Random(61)
+        for m in (self._doubling(), tripling):
+            pres = m.target
+            for k in (0, 1, 2):
+                c = random_cochain(pres, k, RAlphaGroup(), rng)
+                lhs = pullback_cochain(m, coboundary(c))
+                rhs = coboundary(pullback_cochain(m, c))
+                if pres.is_finite():
+                    assert lhs.payload_kind == rhs.payload_kind == "table"
+                    assert lhs == rhs
+                    continue
+                for _ in range(3):
+                    kt = tuple(pres.random_k(rng) for _ in range(k + 1))
+                    assert lhs.q_value(kt) == rhs.q_value(kt), (k, kt)
 
     def test_quotient_pullback_to_line(self):
         m = gallery.line_to_irrational_torus()
