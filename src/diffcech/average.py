@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cech import Cochain, CocycleError, _k_tuples, coboundary, is_cocycle
+from .cech import (
+    Cochain,
+    CocycleError,
+    _quotient_cochain,
+    _quotient_points,
+    _require_cocycle,
+    coboundary,
+)
 from .coeff import GroupElement, RAlphaGroup, Scalar
 from .errors import DegreeError, ParseError
 from .funclass import FunctionElement, act
@@ -61,20 +68,19 @@ def trivializing_homotopy(g: FiniteTranslationGroupoid, f: Cochain,
     k = f.degree if k is None else k
     if k != f.degree or k < 1:
         raise DegreeError(f"expected a cocycle of positive degree, got {k}")
-    chk = is_cocycle(f)
-    if not chk:
-        raise CocycleError(f"not a cocycle: {chk.location} -> {chk.detail}")
+    _require_cocycle(f)
     w = Scalar.of(g.weight)
-    table = {}
-    for kt in _k_tuples(pres, k - 1):
+
+    def average_last(kt):
         total = pres.function_class().zero()
         for gamma in pres.k_elements():
             total = total + f.q_value(kt + (gamma,))
-        table[kt] = total.scale(w)
-    gch = (Cochain.function(pres, table[()]) if k == 1
-           else Cochain.table(pres, k - 1, table))
+        return total.scale(w)
+
+    gch = _quotient_cochain(pres, k - 1, average_last)
     check = coboundary(gch) - f.scale_int((-1) ** k)
-    for kt, v in check.payload.items():
+    for kt in _quotient_points(pres, k):
+        v = check.q_value(kt)
         if not v.is_zero():
             raise CocycleError(
                 f"homotopy identity failed at {kt}: {v}"

@@ -2,11 +2,13 @@
 
 The coboundary is the alternating sum over the degeneracy maps,
 (d f)(x0,...,x_{k+1}) = sum_i (-1)^i f(d_i(x0,...,x_{k+1})).  Nerve cochains
-are tables of group values over alive tuples; quotient cochains are function
-class data: one function in degree 0, crossed data (one function per group
-generator, extended by the cocycle law) in degree 1 over infinite groups,
-full tables over K^k for finite groups, and lazily evaluated payloads above
-degree 1 over infinite groups.
+are tables of group values over alive tuples.  A degree-k quotient cochain is
+a function-valued map on K^k, stored as one function in degree 0, a full table
+over K^k for finite K, crossed data (one function per group generator,
+extended by the cocycle law) in degree 1 over infinite K, and a lazily
+evaluated payload above degree 1 over infinite K.  `_quotient_points` is the
+one place this layout is chosen; `_quotient_cochain` builds a cochain from
+its values there.
 """
 
 from __future__ import annotations
@@ -394,6 +396,32 @@ def _k_tuples(pres, degree: int) -> List[Tuple]:
     return list(product(pres.k_elements(), repeat=degree))
 
 
+def _quotient_points(pres, k: int) -> Optional[List[Tuple]]:
+    """The group tuples a degree-k quotient cochain is stored at: () in
+    degree 0, all of K^k for finite K, the generators in degree 1; None where
+    the payload is lazy."""
+    if k == 0:
+        return [()]
+    if pres.is_finite():
+        return _k_tuples(pres, k)
+    if k == 1:
+        return [(pres.gen_power(i),) for i in range(pres.rank)]
+    return None
+
+
+def _quotient_cochain(pres, k: int, value: Callable) -> Cochain:
+    """The degree-k quotient cochain with value(kt) at each stored point."""
+    points = _quotient_points(pres, k)
+    if points is None:
+        return Cochain.lazy(pres, k, value)
+    if k == 0:
+        return Cochain.function(pres, value(()))
+    if pres.is_finite():
+        return Cochain(pres, k, RAlphaGroup(), "table",
+                       {kt: value(kt) for kt in points})
+    return Cochain.crossed(pres, {i: value(kt) for i, kt in enumerate(points)})
+
+
 def zero_cochain(pres, degree: int, group: Group) -> Cochain:
     if pres.kind == "nerve":
         z = group.zero()
@@ -401,15 +429,8 @@ def zero_cochain(pres, degree: int, group: Group) -> Cochain:
                              {t: z for t in pres.tuples(degree)})
     if group.tag != "R(alpha)":
         raise ParseError("quotient cochains are valued in the R model")
-    cls = pres.function_class()
-    if degree == 0:
-        return Cochain.function(pres, cls.zero())
-    if pres.is_finite():
-        return Cochain.table(pres, degree,
-                             {kt: cls.zero() for kt in _k_tuples(pres, degree)})
-    if degree == 1:
-        return Cochain.crossed(pres, {})
-    return Cochain.lazy(pres, degree, lambda kt: cls.zero())
+    zero = pres.function_class().zero()
+    return _quotient_cochain(pres, degree, lambda kt: zero)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +448,7 @@ def crossed_value(pres, values: Dict[int, FunctionElement], k) -> FunctionElemen
             continue
         part = _crossed_single(pres, values[i], i, n)
         acc = acc + act(pres.affine_of(prefix), part)
-        step = tuple(n if j == i else 0 for j in range(pres.rank))
-        prefix = pres.k_add(prefix, step)
+        prefix = pres.k_add(prefix, pres.gen_power(i, n))
     return acc
 
 
@@ -442,21 +462,17 @@ def _crossed_single(pres, val: FunctionElement, i: int, n: int) -> FunctionEleme
     hit = cache.get(key)
     if hit is not None:
         return hit
-
-    def gen_mult(j):
-        return tuple(j if t == i else 0 for t in range(pres.rank))
-
     if n < 0:
         pos = _crossed_single(pres, val, i, -n)
-        acc = -act(pres.affine_of(gen_mult(n)), pos)
+        acc = -act(pres.affine_of(pres.gen_power(i, n)), pos)
     elif n == 0:
         acc = pres.function_class().zero()
     else:
         m = n // 2
         half = _crossed_single(pres, val, i, m)
-        acc = half + act(pres.affine_of(gen_mult(m)), half)
+        acc = half + act(pres.affine_of(pres.gen_power(i, m)), half)
         if n % 2:
-            acc = acc + act(pres.affine_of(gen_mult(n - 1)), val)
+            acc = acc + act(pres.affine_of(pres.gen_power(i, n - 1)), val)
     cache[key] = acc
     return acc
 
@@ -508,20 +524,9 @@ def coboundary(c: Cochain) -> Cochain:
             acc = acc + (-v if i % 2 else v)
         return acc
 
-    if c.payload_kind == "function" and not pres.is_finite():
-        # d of a degree-0 function is the principal crossed datum
-        vals = {
-            i: act(g.affine, c.payload) - c.payload
-            for i, g in enumerate(pres.generators)
-        }
-        return Cochain.crossed(pres, vals)
-    if pres.is_finite():
-        return Cochain(pres, k + 1, c.group, "table",
-                       {kt: dvalue(kt) for kt in _k_tuples(pres, k + 1)})
-    if c.payload_kind == "crossed":
-        # crossed data satisfies no relation a priori; d is evaluated lazily
-        return Cochain.lazy(pres, 2, dvalue)
-    return Cochain.lazy(pres, k + 1, dvalue)
+    # d of a degree-0 function is principal crossed data; d of crossed data
+    # satisfies no relation a priori and is evaluated lazily
+    return _quotient_cochain(pres, k + 1, dvalue)
 
 
 # ---------------------------------------------------------------------------
@@ -805,45 +810,24 @@ def _nerve_field_cohomology(pres, k: int, group) -> CohomologyReport:
 
 
 def _quotient_vector(c: Cochain, cls) -> list:
-    """Coordinates of a quotient cochain in cls: its value at (), at every
-    tuple of K^k for finite K, or at the generators for crossed data."""
-    pres = c.pres
-    if c.degree == 0:
-        values = [c.q_value(())]
-    elif pres.is_finite():
-        values = [c.q_value(kt) for kt in _k_tuples(pres, c.degree)]
-    elif c.payload_kind == "crossed":
-        values = [c.payload[i] for i in range(pres.rank)]
-    elif c.degree == 1:
-        values = [c.q_value((tuple(int(i == j) for j in range(pres.rank)),))
-                  for i in range(pres.rank)]
-    else:
+    """Coordinates in cls of a quotient cochain's values at its points."""
+    points = _quotient_points(c.pres, c.degree)
+    if points is None:
         raise DegreeError("infinite-group quotient cochains have coordinates "
                           "only as degree-1 crossed data")
-    return [x for v in values for x in v.in_class(cls).coordinates()]
+    return [x for kt in points for x in c.q_value(kt).in_class(cls).coordinates()]
 
 
 def _quotient_from_vector(pres, k: int, cls, vec) -> Cochain:
     d = cls.dimension
-    values = [cls.from_coordinates(vec[i : i + d])
-              for i in range(0, len(vec), d)]
-    if k == 0:
-        return Cochain.function(pres, values[0])
-    if pres.is_finite():
-        return Cochain.table(pres, k, dict(zip(_k_tuples(pres, k), values)))
-    return Cochain.crossed(pres, dict(enumerate(values)))
-
-
-def _quotient_size(pres, k: int) -> int:
-    """Number of points a degree-k quotient cochain is read at."""
-    if k == 0:
-        return 1
-    return pres.k_order() ** k if pres.is_finite() else pres.rank
+    values = {kt: cls.from_coordinates(vec[j * d : (j + 1) * d])
+              for j, kt in enumerate(_quotient_points(pres, k))}
+    return _quotient_cochain(pres, k, values.__getitem__)
 
 
 def _coboundary_matrix(pres, k: int, cls) -> List[List[Scalar]]:
     """Rows of d: C^k -> C^{k+1} of a quotient, in the coordinates of cls."""
-    n = _quotient_size(pres, k) * cls.dimension
+    n = len(_quotient_points(pres, k)) * cls.dimension
     cols = []
     for j in range(n):
         unit = [int(i == j) for i in range(n)]
@@ -852,13 +836,17 @@ def _coboundary_matrix(pres, k: int, cls) -> List[List[Scalar]]:
     return _columns(cols)
 
 
-def _finite_quotient_cohomology(pres, k: int, group) -> CohomologyReport:
-    _check_k_tuples(pres, k + 1)
+def _quotient_field_cohomology(pres, k: int, group) -> CohomologyReport:
+    """H^k of a quotient in the coordinates of its function class: the
+    K-invariant functions in degree 0, or H^k of a finite K."""
+    # refuse a K^(k+1) over the limit before any matrix is built
+    _quotient_points(pres, k + 1)
     cls = pres.function_class()
-    note = f"relative to class (n={cls.n}, D={cls.max_degree})"
+    B_cols = _columns(_coboundary_matrix(pres, k - 1, cls)) if k else []
+    note = (f"{'relative to' if k else 'invariants of'} class "
+            f"(n={cls.n}, D={cls.max_degree})")
     return _field_cohomology_from_matrices(
-        pres, k, group, _coboundary_matrix(pres, k, cls),
-        _columns(_coboundary_matrix(pres, k - 1, cls)),
+        pres, k, group, _coboundary_matrix(pres, k, cls), B_cols,
         lambda c: _quotient_vector(c, cls),
         lambda v: _quotient_from_vector(pres, k, cls, v), note)
 
@@ -878,10 +866,8 @@ def cohomology(pres, group: Group, k: int) -> CohomologyReport:
                          "for nerve cohomology")
     if group.tag != "R(alpha)":
         raise ParseError("quotient cohomology uses the R model coefficients")
-    if k == 0:
-        return h0_global_sections(pres, group)
-    if pres.is_finite():
-        return _finite_quotient_cohomology(pres, k, group)
+    if k == 0 or pres.is_finite():
+        return _quotient_field_cohomology(pres, k, group)
     if k == 1:
         from .grpcoh import h1_group
 
@@ -919,24 +905,7 @@ def h0_global_sections(pres, group: Group) -> CohomologyReport:
             dimension=n if field else 0, representatives=reps, oracle=oracle,
             note=f"{n} component(s)")
 
-    # quotient: K-invariant functions of the class, the kernel of d0
-    cls = pres.function_class()
-    basis = linalg.nullspace(_coboundary_matrix(pres, 0, cls))
-    reps = [Cochain.function(pres, cls.from_coordinates(v)) for v in basis]
-
-    def oracle(c):
-        _require_cocycle(c)
-        coords = linalg.column_span_coords(
-            [list(v) for v in basis], c.payload.in_class(cls).coordinates()
-        )
-        if coords is None:
-            raise CocycleError("function is not K-invariant")
-        return tuple(coords)
-
-    return CohomologyReport(pres, 0, group, "field", dimension=len(basis),
-                            representatives=reps, oracle=oracle,
-                            note=f"invariants of class (n={cls.n}, "
-                                 f"D={cls.max_degree})")
+    return _quotient_field_cohomology(pres, 0, group)
 
 
 def _require_cocycle(c: Cochain):
@@ -957,36 +926,9 @@ def pullback_cochain(m, c: Cochain) -> Cochain:
     if src.kind == "nerve":
         vals = {t: c.value_at(m.map_tuple(t)) for t in src.tuples(c.degree)}
         return Cochain.nerve(src, c.degree, c.group, vals)
-    if c.degree == 0:
-        return Cochain.function(src, act(m.affine, c.payload))
-    if c.degree == 1:
-        if src.is_finite():
-            table = {
-                (kt,): act(m.affine, c.q_value((m.map_k(kt),)))
-                for kt in src.k_elements()
-            }
-            return Cochain.table(src, 1, table)
-        vals = {
-            i: act(
-                m.affine,
-                c.q_value(
-                    (m.map_k(tuple(1 if j == i else 0
-                                   for j in range(src.rank))),)
-                ),
-            )
-            for i in range(src.rank)
-        }
-        return Cochain.crossed(src, vals)
-    if src.is_finite():
-        table = {
-            kt: act(m.affine, c.q_value(tuple(m.map_k(x) for x in kt)))
-            for kt in _k_tuples(src, c.degree)
-        }
-        return Cochain.table(src, c.degree, table)
-    return Cochain.lazy(
+    return _quotient_cochain(
         src, c.degree,
-        lambda kt: act(m.affine, c.q_value(tuple(m.map_k(x) for x in kt))),
-    )
+        lambda kt: act(m.affine, c.q_value(tuple(m.map_k(x) for x in kt))))
 
 
 def push_coefficients(h: GroupHom, c: Cochain) -> Cochain:
@@ -1095,19 +1037,12 @@ def random_cochain(pres, degree: int, group: Group, rng) -> Cochain:
         return Cochain.nerve(pres, degree, group,
                              {t: group.random(rng) for t in pres.tuples(degree)})
     cls = pres.function_class()
-    if degree == 0:
-        return Cochain.function(pres, cls.random(rng))
-    if pres.is_finite():
-        return Cochain.table(pres, degree,
-                             {kt: cls.random(rng)
-                              for kt in _k_tuples(pres, degree)})
-    if degree == 1:
-        return Cochain.crossed(pres, {i: cls.random(rng)
-                                      for i in range(pres.rank)})
+    if _quotient_points(pres, degree) is not None:
+        return _quotient_cochain(pres, degree, lambda kt: cls.random(rng))
     seed = rng.randrange(1 << 30)
     # the lazy payload memoizes each value (Cochain.q_value)
-    return Cochain.lazy(pres, degree,
-                        lambda kt: cls.random(random.Random(f"{seed}:{kt}")))
+    return _quotient_cochain(
+        pres, degree, lambda kt: cls.random(random.Random(f"{seed}:{kt}")))
 
 
 def random_cocycle(pres, degree: int, group: Group, rng,

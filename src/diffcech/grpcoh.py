@@ -14,11 +14,11 @@ from typing import Dict
 from .cech import (
     Cochain,
     CohomologyReport,
-    CocycleError,
     _field_cohomology_from_matrices,
+    _quotient_cochain,
+    _require_cocycle,
     crossed_relations,
     crossed_value,
-    is_cocycle,
 )
 from .coeff import RAlphaGroup, Scalar
 from .errors import FreenessError, ParseError
@@ -77,14 +77,9 @@ def crossed_from_cocycle(f: Cochain) -> CrossedHom:
     pres = f.pres
     if pres.kind != "quotient" or f.degree != 1:
         raise ParseError("expected a degree-1 cochain on a quotient")
-    chk = is_cocycle(f)
-    if not chk:
-        raise CocycleError(f"not a cocycle: {chk.location} -> {chk.detail}")
-    values = {
-        i: f.q_value((tuple(1 if j == i else 0 for j in range(pres.rank)),))
-        for i in range(pres.rank)
-    }
-    return CrossedHom(pres, values)
+    _require_cocycle(f)
+    return CrossedHom(pres, {i: f.q_value((pres.gen_power(i),))
+                             for i in range(pres.rank)})
 
 
 def cocycle_from_crossed(beta: CrossedHom) -> Cochain:
@@ -94,10 +89,7 @@ def cocycle_from_crossed(beta: CrossedHom) -> Cochain:
         raise FreenessError(
             "the inverse dictionary needs a free action (arrow map undefined)"
         )
-    if pres.is_finite():
-        table = {(kt,): beta.value(kt) for kt in pres.k_elements()}
-        return Cochain.table(pres, 1, table)
-    return Cochain.crossed(pres, dict(beta.values))
+    return _quotient_cochain(pres, 1, lambda kt: beta.value(kt[0]))
 
 
 def principal_crossed(pres, alpha: FunctionElement) -> CrossedHom:
@@ -153,14 +145,11 @@ def h1_group(pres) -> CohomologyReport:
             i: wide.from_coordinates(v[i * dim : (i + 1) * dim])
             for i in range(r)
         }
-        if pres.is_finite():
-            table = {(kt,): crossed_value(pres, values, kt)
-                     for kt in pres.k_elements()}
-            return Cochain.table(pres, 1, table)
-        return Cochain.crossed(pres, values)
+        return _quotient_cochain(
+            pres, 1, lambda kt: crossed_value(pres, values, kt[0]))
 
     def cochain_vector(c: Cochain):
-        return to_vector({i: c.q_value((tuple(int(j == i) for j in range(r)),))
+        return to_vector({i: c.q_value((pres.gen_power(i),))
                           for i in range(r)})
 
     note = (f"crossed mod principal; class (n={cls.n}, D={cls.max_degree}), "

@@ -245,6 +245,10 @@ class GroupQuotient:
     def k_neg(self, k):
         return self.k_canonical(tuple(-a for a in k))
 
+    def gen_power(self, i: int, n: int = 1) -> Tuple[int, ...]:
+        """The exponent vector of g_i^n, not reduced by the torsion."""
+        return tuple(n if j == i else 0 for j in range(self.rank))
+
     def is_finite(self) -> bool:
         return all(g.torsion for g in self.generators)
 
@@ -393,9 +397,8 @@ class PresentationMorphism:
             )
         return PresentationMorphism(
             pres, pres, affine=AffineMap.identity(pres.dim),
-            hom=[pres.k_canonical(
-                tuple(1 if j == i else 0 for j in range(pres.rank)))
-                for i in range(pres.rank)],
+            hom=[pres.k_canonical(pres.gen_power(i))
+                 for i in range(pres.rank)],
             name="id",
         )
 
