@@ -687,7 +687,7 @@ def parse_ses(spec: str) -> CoefficientSES:
         raise ParseError(f"SES spec must be A:B:C, got {spec!r}")
     a, b, c = (p.strip() for p in parts)
     if a == "Z" and b == "Z" and c.startswith("Z/"):
-        return ses_mod(int(c[2:]))
+        return ses_mod(group_from_tag(c).m)
     if a == "Z" and b in ("R(alpha)", "R") and c == "Q/Z":
         return ses_z_r_qmodz()
     raise ParseError(f"unsupported SES {spec!r}")

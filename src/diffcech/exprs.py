@@ -15,8 +15,20 @@ from .errors import ParseError
 _OPS = set("+-*/^()")
 
 # largest |k| accepted in x^k, and largest degree (see _MP.degree) a power,
-# product or quotient may produce; each is checked before it is expanded
+# product, quotient or sum may produce; powers, products and quotients are
+# checked before they are expanded, sums after each term (a sum of quotients
+# grows its common denominator term by term)
 MAX_EXPONENT = 64
+
+
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        # past sys.get_int_max_str_digits(), or digits such as '\u00b2' that
+        # str.isdigit() accepts and int() does not read
+        raise ParseError(f"cannot read the {len(digits)}-digit integer "
+                         f"starting {digits[:8]!r}")
 
 
 def _tokenize(text):
@@ -33,7 +45,7 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(int(text[i:j]))
+            toks.append(_int(text[i:j]))
             i = j
         elif ch == "a" and (i + 1 >= n or not text[i + 1].isalnum()):
             toks.append("a")
@@ -42,7 +54,7 @@ def _tokenize(text):
             j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(("var", int(text[i + 1 : j]) if j > i + 1 else 0))
+            toks.append(("var", _int(text[i + 1 : j]) if j > i + 1 else 0))
             i = j
         else:
             raise ParseError(f"unexpected character {ch!r} in {text!r}")
@@ -166,6 +178,9 @@ class _Parser:
             op = self.next()
             t = self.term()
             v = v.add(t.neg() if op == "-" else t)
+            if v.degree() > MAX_EXPONENT:
+                raise ParseError(f"sum of degree {v.degree()} in {self.text!r} "
+                                 f"exceeds the degree limit of {MAX_EXPONENT}")
         return v
 
     def term(self):

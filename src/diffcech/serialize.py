@@ -7,6 +7,7 @@ identity byte-for-byte on canonical documents.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .bundle import BundlePresentation
@@ -53,6 +54,19 @@ def presentation_to_dict(pres) -> dict:
     return doc
 
 
+def _reads_fields(fn):
+    """Report a document field of the wrong type or value, which surfaces
+    as a TypeError or ValueError while the field is read, as a ParseError."""
+    @functools.wraps(fn)
+    def read(doc):
+        try:
+            return fn(doc)
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"malformed document field: {e}")
+    return read
+
+
+@_reads_fields
 def presentation_from_dict(doc: dict):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("presentation document needs a 'kind' field")
@@ -108,6 +122,7 @@ def cochain_document_to_dict(c: Cochain, pres_spec=None) -> dict:
     }
 
 
+@_reads_fields
 def cochain_document_from_dict(doc: dict) -> Cochain:
     for field in ("presentation", "group", "cochain"):
         if field not in doc:
@@ -126,6 +141,7 @@ def bundle_to_dict(b: BundlePresentation, base_spec=None) -> dict:
     }
 
 
+@_reads_fields
 def bundle_from_dict(doc: dict) -> BundlePresentation:
     for field in ("base", "group", "cocycle"):
         if field not in doc:

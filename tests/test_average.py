@@ -60,6 +60,18 @@ class TestTrivializingHomotopy:
         # d(g) = (-1)^1 f = -f
         assert (coboundary(g) + f).is_zero()
 
+    def test_crossed_data_on_a_finite_group(self):
+        # a cochain document may give degree-1 data on a finite K as crossed
+        # generator values; the homotopy reads it at every point of K
+        pres = _z2()
+        f = Cochain.from_dict(pres, RAlphaGroup(),
+                              {"degree": 1, "crossed": {"g1": "2*x0"}})
+        g = trivializing_homotopy(FiniteTranslationGroupoid(pres), f)
+        assert str(g.payload) == "x0"
+        dg = coboundary(g)
+        assert all((dg.q_value(kt) + f.q_value(kt)).is_zero()
+                   for kt in dg.payload)
+
     def test_random_cocycles(self):
         pres = _z2()
         gpd = FiniteTranslationGroupoid(pres)

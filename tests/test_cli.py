@@ -187,6 +187,52 @@ class TestErrors:
             assert code == 2
             assert any("exceeds the limit of 4096" in ln for ln in lines)
 
+    def test_sum_degree_over_the_cap(self, tmp_path):
+        # the common denominator of 1/(a+1) + ... + 1/(a+n) has degree n
+        text = "+".join(f"1/(a+{i})" for i in range(1, 91))
+        path = self._quotient_doc(tmp_path, 0, "1", text)
+        code, lines = _run(["cohomology", "--degree", "0", "--coeff",
+                            "R(alpha)", path])
+        assert code == 2
+        assert any("exceeds the degree limit of 64" in ln for ln in lines)
+
+    _NERVE = {"kind": "nerve", "charts": ["U0", "U1"],
+              "alive": [[0], [1], [0, 1]], "k_max": 2}
+    _QUOTIENT = {"kind": "quotient", "dim": 1, "free": True,
+                 "generators": [{"torsion": 0,
+                                 "affine": {"A": [["1"]], "b": ["1"]}}]}
+
+    @pytest.mark.parametrize("argv,doc", [
+        (["cohomology", "--degree", "1", "--coeff", "Z"],
+         {**_NERVE, "k_max": "two"}),
+        (["cohomology", "--degree", "1", "--coeff", "Z"],
+         {**_NERVE, "alive": 5}),
+        (["cohomology", "--degree", "1", "--coeff", "Z"],
+         {**_NERVE, "charts": 7}),
+        (["cohomology", "--degree", "1", "--coeff", "Z"],
+         {**_NERVE, "alive": [[0, "x"]]}),
+        (["cohomology", "--degree", "0", "--coeff", "R(alpha)"],
+         {**_QUOTIENT, "dim": "one"}),
+        (["cohomology", "--degree", "0", "--coeff", "R(alpha)"],
+         {**_QUOTIENT, "generators": [{"torsion": 0, "affine": {
+             "A": [["1"]], "b": ["1" * 5000]}}]}),
+        (["check-cocycle"],
+         {"presentation": "gallery:circle3", "group": "Z",
+          "cochain": {"degree": "1",
+                      "values": {"(0,1)": "1", "(0,2)": "0", "(1,2)": "0"}}}),
+        (["bockstein", "--ses", "Z:Z:Z/x"],
+         {"presentation": "gallery:circle3", "group": "Z/2",
+          "cochain": {"degree": 0,
+                      "values": {"(0)": "1", "(1)": "0", "(2)": "0"}}}),
+    ], ids=["k_max-string", "alive-int", "charts-int", "alive-string-chart",
+            "dim-string", "long-integer", "degree-string", "ses-modulus"])
+    def test_malformed_input(self, tmp_path, argv, doc):
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        code, lines = _run(argv + [str(p)])
+        assert code == 2
+        assert any(ln.startswith("error: ") for ln in lines)
+
     def test_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{")

@@ -117,6 +117,18 @@ class TestScalar:
         with pytest.raises(ParseError, match="degree limit of 64"):
             FunctionClass(1, 2).parse("x0^64*x0")
 
+    def test_sum_degree_cap(self):
+        # a sum of quotients grows its common denominator term by term, so
+        # each partial sum is checked
+        def harmonic(n):
+            return "+".join(f"1/(a+{i})" for i in range(1, n + 1))
+
+        assert Scalar.parse(harmonic(64)) == (Scalar.parse(harmonic(63))
+                                              + Scalar.parse("1/(a+64)"))
+        for text in (harmonic(65), harmonic(150), f"{harmonic(64)}-1/(a-1)"):
+            with pytest.raises(ParseError, match="sum of degree 65"):
+                Scalar.parse(text)
+
     def test_variable_index_cap(self):
         # an index past the arity is refused before its exponent tuple
         # (of that length) is built
