@@ -382,17 +382,13 @@ def _parse_ktuple_key(key: str) -> Tuple[Tuple[int, ...], ...]:
 MAX_K_TUPLES = 256
 
 
-def _check_k_tuples(pres, degree: int) -> None:
+def _k_tuples(pres, degree: int) -> List[Tuple]:
+    """All degree-length tuples of elements of a finite acting group."""
     size = pres.k_order() ** degree
     if size > MAX_K_TUPLES:
         raise DegreeError(
             f"|K|^{degree} = {size} group tuples exceed the limit of "
             f"{MAX_K_TUPLES} (diffcech.cech.MAX_K_TUPLES)")
-
-
-def _k_tuples(pres, degree: int) -> List[Tuple]:
-    """All degree-length tuples of elements of a finite acting group."""
-    _check_k_tuples(pres, degree)
     return list(product(pres.k_elements(), repeat=degree))
 
 

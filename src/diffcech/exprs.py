@@ -24,9 +24,7 @@ MAX_EXPONENT = 64
 def _int(digits: str) -> int:
     try:
         return int(digits)
-    except ValueError:
-        # past sys.get_int_max_str_digits(), or digits such as '\u00b2' that
-        # str.isdigit() accepts and int() does not read
+    except ValueError:  # too many digits for int(), or a superscript digit
         raise ParseError(f"cannot read the {len(digits)}-digit integer "
                          f"starting {digits[:8]!r}")
 

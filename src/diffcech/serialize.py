@@ -55,8 +55,7 @@ def presentation_to_dict(pres) -> dict:
 
 
 def _reads_fields(fn):
-    """Report a document field of the wrong type or value, which surfaces
-    as a TypeError or ValueError while the field is read, as a ParseError."""
+    """Report a field of the wrong type or value as a ParseError."""
     @functools.wraps(fn)
     def read(doc):
         try:
