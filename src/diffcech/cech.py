@@ -443,14 +443,16 @@ def crossed_value(pres, values: Dict[int, FunctionElement], k) -> FunctionElemen
         if n == 0:
             continue
         part = _crossed_single(pres, values[i], i, n)
-        acc = acc + act(pres.affine_of(prefix), part)
+        acc = acc + (act(pres.affine_of(prefix), part) if any(prefix) else part)
         prefix = pres.k_add(prefix, pres.gen_power(i, n))
     return acc
 
 
 def _crossed_single(pres, val: FunctionElement, i: int, n: int) -> FunctionElement:
-    """S(n) = sum_{0 <= j < n} val.g_i^j, by S(2m) = S(m) + g_i^m.S(m) and
-    S(m+1) = S(m) + g_i^m.val; S(-n) = -g_i^(-n).S(n)."""
+    """S(n) = sum_{0 <= j < n} val.g_i^j, by S(1) = val, S(2m) = S(m) +
+    g_i^m.S(m) and S(m+1) = S(m) + g_i^m.val; S(-n) = -g_i^(-n).S(n)."""
+    if n == 1:
+        return val
     cache = getattr(pres, "_crossed_cache", None)
     if cache is None:
         cache = pres._crossed_cache = {}
