@@ -11,6 +11,7 @@ from diffcech.cech import (
     GroupHom,
     _quotient_from_vector,
     _quotient_vector,
+    boundary_matrix,
     classes_equal,
     coboundary,
     cohomology,
@@ -30,7 +31,9 @@ from diffcech.coeff import (
     ZGroup,
     ZmodGroup,
     group_from_tag,
+    rank_and_diag,
     ses_mod,
+    smith_normal_form,
 )
 from diffcech.errors import CocycleError, DegreeError, ParseError, TagError
 from diffcech.funclass import AffineMap
@@ -273,6 +276,24 @@ def _circle_nerve(m, alternating):
     return circle_arc_nerve(arcs, k_max=2, alternating=alternating)
 
 
+def _rank_mod_p(M, p):
+    """Rank over GF(p) by plain Gaussian elimination."""
+    rows = [[x % p for x in row] for row in M]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * inv % p
+            if f:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def _loop_sum(c):
     """Sum of a 1-cochain around the loop of arcs 0 -> 1 -> ... -> 0."""
     n = len(c.pres.charts)
@@ -337,6 +358,20 @@ class TestIndependentRoutes:
         for k in range(pres.k_max):
             assert (cohomology(pres, RAlphaGroup(), k).dimension
                     == cohomology(pres, ZGroup(), k).free_rank)
+
+    @pytest.mark.parametrize("name", GALLERY_NERVES)
+    def test_rank_mod_p_is_snf_rank(self, name):
+        # over GF(p) the rank of d is the number of invariant factors that p
+        # does not divide; the elimination above shares nothing with the SNF
+        pres = gallery.get_presentation(name)
+        for k in range(pres.k_max):
+            M = boundary_matrix(pres, k)
+            _, diag = rank_and_diag(smith_normal_form(M)[0])
+            for p in (2, 3, 5):
+                assert _rank_mod_p(M, p) == sum(d % p != 0 for d in diag), (
+                    k, p)
+        if name == "rp2":
+            assert _rank_mod_p(boundary_matrix(pres, 1), 2) == 9
 
     @pytest.mark.parametrize("pres", [
         *(gallery.get_presentation(name) for name in GALLERY_NERVES),
