@@ -33,11 +33,13 @@ from .coeff import (
 )
 from . import linalg
 from .errors import (
+    ClassError,
     CocycleError,
     DegreeError,
     ParseError,
     TagError,
 )
+from .exprs import parse_poly_terms
 from .funclass import FunctionElement, act
 
 DEFAULT_SEED = 1729
@@ -128,11 +130,14 @@ class Cochain:
 
     @staticmethod
     def crossed(pres, values: Dict[int, FunctionElement]) -> "Cochain":
+        """Degree-1 data from its generator values, extended by the crossed
+        law and stored as `_quotient_points` says (a table on finite K)."""
         if pres.kind != "quotient":
             raise ParseError("crossed cochain needs a quotient presentation")
         vals = {i: values.get(i, pres.function_class().zero())
                 for i in range(pres.rank)}
-        return Cochain(pres, 1, RAlphaGroup(), "crossed", vals)
+        return _quotient_cochain(
+            pres, 1, lambda kt: crossed_value(pres, vals, kt[0]))
 
     @staticmethod
     def table(pres, degree: int, table: Dict[Tuple, FunctionElement]) -> "Cochain":
@@ -343,10 +348,11 @@ class Cochain:
 
 def _parse_in_widest(cls, text: str) -> FunctionElement:
     """Parse allowing the witness headroom of one extra degree."""
+    terms = parse_poly_terms(text, cls.n)
     try:
-        return cls.parse(text)
-    except Exception:
-        return cls.widen(1).parse(text)
+        return FunctionElement(cls, terms)
+    except ClassError:
+        return FunctionElement(cls.widen(1), terms)
 
 
 def _tuple_key(t) -> str:
@@ -415,7 +421,8 @@ def _quotient_cochain(pres, k: int, value: Callable) -> Cochain:
     if pres.is_finite():
         return Cochain(pres, k, RAlphaGroup(), "table",
                        {kt: value(kt) for kt in points})
-    return Cochain.crossed(pres, {i: value(kt) for i, kt in enumerate(points)})
+    return Cochain(pres, 1, RAlphaGroup(), "crossed",
+                   {i: value(kt) for i, kt in enumerate(points)})
 
 
 def zero_cochain(pres, degree: int, group: Group) -> Cochain:

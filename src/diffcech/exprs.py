@@ -1,20 +1,23 @@
-"""Parsing and printing of exact polynomial expressions.
+"""Exact polynomials in x0..x(n-1) over Q(a): arithmetic, parsing, printing.
+
+A polynomial is a dict {exponent tuple: nonzero Scalar} whose tuples all have
+the arity n.  `add_terms`, `neg_terms`, `scale_terms` and `mul_terms` are the
+one arithmetic on such dicts; the parser and `funclass` both use them.
 
 Grammar: integers, the scalar symbol ``a``, variables ``x0, x1, ...`` (plain
-``x`` is an alias for ``x0``), operators + - * / ^ and parentheses.  Division
-is only allowed by subexpressions that are constant in the x-variables.
+``x`` is an alias for ``x0``), operators + - * / ^ and parentheses.  A divisor
+or the base of a negative power must be a nonzero constant in the
+x-variables.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .coeff import Scalar
 from .errors import ParseError
 
 _OPS = set("+-*/^()")
 
-# largest |k| accepted in x^k, and largest degree (see _MP.degree) a power,
+# largest |k| accepted in x^k, and largest degree (see _degree) a power,
 # product, quotient or sum may produce; powers, products and quotients are
 # checked before they are expanded, sums after each term (a sum of quotients
 # grows its common denominator term by term)
@@ -59,94 +62,45 @@ def _tokenize(text):
     return toks
 
 
-class _MP:
-    """Multivariate polynomial over Q(a), keyed by exponent tuples."""
+def add_terms(p, q):
+    """p + q for {exponent tuple: Scalar} dicts of one arity; terms that
+    cancel are dropped, as in every helper below."""
+    out = dict(p)
+    for e, c in q.items():
+        s = out[e] + c if e in out else c
+        if s.is_zero():
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
 
-    __slots__ = ("n", "terms")
 
-    def __init__(self, n=0, terms=None):
-        self.n = n
-        self.terms = terms or {}
+def neg_terms(p):
+    return {e: -c for e, c in p.items()}
 
-    @staticmethod
-    def const(s: Scalar) -> "_MP":
-        return _MP(0, {(): s} if not s.is_zero() else {})
 
-    @staticmethod
-    def var(i: int) -> "_MP":
-        e = tuple(0 if k < i else 1 for k in range(i + 1))
-        return _MP(i + 1, {e: Scalar.of(1)})
+def scale_terms(p, s: Scalar):
+    return {e: c * s for e, c in p.items()} if not s.is_zero() else {}
 
-    def _pad(self, n):
-        if self.n >= n:
-            return self
-        return _MP(n, {e + (0,) * (n - self.n): c for e, c in self.terms.items()})
 
-    def add(self, other):
-        n = max(self.n, other.n)
-        a, b = self._pad(n), other._pad(n)
-        out = dict(a.terms)
-        for e, c in b.terms.items():
-            s = out.get(e, Scalar.of(0)) + c
+def mul_terms(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            s = out[e] + c1 * c2 if e in out else c1 * c2
             if s.is_zero():
                 out.pop(e, None)
             else:
                 out[e] = s
-        return _MP(n, out)
-
-    def neg(self):
-        return _MP(self.n, {e: -c for e, c in self.terms.items()})
-
-    def mul(self, other):
-        n = max(self.n, other.n)
-        a, b = self._pad(n), other._pad(n)
-        out = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
-                s = out.get(e, Scalar.of(0)) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return _MP(n, out)
-
-    def as_scalar(self):
-        if any(any(e) for e in self.terms):
-            return None
-        if not self.terms:
-            return Scalar.of(0)
-        return next(iter(self.terms.values()))
-
-    def div(self, other):
-        s = other.as_scalar()
-        if s is None:
-            raise ParseError("division by a non-constant expression")
-        return _MP(self.n, {e: c / s for e, c in self.terms.items()})
-
-    def degree(self) -> int:
-        """The larger of the total degree in the variables and the degree in
-        a of the numerators and denominators of the coefficients."""
-        return max((max(sum(e), len(c.num) - 1, len(c.den) - 1)
-                    for e, c in self.terms.items()), default=0)
-
-    def pow(self, k: int):
-        if k < 0:
-            s = self.as_scalar()
-            if s is None:
-                raise ParseError("negative power of a non-constant expression")
-            return _MP.const(_scalar_pow(s, k))
-        out = _MP.const(Scalar.of(1))
-        for _ in range(k):
-            out = out.mul(self)
-        return out
+    return out
 
 
-def _scalar_pow(s: Scalar, k: int) -> Scalar:
-    out = Scalar.of(1)
-    for _ in range(abs(k)):
-        out = out * s
-    return Scalar.of(1) / out if k < 0 else out
+def _degree(p) -> int:
+    """The larger of the total degree in the variables and the degree in a
+    of the numerators and denominators of the coefficients."""
+    return max((max(sum(e), len(c.num) - 1, len(c.den) - 1)
+                for e, c in p.items()), default=0)
 
 
 class _Parser:
@@ -155,6 +109,7 @@ class _Parser:
         self.pos = 0
         self.text = text
         self.nvars = nvars
+        self.origin = (0,) * nvars
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -164,20 +119,31 @@ class _Parser:
         self.pos += 1
         return t
 
+    def const(self, s: Scalar):
+        return {self.origin: s} if not s.is_zero() else {}
+
+    def reciprocal(self, p) -> Scalar:
+        """1/c for a term dict p = {origin: c}, constant in the variables."""
+        if any(any(e) for e in p):
+            raise ParseError("division by a non-constant expression")
+        if not p:
+            raise ParseError(f"division by zero in {self.text!r}")
+        return Scalar.of(1) / p[self.origin]
+
     def expr(self):
         if self.peek() in ("+", "-"):
             sign = self.next()
             v = self.term()
             if sign == "-":
-                v = v.neg()
+                v = neg_terms(v)
         else:
             v = self.term()
         while self.peek() in ("+", "-"):
             op = self.next()
             t = self.term()
-            v = v.add(t.neg() if op == "-" else t)
-            if v.degree() > MAX_EXPONENT:
-                raise ParseError(f"sum of degree {v.degree()} in {self.text!r} "
+            v = add_terms(v, neg_terms(t) if op == "-" else t)
+            if _degree(v) > MAX_EXPONENT:
+                raise ParseError(f"sum of degree {_degree(v)} in {self.text!r} "
                                  f"exceeds the degree limit of {MAX_EXPONENT}")
         return v
 
@@ -186,12 +152,13 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.next()
             f = self.factor()
-            d = v.degree() + f.degree()
+            d = _degree(v) + _degree(f)
             if d > MAX_EXPONENT:
                 raise ParseError(f"{'product' if op == '*' else 'quotient'} "
                                  f"of degree {d} in {self.text!r} exceeds "
                                  f"the degree limit of {MAX_EXPONENT}")
-            v = v.mul(f) if op == "*" else v.div(f)
+            v = (mul_terms(v, f) if op == "*" else
+                 scale_terms(v, self.reciprocal(f)))
         return v
 
     def factor(self):
@@ -211,26 +178,33 @@ class _Parser:
             if k > MAX_EXPONENT:
                 raise ParseError(f"exponent {sign * k} in {self.text!r} "
                                  f"exceeds the limit of {MAX_EXPONENT}")
-            if v.degree() * k > MAX_EXPONENT:
-                raise ParseError(f"power ^{sign * k} of a degree-{v.degree()} "
+            if _degree(v) * k > MAX_EXPONENT:
+                raise ParseError(f"power ^{sign * k} of a degree-{_degree(v)} "
                                  f"expression in {self.text!r} exceeds the "
                                  f"degree limit of {MAX_EXPONENT}")
-            v = v.pow(sign * k)
-        return v.neg() if neg else v
+            if sign * k < 0 and any(any(e) for e in v):
+                raise ParseError("negative power of a non-constant expression")
+            base, v = v, self.const(Scalar.of(1))
+            for _ in range(k):
+                v = mul_terms(v, base)
+            if sign * k < 0:
+                v = self.const(self.reciprocal(v))
+        return neg_terms(v) if neg else v
 
     def atom(self):
         t = self.next()
         if t is None:
             raise ParseError(f"unexpected end of expression in {self.text!r}")
         if isinstance(t, int):
-            return _MP.const(Scalar.of(t))
+            return self.const(Scalar.of(t))
         if t == "a":
-            return _MP.const(Scalar.alpha())
+            return self.const(Scalar.alpha())
         if isinstance(t, tuple) and t[0] == "var":
-            if t[1] >= self.nvars:
+            i = t[1]
+            if i >= self.nvars:
                 raise ParseError(f"{self.text!r} uses more than {self.nvars} "
                                  "variables")
-            return _MP.var(t[1])
+            return {self.origin[:i] + (1,) + self.origin[i + 1:]: Scalar.of(1)}
         if t == "(":
             v = self.expr()
             if self.next() != ")":
@@ -246,7 +220,7 @@ def parse_poly_terms(text: str, nvars: int):
     v = p.expr()
     if p.peek() is not None:
         raise ParseError(f"trailing input in {text!r}")
-    return dict(v._pad(nvars).terms)
+    return v
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -14,12 +14,12 @@ from typing import Dict, Sequence, Tuple
 
 from .coeff import RAlphaGroup, Scalar
 from .errors import ClassError
-from .exprs import format_poly_terms, parse_poly_terms
+from .exprs import (add_terms, format_poly_terms, mul_terms, neg_terms,
+                    parse_poly_terms, scale_terms)
 from . import linalg
 
 Expo = Tuple[int, ...]
 
-_ZERO = Scalar.of(0)
 _ONE = Scalar.of(1)
 
 
@@ -101,17 +101,12 @@ class AffineMap:
             return img
         i = next(j for j, k in enumerate(e) if k)
         prev = self.monomial_image(e[:i] + (e[i] - 1,) + e[i + 1:])
-        row, bi = self.a[i], self.b[i]
-        img = {}
-        for ep, c in prev.items():
-            for j, aij in enumerate(row):
-                if not aij.is_zero():
-                    key = ep[:j] + (ep[j] + 1,) + ep[j + 1:]
-                    img[key] = img.get(key, _ZERO) + c * aij
-            if not bi.is_zero():
-                img[ep] = img.get(ep, _ZERO) + c * bi
-        img = {k: v for k, v in img.items() if not v.is_zero()}
-        self._images[e] = img
+        origin = (0,) * self.dim
+        phi_i = {origin[:j] + (1,) + origin[j + 1:]: aij
+                 for j, aij in enumerate(self.a[i]) if not aij.is_zero()}
+        if not self.b[i].is_zero():
+            phi_i[origin] = self.b[i]
+        img = self._images[e] = mul_terms(prev, phi_i)
         return img
 
     def inverse(self) -> "AffineMap":
@@ -240,25 +235,17 @@ class FunctionElement:
         return self.cls if self.cls.max_degree >= other.cls.max_degree else other.cls
 
     def __add__(self, other):
-        cls = self._join(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Scalar.of(0)) + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return FunctionElement(cls, out)
+        return FunctionElement(self._join(other),
+                               add_terms(self.terms, other.terms))
 
     def __neg__(self):
-        return FunctionElement(self.cls, {e: -c for e, c in self.terms.items()})
+        return FunctionElement(self.cls, neg_terms(self.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, s) -> "FunctionElement":
-        s = Scalar.of(s)
-        return FunctionElement(self.cls, {e: c * s for e, c in self.terms.items()})
+        return FunctionElement(self.cls, scale_terms(self.terms, Scalar.of(s)))
 
     def is_zero(self):
         return not self.terms
@@ -284,12 +271,7 @@ class FunctionElement:
             raise ClassError("affine map has wrong dimension for this class")
         result = {}
         for e, c in self.terms.items():
-            for ee, cc in phi.monomial_image(e).items():
-                s = result.get(ee, _ZERO) + c * cc
-                if s.is_zero():
-                    result.pop(ee, None)
-                else:
-                    result[ee] = s
+            result = add_terms(result, scale_terms(phi.monomial_image(e), c))
         return FunctionElement(self.cls, result)
 
     def __eq__(self, other):

@@ -15,7 +15,6 @@ from .cech import (
     Cochain,
     CohomologyReport,
     _field_cohomology_from_matrices,
-    _quotient_cochain,
     _require_cocycle,
     crossed_relations,
     crossed_value,
@@ -89,7 +88,7 @@ def cocycle_from_crossed(beta: CrossedHom) -> Cochain:
         raise FreenessError(
             "the inverse dictionary needs a free action (arrow map undefined)"
         )
-    return _quotient_cochain(pres, 1, lambda kt: beta.value(kt[0]))
+    return Cochain.crossed(pres, beta.values)
 
 
 def principal_crossed(pres, alpha: FunctionElement) -> CrossedHom:
@@ -141,12 +140,10 @@ def h1_group(pres) -> CohomologyReport:
               for combo in combos]
 
     def from_vector(v):
-        values = {
+        return Cochain.crossed(pres, {
             i: wide.from_coordinates(v[i * dim : (i + 1) * dim])
             for i in range(r)
-        }
-        return _quotient_cochain(
-            pres, 1, lambda kt: crossed_value(pres, values, kt[0]))
+        })
 
     def cochain_vector(c: Cochain):
         return to_vector({i: c.q_value((pres.gen_power(i),))

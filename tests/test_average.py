@@ -71,6 +71,10 @@ class TestTrivializingHomotopy:
         dg = coboundary(g)
         assert all((dg.q_value(kt) + f.q_value(kt)).is_zero()
                    for kt in dg.payload)
+        # the crossed data is stored as the table of K^1, so the sum stays
+        # a table with a decidable zero test
+        assert f.payload_kind == "table"
+        assert (dg + f).is_zero()
 
     def test_random_cocycles(self):
         pres = _z2()

@@ -224,8 +224,15 @@ class TestErrors:
          {"presentation": "gallery:circle3", "group": "Z/2",
           "cochain": {"degree": 0,
                       "values": {"(0)": "1", "(1)": "0", "(2)": "0"}}}),
+        (["check-cocycle"],
+         {"presentation": "gallery:z2-reflection", "group": "R(alpha)",
+          "cochain": {"degree": 0, "function": "x0/0"}}),
+        (["cohomology", "--degree", "0", "--coeff", "R(alpha)"],
+         {**_QUOTIENT, "generators": [{"torsion": 0, "affine": {
+             "A": [["1"]], "b": ["1/(a-a)"]}}]}),
     ], ids=["k_max-string", "alive-int", "charts-int", "alive-string-chart",
-            "dim-string", "long-integer", "degree-string", "ses-modulus"])
+            "dim-string", "long-integer", "degree-string", "ses-modulus",
+            "function-zero-divisor", "translation-zero-divisor"])
     def test_malformed_input(self, tmp_path, argv, doc):
         p = tmp_path / "doc.json"
         p.write_text(json.dumps(doc))

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from diffcech.errors import ParseError
 from diffcech.exprs import parse_poly_terms
 
 A = Fraction(7, 3)
@@ -73,3 +74,9 @@ def test_parse_matches_fraction_arithmetic():
         assert _value(parse_poly_terms(text, 2)) == expected, text
         checked += 1
     assert checked > 400
+
+
+@pytest.mark.parametrize("text", ["1/0", "x0/0", "0^-1", "(a-a)^-2", "0/0"])
+def test_zero_divisor_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="division by zero"):
+        parse_poly_terms(text, 2)
