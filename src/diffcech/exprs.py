@@ -122,10 +122,10 @@ class _Parser:
     def const(self, s: Scalar):
         return {self.origin: s} if not s.is_zero() else {}
 
-    def reciprocal(self, p) -> Scalar:
+    def reciprocal(self, p, what="division by") -> Scalar:
         """1/c for a term dict p = {origin: c}, constant in the variables."""
         if any(any(e) for e in p):
-            raise ParseError("division by a non-constant expression")
+            raise ParseError(f"{what} a non-constant expression")
         if not p:
             raise ParseError(f"division by zero in {self.text!r}")
         return Scalar.of(1) / p[self.origin]
@@ -182,13 +182,11 @@ class _Parser:
                 raise ParseError(f"power ^{sign * k} of a degree-{_degree(v)} "
                                  f"expression in {self.text!r} exceeds the "
                                  f"degree limit of {MAX_EXPONENT}")
-            if sign * k < 0 and any(any(e) for e in v):
-                raise ParseError("negative power of a non-constant expression")
+            if sign * k < 0:
+                v = self.const(self.reciprocal(v, "negative power of"))
             base, v = v, self.const(Scalar.of(1))
             for _ in range(k):
                 v = mul_terms(v, base)
-            if sign * k < 0:
-                v = self.const(self.reciprocal(v))
         return neg_terms(v) if neg else v
 
     def atom(self):
