@@ -74,14 +74,6 @@ class GroupHom:
         return self.target.canonical(self.fn(value))
 
     @staticmethod
-    def identity(group: Group) -> "GroupHom":
-        return GroupHom(group, group, lambda v: v, "id")
-
-    @staticmethod
-    def zero(source: Group, target: Group) -> "GroupHom":
-        return GroupHom(source, target, lambda v: target.zero(), "zero")
-
-    @staticmethod
     def reduction(m: int) -> "GroupHom":
         return GroupHom(ZGroup(), ZmodGroup(m), lambda v: v % m, f"mod {m}")
 
@@ -94,7 +86,8 @@ class Cochain:
 
     Payload kinds: "values" (nerve table), "function" (quotient degree 0),
     "crossed" (quotient degree 1, infinite K), "table" (quotient, finite K),
-    "lazy" (quotient degree >= 2, infinite K).
+    "lazy" (quotient degree >= 2, infinite K).  Arithmetic is value-wise in
+    the coefficient group through `_valuewise`, and lazy when kinds differ.
     """
 
     def __init__(self, pres, degree: int, group: Group, payload_kind: str,
@@ -177,23 +170,19 @@ class Cochain:
         """Quotient value at a tuple of group elements (length = degree)."""
         pres = self.pres
         ktuple = tuple(pres.k_canonical(k) for k in ktuple)
-        if self.payload_kind == "function":
+        k = self.payload_kind
+        if k == "function":
             return self.payload
-        if self.payload_kind == "crossed":
-            v = self._memo.get(ktuple)
-            if v is None:
-                v = crossed_value(pres, self.payload, ktuple[0])
-                self._memo[ktuple] = v
-            return v
-        if self.payload_kind == "table":
+        if k == "table":
             return self.payload[ktuple]
-        if self.payload_kind == "lazy":
-            v = self._memo.get(ktuple)
-            if v is None:
-                v = self.payload(ktuple)
-                self._memo[ktuple] = v
-            return v
-        raise ParseError("q_value applies to quotient cochains")
+        if k not in ("crossed", "lazy"):
+            raise ParseError("q_value applies to quotient cochains")
+        v = self._memo.get(ktuple)
+        if v is None:
+            v = self._memo[ktuple] = (
+                crossed_value(pres, self.payload, ktuple[0]) if k == "crossed"
+                else self.payload(ktuple))
+        return v
 
     # -- arithmetic -------------------------------------------------------
     def _check_compatible(self, other: "Cochain"):
@@ -201,60 +190,31 @@ class Cochain:
                 or self.group != other.group):
             raise TagError("cochain mismatch (presentation, degree, or group)")
 
+    def _valuewise(self, fn: Callable, *others: "Cochain") -> "Cochain":
+        """The cochain with value fn(self(p), *(o(p) for o in others)) at
+        every point p: stored in the shared payload kind, lazy otherwise."""
+        for o in others:
+            self._check_compatible(o)
+        ops, k = (self,) + others, self.payload_kind
+        if k == "lazy" or any(o.payload_kind != k for o in others):
+            k, payload = "lazy", lambda kt: fn(*(c.q_value(kt) for c in ops))
+        elif k == "function":
+            payload = fn(*(c.payload for c in ops))
+        else:
+            payload = {p: fn(*(c.payload[p] for c in ops)) for p in self.payload}
+        return Cochain(self.pres, self.degree, self.group, k, payload)
+
     def __add__(self, other: "Cochain") -> "Cochain":
-        self._check_compatible(other)
-        k = self.payload_kind
-        if k == "values" and other.payload_kind == "values":
-            g = self.group
-            vals = {t: g.add(v, other.payload[t]) for t, v in self.payload.items()}
-            return Cochain(self.pres, self.degree, g, "values", vals)
-        if k == "function" and other.payload_kind == "function":
-            return Cochain(self.pres, 0, self.group, "function",
-                           self.payload + other.payload)
-        if k == "crossed" and other.payload_kind == "crossed":
-            vals = {i: v + other.payload[i] for i, v in self.payload.items()}
-            return Cochain(self.pres, 1, self.group, "crossed", vals)
-        if k == "table" and other.payload_kind == "table":
-            vals = {t: v + other.payload[t] for t, v in self.payload.items()}
-            return Cochain(self.pres, self.degree, self.group, "table", vals)
-        # fall back to lazy evaluation for mixed or lazy payloads
-        a, b = self, other
-        return Cochain(self.pres, self.degree, self.group, "lazy",
-                       lambda kt: a.q_value(kt) + b.q_value(kt))
+        return self._valuewise(self.group.add, other)
 
     def __neg__(self) -> "Cochain":
-        k = self.payload_kind
-        if k == "values":
-            g = self.group
-            return Cochain(self.pres, self.degree, g, "values",
-                           {t: g.neg(v) for t, v in self.payload.items()})
-        if k == "function":
-            return Cochain(self.pres, 0, self.group, "function", -self.payload)
-        if k in ("crossed", "table"):
-            return Cochain(self.pres, self.degree, self.group, k,
-                           {t: -v for t, v in self.payload.items()})
-        a = self
-        return Cochain(self.pres, self.degree, self.group, "lazy",
-                       lambda kt: -a.q_value(kt))
+        return self._valuewise(self.group.neg)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
 
     def scale_int(self, n: int) -> "Cochain":
-        k = self.payload_kind
-        if k == "values":
-            g = self.group
-            return Cochain(self.pres, self.degree, g, "values",
-                           {t: g.mul_int(n, v) for t, v in self.payload.items()})
-        if k == "function":
-            return Cochain(self.pres, 0, self.group, "function",
-                           self.payload.scale(n))
-        if k in ("crossed", "table"):
-            return Cochain(self.pres, self.degree, self.group, k,
-                           {t: v.scale(n) for t, v in self.payload.items()})
-        a = self
-        return Cochain(self.pres, self.degree, self.group, "lazy",
-                       lambda kt: a.q_value(kt).scale(n))
+        return self._valuewise(lambda v: self.group.mul_int(n, v))
 
     def is_zero(self) -> bool:
         k = self.payload_kind
@@ -313,20 +273,36 @@ class Cochain:
 
     @staticmethod
     def from_dict(pres, group: Group, doc: dict) -> "Cochain":
+        """Read a cochain document; its payload field must fit the
+        presentation, the degree and the group before any value is parsed."""
         if "degree" not in doc:
             raise ParseError("cochain document is missing 'degree'")
         k = doc["degree"]
-        if "values" in doc:
+        field = next((f for f in ("values", "function", "crossed", "table")
+                      if f in doc), None)
+        if field is None:
+            raise ParseError("cochain document has no payload field")
+        if type(k) is not int or k < 0:
+            raise ParseError(f"cochain degree must be a non-negative integer, "
+                             f"got {k!r}")
+        if (field == "values") != (pres.kind == "nerve"):
+            raise ParseError(f"a {field!r} payload does not fit a "
+                             f"{pres.kind} presentation")
+        if field == "values":
             vals = {
                 _parse_tuple_key(key): group.parse_el(text)
                 for key, text in doc["values"].items()
             }
             return Cochain.nerve(pres, k, group, vals)
-        if "function" in doc:
-            cls = pres.function_class()
+        if group.tag != "R(alpha)":
+            raise ParseError("quotient cochains are valued in the R model")
+        want = {"function": 0, "crossed": 1}.get(field, k)
+        if k != want:
+            raise ParseError(f"a {field!r} payload has degree {want}, not {k}")
+        cls = pres.function_class()
+        if field == "function":
             return Cochain.function(pres, _parse_in_widest(cls, doc["function"]))
-        if "crossed" in doc:
-            cls = pres.function_class()
+        if field == "crossed":
             vals = {}
             for key, text in doc["crossed"].items():
                 if not (key.startswith("g") and key[1:].isdigit()):
@@ -336,14 +312,13 @@ class Cochain:
                     raise ParseError(f"crossed key {key!r} out of range")
                 vals[i] = _parse_in_widest(cls, text)
             return Cochain.crossed(pres, vals)
-        if "table" in doc:
-            cls = pres.function_class()
-            vals = {
-                _parse_ktuple_key(key): _parse_in_widest(cls, text)
-                for key, text in doc["table"].items()
-            }
-            return Cochain.table(pres, k, vals)
-        raise ParseError("cochain document has no payload field")
+        if not pres.is_finite():
+            raise ParseError("table cochains need a finite-group quotient")
+        vals = {
+            _parse_ktuple_key(key): _parse_in_widest(cls, text)
+            for key, text in doc["table"].items()
+        }
+        return Cochain.table(pres, k, vals)
 
 
 def _parse_in_widest(cls, text: str) -> FunctionElement:

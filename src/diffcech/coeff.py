@@ -290,9 +290,6 @@ class Group:
     def parse_el(self, s: str):
         raise NotImplementedError
 
-    def element(self, x) -> "GroupElement":
-        return GroupElement(self, self.canonical(x))
-
     def __eq__(self, other):
         return isinstance(other, Group) and self.tag == other.tag
 

@@ -247,6 +247,8 @@ class FunctionElement:
     def scale(self, s) -> "FunctionElement":
         return FunctionElement(self.cls, scale_terms(self.terms, Scalar.of(s)))
 
+    __mul__ = scale
+
     def is_zero(self):
         return not self.terms
 

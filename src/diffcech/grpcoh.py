@@ -44,19 +44,6 @@ class CrossedHom:
         return all(residual.is_zero() for _, residual
                    in crossed_relations(self.pres, self.values))
 
-    def __add__(self, other: "CrossedHom") -> "CrossedHom":
-        if self.pres != other.pres:
-            raise ParseError("crossed homomorphisms on different presentations")
-        return CrossedHom(self.pres,
-                          {i: v + other.values[i]
-                           for i, v in self.values.items()})
-
-    def __neg__(self) -> "CrossedHom":
-        return CrossedHom(self.pres, {i: -v for i, v in self.values.items()})
-
-    def __sub__(self, other: "CrossedHom") -> "CrossedHom":
-        return self + (-other)
-
     def __eq__(self, other):
         return (isinstance(other, CrossedHom) and self.pres == other.pres
                 and self.values == other.values)

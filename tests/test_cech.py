@@ -10,6 +10,7 @@ from diffcech.cech import (
     Cochain,
     GroupHom,
     _quotient_from_vector,
+    _quotient_points,
     _quotient_vector,
     boundary_matrix,
     classes_equal,
@@ -101,6 +102,79 @@ class TestNerveCochains:
         other = zero_cochain(c3, 1, ZmodGroup(2))
         with pytest.raises(TagError):
             w + other
+
+
+def _lazy_cochain(pres, degree, seed):
+    cls = pres.function_class()
+    return Cochain.lazy(
+        pres, degree, lambda kt: cls.random(random.Random(f"{seed}:{kt}")))
+
+
+def _operands(name, degree, tag, rng):
+    pres = gallery.get_presentation(name)
+    group = group_from_tag(tag)
+    return (random_cochain(pres, degree, group, rng),
+            random_cochain(pres, degree, group, rng))
+
+
+class TestCochains:
+    @staticmethod
+    def _points(c, rng):
+        """The points c stores values at, plus random group tuples where K
+        is infinite (crossed and lazy data)."""
+        pres = c.pres
+        if pres.kind == "nerve":
+            return pres.tuples(c.degree)
+        points = list(_quotient_points(pres, c.degree) or [])
+        if not pres.is_finite() and c.degree > 0:
+            points += [tuple(pres.random_k(rng) for _ in range(c.degree))
+                       for _ in range(5)]
+        return points
+
+    @staticmethod
+    def _value(c, p):
+        return c.payload[p] if c.pres.kind == "nerve" else c.q_value(p)
+
+    @pytest.mark.parametrize("case", [
+        ("circle3", 1, "Z"), ("circle3", 1, "Z/4"), ("circle3", 1, "R(alpha)"),
+        ("circle3", 1, "prod[Z,Z/2]"), ("irrational-torus", 0, "R(alpha)"),
+        ("irrational-torus", 1, "R(alpha)"), ("z2-reflection", 1, "R(alpha)"),
+        ("z2-reflection", 2, "R(alpha)"), "lazy", "crossed+lazy",
+    ], ids=["values-Z", "values-Z/4", "values-R(alpha)", "values-prod",
+            "function", "crossed", "table-1", "table-2", "lazy",
+            "crossed+lazy"])
+    def test_arithmetic_is_valuewise(self, case):
+        rng = random.Random(71)
+        it = gallery.get_presentation("irrational-torus")
+        if case == "lazy":
+            a, b = _lazy_cochain(it, 2, 1), _lazy_cochain(it, 2, 2)
+        elif case == "crossed+lazy":
+            a = random_cochain(it, 1, RAlphaGroup(), rng)
+            b = _lazy_cochain(it, 1, 3)
+        else:
+            a, b = _operands(*case, rng)
+        g = a.group
+        shared = (a.payload_kind if a.payload_kind == b.payload_kind
+                  else "lazy")
+
+        def times(n, v):
+            # n * v as repeated group addition
+            acc = g.add(v, g.neg(v))
+            for _ in range(abs(n)):
+                acc = g.add(acc, v)
+            return acc if n >= 0 else g.neg(acc)
+
+        results = [(a + b, shared, lambda x, y: g.add(x, y)),
+                   (-a, a.payload_kind, lambda x, y: g.neg(x)),
+                   (a - b, shared, lambda x, y: g.add(x, g.neg(y)))]
+        results += [(a.scale_int(n), a.payload_kind,
+                     lambda x, y, n=n: times(n, x)) for n in (-2, 0, 3)]
+        for c, kind, want in results:
+            assert c.payload_kind == kind
+            assert (c.pres, c.degree, c.group) == (a.pres, a.degree, g)
+            for p in self._points(a, rng):
+                assert self._value(c, p) == want(self._value(a, p),
+                                                 self._value(b, p)), p
 
 
 class TestNerveCohomology:

@@ -230,9 +230,36 @@ class TestErrors:
         (["cohomology", "--degree", "0", "--coeff", "R(alpha)"],
          {**_QUOTIENT, "generators": [{"torsion": 0, "affine": {
              "A": [["1"]], "b": ["1/(a-a)"]}}]}),
+        (["check-cocycle"],
+         {"presentation": "gallery:circle3", "group": "R(alpha)",
+          "cochain": {"degree": 0, "function": "1"}}),
+        (["check-cocycle"],
+         {"presentation": "gallery:circle3", "group": "R(alpha)",
+          "cochain": {"degree": 1, "crossed": {"g1": "1"}}}),
+        (["check-cocycle"],
+         {"presentation": "gallery:circle3", "group": "R(alpha)",
+          "cochain": {"degree": 1, "table": {"(0)": "1"}}}),
+        (["check-cocycle"],
+         {"presentation": "gallery:irrational-torus", "group": "R(alpha)",
+          "cochain": {"degree": 5, "crossed": {"g1": "1"}}}),
+        (["coboundary"],
+         {"presentation": "gallery:irrational-torus", "group": "R(alpha)",
+          "cochain": {"degree": 7, "function": "x0"}}),
+        (["check-cocycle"],
+         {"presentation": "gallery:irrational-torus", "group": "R(alpha)",
+          "cochain": {"degree": "1", "function": "x0"}}),
+        (["check-cocycle"],
+         {"presentation": "gallery:irrational-torus", "group": "Z",
+          "cochain": {"degree": 0, "function": "x0"}}),
+        (["check-cocycle"],
+         {"presentation": "gallery:z2-reflection", "group": "Z",
+          "cochain": {"degree": 1, "table": {"(0)": "0", "(1)": "x0"}}}),
     ], ids=["k_max-string", "alive-int", "charts-int", "alive-string-chart",
             "dim-string", "long-integer", "degree-string", "ses-modulus",
-            "function-zero-divisor", "translation-zero-divisor"])
+            "function-zero-divisor", "translation-zero-divisor",
+            "function-on-nerve", "crossed-on-nerve", "table-on-nerve",
+            "crossed-degree", "function-degree", "function-degree-string",
+            "function-over-Z", "table-over-Z"])
     def test_malformed_input(self, tmp_path, argv, doc):
         p = tmp_path / "doc.json"
         p.write_text(json.dumps(doc))
