@@ -110,13 +110,6 @@ def _lazy_cochain(pres, degree, seed):
         pres, degree, lambda kt: cls.random(random.Random(f"{seed}:{kt}")))
 
 
-def _operands(name, degree, tag, rng):
-    pres = gallery.get_presentation(name)
-    group = group_from_tag(tag)
-    return (random_cochain(pres, degree, group, rng),
-            random_cochain(pres, degree, group, rng))
-
-
 class TestCochains:
     @staticmethod
     def _points(c, rng):
@@ -152,7 +145,9 @@ class TestCochains:
             a = random_cochain(it, 1, RAlphaGroup(), rng)
             b = _lazy_cochain(it, 1, 3)
         else:
-            a, b = _operands(*case, rng)
+            name, degree, tag = case
+            pres, group = gallery.get_presentation(name), group_from_tag(tag)
+            a, b = (random_cochain(pres, degree, group, rng) for _ in "ab")
         g = a.group
         shared = (a.payload_kind if a.payload_kind == b.payload_kind
                   else "lazy")
