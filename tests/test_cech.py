@@ -9,6 +9,7 @@ from diffcech import gallery
 from diffcech.cech import (
     Cochain,
     GroupHom,
+    _coboundary_matrix,
     _quotient_from_vector,
     _quotient_points,
     _quotient_vector,
@@ -363,6 +364,31 @@ def _rank_mod_p(M, p):
     return rank
 
 
+def _z4_rotation():
+    rotation = AffineMap([[0, -1], [1, 0]], [0, 0])
+    return GroupQuotient(2, [Generator(4, rotation)], free=False,
+                         function_class_degree=1, name="z4-rotation")
+
+
+def _lattice2():
+    shifts = [[1, 0], [0, 1], [ALPHA, 0], [0, ALPHA]]
+    return GroupQuotient(
+        2, [Generator(0, AffineMap.translation(b)) for b in shifts], True, 1,
+        "lattice2")
+
+
+def _unit_cochain_matrix(pres, k, cls):
+    """Rows of d: C^k -> C^{k+1}: the full coboundary of each unit cochain,
+    read back in the coordinates of cls."""
+    n = len(_quotient_points(pres, k)) * cls.dimension
+    cols = []
+    for j in range(n):
+        unit = [int(i == j) for i in range(n)]
+        dc = coboundary(_quotient_from_vector(pres, k, cls, unit))
+        cols.append(_quotient_vector(dc, cls))
+    return [list(row) for row in zip(*cols)]
+
+
 def _loop_sum(c):
     """Sum of a 1-cochain around the loop of arcs 0 -> 1 -> ... -> 0."""
     n = len(c.pres.charts)
@@ -465,16 +491,34 @@ class TestIndependentRoutes:
                 assert all(isinstance(x, Scalar)
                            for x in rep.class_coordinates(c))
 
+    @pytest.mark.parametrize("pres", [
+        *(gallery.get_presentation(name) for name in GALLERY_QUOTIENTS),
+        _z4_rotation(), _lattice2()],
+        ids=GALLERY_QUOTIENTS + ["z4-rotation", "lattice2"])
+    def test_coboundary_matrix_is_the_unit_cochain_route(self, pres):
+        # the matrix of d against d applied to each unit cochain and read
+        # back, entry by entry and type by type, in the class and widened
+        for cls in (pres.function_class(), pres.function_class().widen(1)):
+            for k in range(3):
+                if _quotient_points(pres, k + 1) is None:
+                    if k == 1:
+                        with pytest.raises(DegreeError):
+                            _coboundary_matrix(pres, k, cls)
+                    continue
+                got = _coboundary_matrix(pres, k, cls)
+                want = _unit_cochain_matrix(pres, k, cls)
+                assert got == want, (k, cls)
+                assert ([[type(x) for x in row] for row in got]
+                        == [[type(x) for x in row] for row in want])
+
     def test_torsion_vanishes_over_the_field(self):
         rp2 = gallery.get_presentation("rp2")
         assert cohomology(rp2, ZGroup(), 2).group_description() == "Z/2"
         assert cohomology(rp2, RAlphaGroup(), 2).dimension == 0
 
     def test_table_engine_matches_h1_group(self):
-        rotation = AffineMap([[0, -1], [1, 0]], [0, 0])
-        z4 = GroupQuotient(2, [Generator(4, rotation)], free=False,
-                           function_class_degree=1, name="z4-rotation")
-        for pres in (gallery.get_presentation("z2-reflection"), z4):
+        for pres in (gallery.get_presentation("z2-reflection"),
+                     _z4_rotation()):
             table = cohomology(pres, RAlphaGroup(), 1)
             assert table.note.startswith("relative to class")
             assert table.dimension == h1_group(pres).dimension == 0

@@ -28,7 +28,56 @@ def _matrices(seed, count=40):
         yield _random_matrix(rng, m, n, rng.randrange(0, min(m, n) + 1))
 
 
+def _dense_rref(M):
+    """Row reduction that updates every entry of a row, zeros included."""
+    A = [list(row) for row in M]
+    m, n = len(A), len(A[0]) if A else 0
+    pivots, r = [], 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if A[i][col]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = Fraction(1) / A[r][col]
+        A[r] = [x * inv for x in A[r]]
+        for i in range(m):
+            if i != r and A[i][col]:
+                f = A[i][col]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    return A, pivots
+
+
+def _sparse_matrices(seed, count=30):
+    """Seeded int, Fraction and Scalar matrices with at most a fifth of
+    their entries nonzero."""
+    rng = random.Random(seed)
+    entries = [
+        lambda: rng.choice([-3, -2, -1, 1, 2, 3]),
+        lambda: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randrange(1, 5)),
+        lambda: Scalar.of(rng.randrange(-3, 4)) + ALPHA * rng.choice([-1, 1]),
+    ]
+    for t in range(count):
+        entry = entries[t % 3]
+        m, n = rng.randrange(1, 11), rng.randrange(1, 11)
+        yield [[entry() if rng.random() < 0.2 else 0 for _ in range(n)]
+               for _ in range(m)]
+
+
 class TestRref:
+    def test_sparse_update_is_the_dense_update(self):
+        # the RREF is unique, so skipping the zeros of the pivot row may
+        # change no value and no pivot
+        for M in _sparse_matrices(17):
+            R, pivots = linalg.rref(M)
+            R_dense, pivots_dense = _dense_rref(M)
+            assert pivots == pivots_dense
+            assert R == R_dense
+            assert not any(isinstance(x, float) for row in R for x in row)
+
     def test_integer_rref_is_the_scalar_rref(self):
         # the RREF is unique and Q lies in Q(a), so reducing the integers as
         # they are gives the values of their lift to Q(a)
