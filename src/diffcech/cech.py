@@ -22,8 +22,10 @@ from .coeff import (
     CoefficientSES,
     Group,
     IntSolver,
+    ONE,
     RAlphaGroup,
     Scalar,
+    ZERO,
     ZGroup,
     ZmodGroup,
     _snf,
@@ -806,14 +808,36 @@ def _quotient_from_vector(pres, k: int, cls, vec) -> Cochain:
 
 
 def _coboundary_matrix(pres, k: int, cls) -> List[List[Scalar]]:
-    """Rows of d: C^k -> C^{k+1} of a quotient, in the coordinates of cls."""
-    n = len(_quotient_points(pres, k)) * cls.dimension
-    cols = []
-    for j in range(n):
-        unit = [int(i == j) for i in range(n)]
-        dc = coboundary(_quotient_from_vector(pres, k, cls, unit))
-        cols.append(_quotient_vector(dc, cls))
-    return _columns(cols)
+    """Rows of d: C^k -> C^{k+1} of a quotient, in the coordinates of cls.
+
+    The row block of kt = (k1, ...) holds the monomial images of k1's action
+    in the column block of the shifted tuple (kj - k1)_j, and (-1)^i on the
+    diagonal of the block of its i-th face, as in ``coboundary``.
+    """
+    cols = _quotient_points(pres, k)
+    rows = _quotient_points(pres, k + 1)
+    if rows is None:
+        raise DegreeError("infinite-group quotient cochains have coordinates "
+                          "only as degree-1 crossed data")
+    basis = cls.basis
+    d = len(basis)
+    where = {e: i for i, e in enumerate(basis)}
+    start = {p: j * d for j, p in enumerate(cols)}
+    M = [[ZERO] * (len(cols) * d) for _ in range(len(rows) * d)]
+    for r, kt in enumerate(rows):
+        block = M[r * d:(r + 1) * d]
+        k1 = kt[0]
+        c = start[tuple(pres.k_add(kj, pres.k_neg(k1)) for kj in kt[1:])]
+        phi = pres.affine_of(k1)
+        for j, e in enumerate(basis):
+            for e_out, x in phi.monomial_image(e).items():
+                block[where[e_out]][c + j] += x
+        for i in range(1, k + 2):
+            c = start[kt[:i - 1] + kt[i:]]
+            sign = -ONE if i % 2 else ONE
+            for j in range(d):
+                block[j][c + j] += sign
+    return M
 
 
 def _quotient_field_cohomology(pres, k: int, group) -> CohomologyReport:

@@ -117,8 +117,9 @@ def cmd_coboundary(args, out) -> int:
     _header(out, "coboundary")
     c = _cochain_arg(args.file)
     d = coboundary(c)
+    doc = d.to_dict()
     out(f"degree {c.degree} -> {d.degree}")
-    out(_compact(d.to_dict()))
+    out(_compact(doc))
     return 0
 
 

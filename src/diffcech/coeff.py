@@ -111,6 +111,9 @@ class Scalar:
 
     Canonical form: numerator/denominator coprime, denominator monic.  Two
     scalars are equal iff their canonical representations are identical.
+    A denominator equal to 1 is always the one tuple ``_P_ONE``, so
+    ``den is _P_ONE`` tells a polynomial, and polynomials add and multiply
+    without a gcd.
     """
 
     __slots__ = ("num", "den")
@@ -121,7 +124,7 @@ class Scalar:
         if not num:
             num, den = (), _P_ONE
         elif den == _P_ONE:
-            pass
+            den = _P_ONE
         elif len(den) == 1:
             lead = den[0]
             num = tuple(c / lead for c in num)
@@ -135,6 +138,8 @@ class Scalar:
             if lead != 1:
                 num = tuple(c / lead for c in num)
                 den = tuple(c / lead for c in den)
+            if den == _P_ONE:
+                den = _P_ONE
         self.num = num
         self.den = den
 
@@ -161,6 +166,8 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
         other = Scalar.of(other)
+        if self.den is _P_ONE and other.den is _P_ONE:
+            return Scalar(_padd(self.num, other.num))
         return Scalar(
             _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
             _pmul(self.den, other.den),
@@ -179,6 +186,8 @@ class Scalar:
 
     def __mul__(self, other):
         other = Scalar.of(other)
+        if self.den is _P_ONE and other.den is _P_ONE:
+            return Scalar(_pmul(self.num, other.num))
         return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -766,6 +775,8 @@ def _snf(M, want_u=True, want_v=True, want_vinv=False):
         best = None
         for i in range(t, m):
             row = A[i]
+            if not any(row):
+                continue
             for j in range(t, n):
                 x = row[j]
                 if x and (best is None or abs(x) < best[0]):

@@ -31,11 +31,11 @@ def rref(M) -> Tuple[List[list], List[int]]:
             continue
         A[r], A[piv] = A[piv], A[r]
         inv = _ONE / A[r][col]
-        A[r] = [x * inv for x in A[r]]
+        A[r] = [x * inv if x else x for x in A[r]]
         for i in range(m):
             if i != r and A[i][col]:
                 f = A[i][col]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+                A[i] = [x - f * y if y else x for x, y in zip(A[i], A[r])]
         pivots.append(col)
         r += 1
         if r == m:

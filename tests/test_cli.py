@@ -267,6 +267,15 @@ class TestErrors:
         assert code == 2
         assert any(ln.startswith("error: ") for ln in lines)
 
+    def test_unserializable_coboundary_prints_no_result(self):
+        # d of crossed data over an infinite group is lazy; the command must
+        # refuse it before it prints any part of a result
+        code, lines = _run(["coboundary", "gallery:irrational-torus#kappa"])
+        assert code == 2
+        assert not any(ln.startswith("degree") for ln in lines)
+        assert lines[0] == "diffcech coboundary"
+        assert len(lines) == 3 and lines[2].startswith("error: "), lines
+
     def test_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{")

@@ -14,6 +14,7 @@ from diffcech.coeff import (
     Scalar,
     ZGroup,
     ZmodGroup,
+    _P_ONE,
     group_from_tag,
     integer_kernel_basis,
     mat_mul,
@@ -68,6 +69,20 @@ class TestScalar:
             assert (x - x).is_zero()
             if not y.is_zero():
                 assert (x / y) * y == x
+
+    def test_polynomial_denominator_is_interned(self):
+        # the polynomial fast paths of + and * test `den is _P_ONE`
+        x, y = Scalar.parse("(a^2-1)/(a-1)"), ALPHA + 1
+        inv = 1 / (ALPHA + 1)
+        results = [
+            x, y * inv, x + y, x * y, x / y, x - y, -x, y - inv + inv,
+            Scalar.parse("(2*a+2)/(4*a+4)"),
+            Scalar.parse("a/(a-1)") * Scalar.parse("(a-1)/a"),
+            Scalar((Fraction(3),), (Fraction(6),)),
+        ]
+        for s in results:
+            assert s.den == _P_ONE
+            assert s.den is _P_ONE, s
 
     def test_parse_round_trip(self):
         for text in ["0", "3/4", "a", "a^2-2*a+1", "-a/2+5"]:
