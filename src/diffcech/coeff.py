@@ -123,11 +123,10 @@ class Scalar:
             raise ZeroDivisionError("scalar with zero denominator")
         if not num:
             num, den = (), _P_ONE
-        elif den == _P_ONE:
-            den = _P_ONE
         elif len(den) == 1:
             lead = den[0]
-            num = tuple(c / lead for c in num)
+            if lead != 1:
+                num = tuple(c / lead for c in num)
             den = _P_ONE
         else:
             g = _pgcd(num, den)
