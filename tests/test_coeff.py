@@ -84,6 +84,19 @@ class TestScalar:
             assert s.den == _P_ONE
             assert s.den is _P_ONE, s
 
+    def test_integer_input_gives_fraction_coefficients(self):
+        # int coefficients are read exactly: no division may produce a float
+        cases = [
+            Scalar((2,), (4,)), Scalar((1, 2), (3, 6)), Scalar((3, 0, 6), (9,)),
+            Scalar((1,), (2, 4)), Scalar((4, 2), (6, 0, 2)), Scalar((5,)),
+        ]
+        for s in cases:
+            for c in s.num + s.den:
+                assert type(c) is Fraction, (s, c)
+        assert Scalar((1, 2), (3, 6)).num == (Fraction(1, 3),)
+        assert Scalar((4, 2), (6, 0, 2)).num == (Fraction(2), Fraction(1))
+        assert Scalar((4, 2), (6, 0, 2)).den == (Fraction(3), 0, Fraction(1))
+
     def test_parse_round_trip(self):
         for text in ["0", "3/4", "a", "a^2-2*a+1", "-a/2+5"]:
             s = Scalar.parse(text)
