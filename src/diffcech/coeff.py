@@ -3,6 +3,10 @@
 The scalar field is Q(a), rational functions in a formal symbol ``a`` with
 rational coefficients.  The symbol stands for a fixed irrational number and is
 treated as transcendental, so equality of scalars is decidable and exact.
+A scalar is stored as a quotient P/Q of two polynomials with integer
+coefficients (the layout of FLINT's ``fmpq_poly``), reduced so that
+gcd(P, Q) = 1 in Z[a] and the leading coefficient of Q is positive; gcds are
+taken by the primitive remainder sequence over Z[a].
 Group elements carry a group tag; all arithmetic keeps canonical
 representatives (residues in [0,m) for Z/m, rationals in [0,1) for Q/Z).
 """
@@ -11,76 +15,115 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import ClassError, ParseError, TagError
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q, represented as tuples of Fractions
+# univariate polynomials over Z, represented as tuples of ints
 # (index = power of the symbol, no trailing zeros, () is the zero polynomial)
 
 
-def _ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
+def _ztrim(c):
+    while c and not c[-1]:
         c.pop()
     return tuple(c)
 
 
-def _padd(p, q):
-    n = max(len(p), len(q))
-    return _ptrim(
-        [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
-    )
+def _zadd(p, q):
+    lp, lq = len(p), len(q)
+    s = [x + y for x, y in zip(p, q)]
+    if lp > lq:
+        return tuple(s) + p[lq:]
+    if lp < lq:
+        return tuple(s) + q[lp:]
+    return _ztrim(s)
 
 
-def _pneg(p):
-    return tuple(-c for c in p)
+def _zneg(p):
+    return tuple([-c for c in p])
 
 
-def _pmul(p, q):
+def _zscale(p, k):
+    return p if k == 1 else tuple([c * k for c in p])
+
+
+def _zmul(p, q):
+    if len(p) == 1:
+        return _zscale(q, p[0])
+    if len(q) == 1:
+        return _zscale(p, q[0])
     if not p or not q:
         return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _ptrim(out)
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+    return tuple(out)
 
 
-def _pdivmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    lead = q[-1]
-    while len(rem) >= len(q):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(q):
+def _zquo(p, g):
+    """p / g for a divisor g of p in Z[a]; the division is exact."""
+    if len(g) == 1:
+        g0 = g[0]
+        return p if g0 == 1 else tuple([c // g0 for c in p])
+    r = list(p)
+    lead, low = g[-1], g[:-1]
+    dg = len(low)
+    out = [0] * (len(p) - dg)
+    while len(r) > dg:
+        c = r.pop()
+        if c:
+            k = c // lead
+            s = len(r) - dg
+            out[s] = k
+            for i, b in enumerate(low):
+                r[s + i] -= k * b
+    return tuple(out)
+
+
+def _zprem(p, q):
+    """A pseudo-remainder: lead(q)^e * p mod q, with deg p >= deg q."""
+    r = list(p)
+    lead, low = q[-1], q[:-1]
+    dq = len(low)
+    while len(r) > dq:
+        c = r.pop()
+        s = len(r) - dq
+        if lead != 1:
+            r = [x * lead for x in r]
+        for i, b in enumerate(low):
+            r[s + i] -= c * b
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _zgcd(p, q):
+    """gcd of two nonzero polynomials in Z[a], with positive leading
+    coefficient: the content gcd times the last primitive remainder."""
+    if len(p) == 1 or len(q) == 1:
+        return (gcd(*p, *q),)
+    cp, cq = gcd(*p), gcd(*q)
+    c = gcd(cp, cq)
+    p, q = _zquo(p, (cp,)), _zquo(q, (cq,))
+    if len(p) < len(q):
+        p, q = q, p
+    while True:
+        r = _zprem(p, q)
+        if not r:
             break
-        c = rem[-1] / lead
-        d = len(rem) - len(q)
-        quo[d] = c
-        for i, b in enumerate(q):
-            rem[i + d] -= c * b
-        rem.pop()
-    return _ptrim(quo), _ptrim(rem)
+        if len(r) == 1:
+            return (c,)
+        p, q = q, _zquo(r, (gcd(*r),))
+    if q[-1] < 0:
+        q = _zneg(q)
+    return _zscale(q, c)
 
 
-def _pmonic(p):
-    if not p:
-        return p
-    lead = p[-1]
-    return tuple(c / lead for c in p)
-
-
-def _pgcd(p, q):
-    while q:
-        p, q = q, _pdivmod(p, q)[1]
-    return _pmonic(p)
-
-
+_Z_ONE = (1,)
 _P_ONE = (Fraction(1),)
 
 
@@ -106,41 +149,101 @@ def _fmt_poly(p, sym="a"):
     return "".join(parts)
 
 
+def _lift(coeffs):
+    """Integer coefficients and a positive integer m with coeffs = ints / m."""
+    for c in coeffs:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"Scalar coefficient must be int or Fraction, "
+                            f"got {c!r}")
+    m = lcm(*(c.denominator for c in coeffs))
+    return _ztrim([c.numerator * (m // c.denominator) for c in coeffs]), m
+
+
+_new = object.__new__
+
+
+def _make(znum, zden):
+    s = _new(Scalar)
+    s.znum = znum
+    s.zden = zden
+    return s
+
+
+def _reduce_const(n, d):
+    """n/d for an int tuple n and a positive int d, content-reduced."""
+    if not n:
+        return ZERO
+    if d != 1:
+        g = gcd(d, *n)
+        if g != 1:
+            n = tuple([c // g for c in n])
+            d //= g
+    return _make(n, (d,))
+
+
+def _reduce(n, d):
+    """n/d in canonical form, for int tuples n and d != ()."""
+    if not n:
+        return ZERO
+    if len(d) == 1:
+        if d[0] < 0:
+            return _reduce_const(_zneg(n), -d[0])
+        return _reduce_const(n, d[0])
+    g = _zgcd(n, d)
+    if g != _Z_ONE:
+        n, d = _zquo(n, g), _zquo(d, g)
+    if d[-1] < 0:
+        n, d = _zneg(n), _zneg(d)
+    return _make(n, d)
+
+
+def _times(p, q, r, s):
+    """(p/q) * (r/s) for canonical pairs of nonzero scalars: cancel across,
+    then the product is canonical as it stands."""
+    g = _zgcd(p, s)
+    if g != _Z_ONE:
+        p, s = _zquo(p, g), _zquo(s, g)
+    g = _zgcd(r, q)
+    if g != _Z_ONE:
+        r, q = _zquo(r, g), _zquo(q, g)
+    return _make(_zmul(p, r), _zmul(q, s))
+
+
 class Scalar:
     """An element of Q(a), kept in canonical reduced form.
 
-    Canonical form: numerator/denominator coprime, denominator monic.  Two
-    scalars are equal iff their canonical representations are identical.
-    A denominator equal to 1 is always the one tuple ``_P_ONE``, so
-    ``den is _P_ONE`` tells a polynomial, and polynomials add and multiply
-    without a gcd.
+    ``znum`` and ``zden`` hold the integer coefficients of a numerator P and
+    a denominator Q, with gcd(P, Q) = 1 in Z[a] and a positive leading
+    coefficient of Q; two scalars are equal iff these tuples are identical.
+    A polynomial has a one-term Q: a positive integer coprime to the content
+    of P, so polynomials add and multiply as integer tuples with at most one
+    integer gcd.  ``num`` and ``den`` give the same element as tuples of
+    Fractions, numerator and denominator coprime and the denominator monic;
+    ``den`` of every polynomial is the one tuple ``_P_ONE``.  The public
+    constructor takes int and Fraction coefficients, exactly.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("znum", "zden")
 
     def __init__(self, num, den=_P_ONE):
-        if not den:
+        n, m = _lift(num)
+        d, k = _lift(den)
+        if not d:
             raise ZeroDivisionError("scalar with zero denominator")
-        if not num:
-            num, den = (), _P_ONE
-        elif len(den) == 1:
-            lead = den[0]
-            if lead != 1:
-                num = tuple(c / lead for c in num)
-            den = _P_ONE
-        else:
-            g = _pgcd(num, den)
-            if len(g) > 1 or g[0] != 1:
-                num = _pdivmod(num, g)[0]
-                den = _pdivmod(den, g)[0]
-            lead = den[-1]
-            if lead != 1:
-                num = tuple(c / lead for c in num)
-                den = tuple(c / lead for c in den)
-            if den == _P_ONE:
-                den = _P_ONE
-        self.num = num
-        self.den = den
+        s = _reduce(_zscale(n, k), _zscale(d, m))
+        self.znum, self.zden = s.znum, s.zden
+
+    @property
+    def num(self):
+        lead = self.zden[-1]
+        return tuple([Fraction(c, lead) for c in self.znum])
+
+    @property
+    def den(self):
+        d = self.zden
+        if len(d) == 1:
+            return _P_ONE
+        return tuple([Fraction(c, d[-1]) for c in d])
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -148,13 +251,13 @@ class Scalar:
         if isinstance(x, Scalar):
             return x
         if isinstance(x, (int, Fraction)):
-            f = Fraction(x)
-            return Scalar(() if f == 0 else (f,))
+            n = x.numerator
+            return _make((n,), (x.denominator,)) if n else ZERO
         raise TypeError(f"cannot convert {x!r} to Scalar")
 
     @staticmethod
     def alpha() -> "Scalar":
-        return Scalar((Fraction(0), Fraction(1)))
+        return _make((0, 1), _Z_ONE)
 
     @staticmethod
     def parse(text: str) -> "Scalar":
@@ -164,18 +267,44 @@ class Scalar:
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
-        other = Scalar.of(other)
-        if self.den is _P_ONE and other.den is _P_ONE:
-            return Scalar(_padd(self.num, other.num))
-        return Scalar(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        if other.__class__ is not Scalar:
+            other = Scalar.of(other)
+        p, q = self.znum, self.zden
+        r, s = other.znum, other.zden
+        if len(q) == 1 and len(s) == 1:
+            q0, s0 = q[0], s[0]
+            if q0 == s0:
+                return _reduce_const(_zadd(p, r), q0)
+            # distinct canonical denominators: the sum is not zero, and only
+            # a factor of g = gcd(q0, s0) can cancel
+            g = gcd(q0, s0)
+            n = _zadd(_zscale(p, s0 // g), _zscale(r, q0 // g))
+            if g == 1:
+                return _make(n, (q0 * s0,))
+            return _reduce_const(n, q0 // g * s0)
+        if not p:
+            return other
+        if not r:
+            return self
+        g = _zgcd(q, s)
+        if g != _Z_ONE:
+            q, s1 = _zquo(q, g), _zquo(s, g)
+        else:
+            s1 = s
+        n = _zadd(_zmul(p, s1), _zmul(r, q))
+        if not n:
+            return ZERO
+        d = _zmul(q, s)
+        if g != _Z_ONE:
+            h = _zgcd(n, g)
+            if h != _Z_ONE:
+                n, d = _zquo(n, h), _zquo(d, h)
+        return _make(n, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(_pneg(self.num), self.den)
+        return _make(_zneg(self.znum), self.zden)
 
     def __sub__(self, other):
         return self + (-Scalar.of(other))
@@ -184,36 +313,50 @@ class Scalar:
         return Scalar.of(other) - self
 
     def __mul__(self, other):
-        other = Scalar.of(other)
-        if self.den is _P_ONE and other.den is _P_ONE:
-            return Scalar(_pmul(self.num, other.num))
-        return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        if other.__class__ is not Scalar:
+            other = Scalar.of(other)
+        p, q = self.znum, self.zden
+        r, s = other.znum, other.zden
+        if not p or not r:
+            return ZERO
+        if len(q) == 1 and len(s) == 1:
+            return _reduce_const(_zmul(p, r), q[0] * s[0])
+        return _times(p, q, r, s)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Scalar.of(other)
-        if not other.num:
+        if other.__class__ is not Scalar:
+            other = Scalar.of(other)
+        r, s = other.znum, other.zden
+        if not r:
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        p, q = self.znum, self.zden
+        if not p:
+            return ZERO
+        if r[-1] < 0:
+            r, s = _zneg(r), _zneg(s)
+        if len(q) == 1 and len(r) == 1:
+            return _reduce_const(_zmul(p, s), q[0] * r[0])
+        return _times(p, q, s, r)
 
     def __rtruediv__(self, other):
         return Scalar.of(other) / self
 
     # -- predicates ---------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.znum
 
     def is_rational(self) -> bool:
-        return len(self.num) <= 1 and self.den == _P_ONE
+        return len(self.znum) <= 1 and len(self.zden) == 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ClassError(f"scalar {self} is not rational")
-        return self.num[0] if self.num else Fraction(0)
+        return Fraction(self.znum[0], self.zden[0]) if self.znum else Fraction(0)
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.as_fraction().denominator == 1
+        return len(self.znum) <= 1 and self.zden == _Z_ONE
 
     def as_int(self) -> int:
         f = self.as_fraction()
@@ -223,7 +366,7 @@ class Scalar:
 
     def alpha_coefficients(self):
         """Coefficients (c0, c1, ...) when the scalar is a polynomial in a."""
-        if self.den != _P_ONE:
+        if len(self.zden) != 1:
             raise ClassError(f"scalar {self} is not polynomial in a")
         return self.num
 
@@ -232,23 +375,22 @@ class Scalar:
             other = Scalar.of(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.znum == other.znum and self.zden == other.zden
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.znum, self.zden))
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.znum)
 
     def __str__(self):
         num = _fmt_poly(self.num)
-        if self.den == _P_ONE:
+        if len(self.zden) == 1:
             return num
-        nterms = sum(1 for c in self.num if c != 0)
-        if nterms > 1 or self.num[-1] < 0:
+        if len(self.znum) - self.znum.count(0) > 1 or self.znum[-1] < 0:
             num = f"({num})"
         den = _fmt_poly(self.den)
-        if sum(1 for c in self.den if c != 0) > 1:
+        if len(self.zden) - self.zden.count(0) > 1:
             den = f"({den})"
         return f"{num}/{den}"
 
@@ -256,7 +398,7 @@ class Scalar:
         return f"Scalar({self})"
 
 
-ZERO = Scalar(())
+ZERO = _make((), _Z_ONE)
 ONE = Scalar.of(1)
 ALPHA = Scalar.alpha()
 

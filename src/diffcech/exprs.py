@@ -99,7 +99,7 @@ def mul_terms(p, q):
 def _degree(p) -> int:
     """The larger of the total degree in the variables and the degree in a
     of the numerators and denominators of the coefficients."""
-    return max((max(sum(e), len(c.num) - 1, len(c.den) - 1)
+    return max((max(sum(e), len(c.znum) - 1, len(c.zden) - 1)
                 for e, c in p.items()), default=0)
 
 

@@ -1,5 +1,6 @@
 """Coefficient groups, Q(a) scalars, Smith normal form, and SES oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from diffcech.coeff import (
     ZGroup,
     ZmodGroup,
     _P_ONE,
+    _zgcd,
     group_from_tag,
     integer_kernel_basis,
     mat_mul,
@@ -24,6 +26,7 @@ from diffcech.coeff import (
     ses_z_r_qmodz,
     smith_normal_form,
 )
+from diffcech import linalg
 from diffcech.errors import ClassError, ParseError, TagError
 
 
@@ -180,6 +183,161 @@ class TestScalar:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             Scalar.of(1) / Scalar.of(0)
+
+
+# Euclid's algorithm over Q on tuples of Fractions, as Scalar reduced before
+# it moved to Z[a]; kept here as an oracle for the gcd over Z[a]
+
+
+def _euclid_pdivmod(p, q):
+    rem = list(p)
+    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    while len(rem) >= len(q):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) < len(q):
+            break
+        c = rem[-1] / q[-1]
+        d = len(rem) - len(q)
+        quo[d] = c
+        for i, b in enumerate(q):
+            rem[i + d] -= c * b
+        rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
+
+
+def _euclid_gcd(p, q):
+    p, q = [Fraction(c) for c in p], [Fraction(c) for c in q]
+    while q:
+        p, q = q, _euclid_pdivmod(p, q)[1]
+    return tuple(c / p[-1] for c in p)
+
+
+def _int_poly(rng, degree, bound=6):
+    p = [rng.randrange(-bound, bound + 1) for _ in range(degree)]
+    return tuple(p + [rng.choice([-3, -2, -1, 1, 2, 5])])
+
+
+def _random_scalar(rng):
+    """A rational function of degree up to 3 over 2, with a common factor
+    and a common content left in for the constructor to cancel."""
+    if rng.random() < 0.08:
+        return Scalar(())
+    num = [Fraction(rng.randrange(-5, 6), rng.choice([1, 1, 2, 3]))
+           for _ in range(rng.randrange(0, 4))]
+    num.append(Fraction(rng.choice([-4, -1, 1, 3]), rng.choice([1, 2])))
+    den = list(_int_poly(rng, rng.choice([0, 0, 1, 2])))
+    if rng.random() < 0.4:
+        r, k = rng.randrange(-3, 4), rng.choice([1, 2, 6])
+        num = [k * c for c in _mul(num, (-r, 1))]
+        den = [k * c for c in _mul(den, (-r, 1))]
+    return Scalar(tuple(num), tuple(den))
+
+
+def _mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _at(s, q):
+    """s evaluated at a = q through its stored integer polynomials, or None
+    at a pole."""
+    den = sum(c * q ** i for i, c in enumerate(s.zden))
+    if den == 0:
+        return None
+    return Fraction(sum(c * q ** i for i, c in enumerate(s.znum))) / den
+
+
+_POINTS = [Fraction(2), Fraction(1, 3), Fraction(-5, 7), Fraction(3),
+           Fraction(-7, 2), Fraction(11), Fraction(13, 5), Fraction(-1),
+           Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2)]
+
+
+def _assert_canonical(s):
+    """gcd(P, Q) = 1 in Z[a] and lc(Q) > 0, checked through Gauss's lemma:
+    coprime contents and, by Euclid over Q, coprime polynomials."""
+    p, q = s.znum, s.zden
+    assert all(type(c) is int for c in p + q), s
+    assert q and q[-1] > 0, (p, q)
+    if not p:
+        assert q == (1,)
+        return
+    assert math.gcd(*p, *q) == 1, (p, q)
+    assert _euclid_gcd(p, q) == (1,), (p, q)
+    assert s.den[-1] == 1 and s.num == tuple(Fraction(c, q[-1]) for c in p)
+
+
+class TestSpecialization:
+    """Evaluation at a rational a = q that misses every pole is a ring
+    homomorphism Q(a) -> Q; Fraction arithmetic is the independent route."""
+
+    def test_arithmetic_commutes_with_evaluation(self):
+        rng = random.Random(1103)
+        checked = 0
+        for _ in range(200):
+            x, y = _random_scalar(rng), _random_scalar(rng)
+            _assert_canonical(x)
+            ops = [("+", x + y, lambda u, v: u + v),
+                   ("-", x - y, lambda u, v: u - v),
+                   ("*", x * y, lambda u, v: u * v)]
+            if y:
+                ops.append(("/", x / y, lambda u, v: u / v))
+                assert (x / y) * y == x
+            assert (x + y) - y == x
+            points = [q for q in _POINTS
+                      if _at(x, q) is not None and _at(y, q) is not None
+                      and (not y or _at(y, q) != 0)][:3]
+            assert len(points) == 3
+            for name, got, op in ops:
+                _assert_canonical(got)
+                for q in points:
+                    assert _at(got, q) == op(_at(x, q), _at(y, q)), (x, name, y)
+                    checked += 1
+        assert checked > 2000
+
+    def test_rank_is_at_least_every_specialized_rank(self):
+        rng = random.Random(1109)
+        a = ALPHA
+        matrices = [[[a - 2, Scalar.of(1)], [Scalar.of(0), a - 2]],
+                    [[a - Fraction(1, 3), a], [Scalar.of(0), 1 / (a + 1)]]]
+        for _ in range(40):
+            rows, cols = rng.randrange(2, 5), rng.randrange(2, 5)
+            M = [[_random_scalar(rng) for _ in range(cols)]
+                 for _ in range(rows)]
+            if rng.random() < 0.5:
+                # a row that is a Q(a)-combination of two others
+                u, v = _random_scalar(rng), _random_scalar(rng)
+                M[-1] = [u * s + v * t for s, t in zip(M[0], M[1])]
+            matrices.append(M)
+        drops = 0
+        for M in matrices:
+            rank = linalg.rank(M)
+            points = [q for q in _POINTS
+                      if all(_at(x, q) is not None for row in M for x in row)]
+            ranks = [linalg.rank([[_at(x, q) for x in row] for row in M])
+                     for q in points[:3]]
+            assert len(ranks) == 3
+            assert all(r <= rank for r in ranks), (M, rank, ranks)
+            assert rank in ranks, (M, rank, ranks)
+            drops += min(ranks) < rank
+        assert drops >= 2
+
+    def test_gcd_over_z_matches_euclid_over_q(self):
+        rng = random.Random(1117)
+        for _ in range(300):
+            g = _int_poly(rng, rng.randrange(0, 3))
+            k = rng.choice([1, 1, 2, 6, -3])
+            p = tuple(k * c for c in _mul(_int_poly(rng, rng.randrange(0, 4)), g))
+            q = tuple(c for c in _mul(_int_poly(rng, rng.randrange(0, 4)), g))
+            got = _zgcd(p, q)
+            assert got[-1] > 0
+            assert tuple(Fraction(c, got[-1]) for c in got) == _euclid_gcd(p, q)
+            assert math.gcd(*got) == math.gcd(math.gcd(*p), math.gcd(*q))
 
 
 class TestSmithNormalForm:
