@@ -9,6 +9,7 @@ attached to entries are addressed as "gallery:circle3#winding1").
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -282,11 +283,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: parse_args only reads the parser
+    and writes to a fresh namespace, so one parser serves every call."""
+    return build_parser()
+
+
 def run(argv, out=None) -> int:
     emit = out or (lambda line: print(line))
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     try:
