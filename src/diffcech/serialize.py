@@ -54,10 +54,47 @@ def presentation_to_dict(pres) -> dict:
     return doc
 
 
+# largest total length of the expressions one document may hold.  Each
+# expression has its own caps (exprs.MAX_EXPONENT); this one bounds how many
+# of them one document can hand the parser.
+MAX_DOCUMENT_CHARS = 8192
+_PAYLOADS = ("generators", "function", "crossed", "table")
+
+
+def _string_chars(x) -> int:
+    if isinstance(x, str):
+        return len(x)
+    if isinstance(x, dict):
+        x = x.values()
+    elif not isinstance(x, list):
+        return 0
+    return sum(_string_chars(v) for v in x)
+
+
+def _expression_chars(doc, scalar_values=False) -> int:
+    """Characters of the strings in doc that the expression parser reads:
+    a quotient's generators, a quotient cochain's payload, and the values of
+    a nerve cochain whose group has an R(alpha) factor."""
+    if not isinstance(doc, dict):
+        return 0
+    if isinstance(doc.get("group"), str):
+        scalar_values = "R(alpha)" in doc["group"]
+    return sum(_string_chars(v) if k in _PAYLOADS
+               or (k == "values" and scalar_values)
+               else _expression_chars(v, scalar_values)
+               for k, v in doc.items())
+
+
 def _reads_fields(fn):
-    """Report a field of the wrong type or value as a ParseError."""
+    """Refuse a document over MAX_DOCUMENT_CHARS before any of it is parsed,
+    and report a field of the wrong type or value as a ParseError."""
     @functools.wraps(fn)
     def read(doc):
+        chars = _expression_chars(doc)
+        if chars > MAX_DOCUMENT_CHARS:
+            raise ParseError(f"document holds {chars} characters of "
+                             f"expressions, over the limit of "
+                             f"{MAX_DOCUMENT_CHARS}")
         try:
             return fn(doc)
         except (TypeError, ValueError) as e:

@@ -2,7 +2,11 @@
 
 import json
 import os
+import subprocess
+import sys
+import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +200,31 @@ class TestErrors:
         assert code == 2
         assert any("exceeds the degree limit of 64" in ln for ln in lines)
 
+    def test_document_over_the_expression_cap(self, tmp_path):
+        # each value is within every per-expression cap, but 27 of them
+        # would make the parser build 27 degree-64 common denominators
+        pres = gallery.get_presentation("torus9")
+        value = "+".join(f"1/(a+{i})" for i in range(1, 65))
+        doc = {"presentation": serialize.presentation_to_dict(pres),
+               "group": "R(alpha)",
+               "cochain": {"degree": 1, "values": {
+                   f"({i},{j})": value for i, j in pres.tuples(1)}}}
+        p = tmp_path / "torus9-harmonic.json"
+        p.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, lines = _run(["check-cocycle", str(p)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert lines[2] == ("error: document holds 15282 characters of "
+                            "expressions, over the limit of 8192")
+        # with 14 of those values (7924 characters) and zeros, it is read
+        values = doc["cochain"]["values"]
+        for key in sorted(values)[14:]:
+            values[key] = "0"
+        p.write_text(json.dumps(doc))
+        code, lines = _run(["check-cocycle", str(p)])
+        assert code == 1 and lines[2].startswith("cocycle: no")
+
     _NERVE = {"kind": "nerve", "charts": ["U0", "U1"],
               "alive": [[0], [1], [0, 1]], "k_max": 2}
     _QUOTIENT = {"kind": "quotient", "dim": 1, "free": True,
@@ -313,6 +342,35 @@ class TestGalleryCommands:
 
 
 class TestDeterminism:
+    def test_in_process_runs_match_fresh_processes(self, capsys,
+                                                   monkeypatch):
+        # the parser is built once per process; successive calls through it,
+        # after --help and usage errors too, print what a fresh process does
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("DIFFCECH_SEED", raising=False)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        argvs = [
+            ["gallery", "list"],
+            ["--help"],
+            ["cohomology", "--degree", "1", "--coeff", "Z", "gallery:circle3"],
+            ["cohomology"],
+            ["check-cocycle", "gallery:circle3#winding1"],
+            ["cohomology", "--help"],
+            ["cohomology", "--degree", "one", "--coeff", "Z", "x.json"],
+            ["gallery", "show", "nonesuch"],
+            ["bockstein", "--ses", "Z:Z:Z/2", "gallery:circle3#winding1"],
+        ]
+        for argv in argvs:
+            code = run(argv)
+            out, err = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "diffcech.cli",
+                                    *argv], capture_output=True, text=True,
+                                   env=env)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                        fresh.stderr), argv
+
+
     def test_repeated_runs_are_identical(self):
         for argv in (
             ["cohomology", "--degree", "1", "--coeff", "Z", "gallery:torus9"],
