@@ -104,8 +104,10 @@ def _zprem(p, q):
 def _zgcd(p, q):
     """gcd of two nonzero polynomials in Z[a], with positive leading
     coefficient: the content gcd times the last primitive remainder."""
-    if len(p) == 1 or len(q) == 1:
-        return (gcd(*p, *q),)
+    if len(q) == 1:  # the constant first, so that gcd stops early at 1
+        return (gcd(q[0], *p),)
+    if len(p) == 1:
+        return (gcd(p[0], *q),)
     cp, cq = gcd(*p), gcd(*q)
     c = gcd(cp, cq)
     p, q = _zquo(p, (cp,)), _zquo(q, (cq,))
@@ -275,8 +277,8 @@ class Scalar:
             q0, s0 = q[0], s[0]
             if q0 == s0:
                 return _reduce_const(_zadd(p, r), q0)
-            # distinct canonical denominators: the sum is not zero, and only
-            # a factor of g = gcd(q0, s0) can cancel
+            # distinct canonical denominators: the sum is not zero, and of
+            # the denominator lcm(q0, s0), only factors of g can cancel
             g = gcd(q0, s0)
             n = _zadd(_zscale(p, s0 // g), _zscale(r, q0 // g))
             if g == 1:
@@ -286,19 +288,17 @@ class Scalar:
             return other
         if not r:
             return self
+        # p/q + r/s over the denominator lcm(q, s) = q1 * s: of its factors,
+        # only those of g = gcd(q, s) can divide the numerator
         g = _zgcd(q, s)
-        if g != _Z_ONE:
-            q, s1 = _zquo(q, g), _zquo(s, g)
-        else:
-            s1 = s
-        n = _zadd(_zmul(p, s1), _zmul(r, q))
+        q1, s1 = _zquo(q, g), _zquo(s, g)
+        n = _zadd(_zmul(p, s1), _zmul(r, q1))
         if not n:
             return ZERO
-        d = _zmul(q, s)
+        d = _zmul(q1, s)
         if g != _Z_ONE:
             h = _zgcd(n, g)
-            if h != _Z_ONE:
-                n, d = _zquo(n, h), _zquo(d, h)
+            n, d = _zquo(n, h), _zquo(d, h)
         return _make(n, d)
 
     __radd__ = __add__
