@@ -183,22 +183,6 @@ def _reduce_const(n, d):
     return _make(n, (d,))
 
 
-def _reduce(n, d):
-    """n/d in canonical form, for int tuples n and d != ()."""
-    if not n:
-        return ZERO
-    if len(d) == 1:
-        if d[0] < 0:
-            return _reduce_const(_zneg(n), -d[0])
-        return _reduce_const(n, d[0])
-    g = _zgcd(n, d)
-    if g != _Z_ONE:
-        n, d = _zquo(n, g), _zquo(d, g)
-    if d[-1] < 0:
-        n, d = _zneg(n), _zneg(d)
-    return _make(n, d)
-
-
 def _times(p, q, r, s):
     """(p/q) * (r/s) for canonical pairs of nonzero scalars: cancel across,
     then the product is canonical as it stands."""
@@ -232,8 +216,15 @@ class Scalar:
         d, k = _lift(den)
         if not d:
             raise ZeroDivisionError("scalar with zero denominator")
-        s = _reduce(_zscale(n, k), _zscale(d, m))
-        self.znum, self.zden = s.znum, s.zden
+        n, d = _zscale(n, k), _zscale(d, m)
+        if not n:
+            d = _Z_ONE
+        else:
+            g = _zgcd(n, d)
+            n, d = _zquo(n, g), _zquo(d, g)
+            if d[-1] < 0:
+                n, d = _zneg(n), _zneg(d)
+        self.znum, self.zden = n, d
 
     @property
     def num(self):
