@@ -21,7 +21,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .coeff import (
     CoefficientSES,
     Group,
-    IntSolver,
     ONE,
     RAlphaGroup,
     Scalar,
@@ -29,9 +28,8 @@ from .coeff import (
     ZGroup,
     ZmodGroup,
     _snf,
-    mat_mul,
-    mat_vec,
-    rank_and_diag,
+    sparse_apply,
+    sparse_mix,
 )
 from . import linalg
 from .errors import (
@@ -699,15 +697,16 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
     B = (boundary_matrix(pres, k - 1) if k > 0
          else [[] for _ in pres.tuples(0)])
     n = len(pres.tuples(k))
-    D, _, V, Vinv = _snf(A, want_u=False, want_v=True, want_vinv=True)
-    r, diag = rank_and_diag(D)
-    VinvB = mat_mul(Vinv, B)
-    # rows < r of VinvB vanish since AB = 0: boundaries lie in the span of
+    S = _snf(A, want_u=False, want_v=True, want_vinv=True)
+    r = S.rank
+    width = len(B[0]) if B else 0
+    B = [{j: x for j, x in enumerate(row) if x} for row in B]
+    # rows < r of Vinv*B vanish since AB = 0: boundaries lie in the span of
     # the columns r.. of V
     if group.tag == "Z":
         # ker A is spanned by the columns r.. of V
-        gens = [[V[i][j] for i in range(n)] for j in range(r, n)]
-        rel = VinvB[r:]
+        gens, scale = S.kernel(), [1] * (n - r)
+        rel = [sparse_mix(row, B, width) for row in S.Vinv[r:]]
 
         def to_gens(z):
             if any(z[:r]):
@@ -718,33 +717,32 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
         # x, for s_j = m / gcd(d_j, m) (d_j = 0, so s_j = 1, past the rank);
         # the scaled column then has order m / s_j
         m = group.m
-        s = [m // math.gcd(d, m) for d in diag + [0] * (n - r)]
-        gens = [[V[i][j] * s[j] for i in range(n)] for j in range(n)]
-        rel = [VinvB[i] + [m // s[i] if j == i else 0 for j in range(n)]
-               for i in range(n)]
+        gens = S.V
+        scale = [m // math.gcd(d, m) for d in S.diag + [0] * (n - r)]
+        rel = [sparse_mix(row, B, width)
+               + [m // scale[i] if j == i else 0 for j in range(n)]
+               for i, row in enumerate(S.Vinv)]
 
         def to_gens(z):
             z = [x % m for x in z]
-            if any(x % sj for x, sj in zip(z, s)):
+            if any(x % sj for x, sj in zip(z, scale)):
                 raise CocycleError("class oracle applied to a non-cocycle")
-            return [x // sj for x, sj in zip(z, s)]
+            return [x // sj for x, sj in zip(z, scale)]
 
     q = len(gens)
-    DR, UR, _, _ = _snf(rel, want_v=False)
-    rR, eR = rank_and_diag(DR)
+    R = _snf(rel, want_v=False, want_uinv=True)
+    rR, eR = R.rank, R.diag
     out_idx = [i for i in range(rR) if eR[i] > 1] + list(range(rR, q))
 
     def oracle(c: Cochain):
-        w = mat_vec(UR, to_gens(mat_vec(Vinv, _nerve_vector(c))))
+        w = sparse_apply(R.U, to_gens(sparse_apply(S.Vinv, _nerve_vector(c))))
         return tuple(w[i] % eR[i] if i < rR else w[i] for i in out_idx)
 
-    reps = []
-    if out_idx:
-        solver = IntSolver(UR)
-        for i in out_idx:
-            w = solver.solve([int(j == i) for j in range(q)])
-            vec = [sum(gens[j][t] * w[j] for j in range(q)) for t in range(n)]
-            reps.append(_nerve_from_vector(pres, k, group, vec))
+    # U_R is unimodular, so generator i of the group is column i of U_R^-1
+    # in the coordinates of the scaled gens
+    reps = [_nerve_from_vector(pres, k, group, sparse_mix(
+        {j: scale[j] * x for j, x in R.Uinv[i].items()}, gens, n))
+        for i in out_idx]
     return CohomologyReport(pres, k, group, "integer", free_rank=q - rR,
                             invariant_factors=[eR[i] for i in out_idx
                                                if i < rR],
@@ -1000,7 +998,7 @@ def classes_equal(f1: Cochain, f2: Cochain) -> ClassComparison:
             return ClassComparison(False, None,
                                    "degree-0 classes differ value-wise")
         B = boundary_matrix(pres, k - 1)
-        sol = IntSolver(B).solve_group(_nerve_vector(diff), f1.group)
+        sol = _snf(B).solve_group(_nerve_vector(diff), f1.group)
         if sol is None:
             return ClassComparison(
                 False, None,

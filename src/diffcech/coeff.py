@@ -832,121 +832,220 @@ def parse_ses(spec: str) -> CoefficientSES:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form and integer lattice utilities
+# Smith normal form over sparse integer rows
+#
+# A sparse vector is a {index: nonzero int} dict.  A matrix is kept as a list
+# of such rows, or as a list of such columns where its column operations are
+# the frequent ones.
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _unit(n):
+    return [{i: 1} for i in range(n)]
 
 
-def _snf(M, want_u=True, want_v=True, want_vinv=False):
-    """Diagonalize M by unimodular row/column operations.
+def _axpy(dst, src, q):
+    """dst += q * src for sparse vectors, q != 0."""
+    for k, x in src.items():
+        y = dst.get(k, 0) + q * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
 
-    Returns (D, U, V, Vinv) with D = U*M*V; untracked factors are None.
-    Pivot rule: smallest magnitude nonzero entry, row-major tie-break.
-    """
+
+def sparse_apply(rows, vec):
+    """The dense vector rows * vec for sparse rows."""
+    return [sum(x * vec[k] for k, x in row.items()) for row in rows]
+
+
+def sparse_mix(coeffs, vecs, length):
+    """The dense vector sum of coeffs[k] * vecs[k] over the sparse coeffs,
+    each vecs[k] sparse."""
+    out = [0] * length
+    for k, c in coeffs.items():
+        for i, x in vecs[k].items():
+            out[i] += c * x
+    return out
+
+
+def _dense(vecs, size, by_columns):
+    if vecs is None:
+        return None
+    out = [[0] * size for _ in range(size)]
+    for a, vec in enumerate(vecs):
+        for b, x in vec.items():
+            if by_columns:
+                out[b][a] = x
+            else:
+                out[a][b] = x
+    return out
+
+
+class SmithForm:
+    """D = U*M*V for an m x n integer matrix M: D is diagonal with the
+    invariant factors diag[0] | diag[1] | ... > 0, U and V are unimodular.
+
+    U and Vinv are lists of sparse rows, V and Uinv (the inverse of U) lists
+    of sparse columns; a factor that was not tracked is None."""
+
+    def __init__(self, m, n, diag, U, V, Vinv, Uinv):
+        self.m, self.n, self.diag = m, n, diag
+        self.rank = len(diag)
+        self.U, self.V, self.Vinv, self.Uinv = U, V, Vinv, Uinv
+
+    def dense(self):
+        """(D, U, V, Vinv) as lists of rows, None where not tracked."""
+        D = [[0] * self.n for _ in range(self.m)]
+        for i, d in enumerate(self.diag):
+            D[i][i] = d
+        return (D, _dense(self.U, self.m, False), _dense(self.V, self.n, True),
+                _dense(self.Vinv, self.n, False))
+
+    def kernel(self):
+        """The integer kernel of M: the sparse columns of V past the rank."""
+        return self.V[self.rank:]
+
+    def solve(self, v):
+        """An integer solution x of M x = v, or None."""
+        return self.solve_group(v, ZGroup())
+
+    def solve_group(self, values, group: Group):
+        """A solution x of M x = values with entries in an abelian group, by
+        division by the invariant factors in the group; None when there is
+        none."""
+        zero = group.zero()
+        w = []
+        for row in self.U:
+            acc = zero
+            for k, u in row.items():
+                acc = group.add(acc, group.mul_int(u, values[k]))
+            w.append(acc)
+        if any(x != zero for x in w[self.rank:]):
+            return None
+        xs = [zero] * self.n
+        for d, x, col in zip(self.diag, w, self.V):
+            y = group.div_int(d, x)
+            if y is None:
+                return None
+            for i, v in col.items():
+                xs[i] = group.add(xs[i], group.mul_int(v, y))
+        return xs
+
+
+def _snf(M, want_u=True, want_v=True, want_vinv=False, want_uinv=False):
+    """The SmithForm of M, a list of integer rows, with the factors asked for.
+
+    Pivot rule: the least (|x|, i, j) over the rows and columns not yet
+    diagonal, so the smallest magnitude with a row-major tie-break.  A row
+    operation on U is the inverse column operation on Uinv, and a column
+    operation on V the inverse row operation on Vinv."""
     m = len(M)
     n = len(M[0]) if m else 0
-    A = [list(row) for row in M]
-    U = _identity(m) if want_u else None
-    V = _identity(n) if want_v else None
-    Vinv = _identity(n) if want_vinv else None
+    A = [{j: x for j, x in enumerate(row) if x} for row in M]
+    cols = [set() for _ in range(n)]  # column j -> rows with a nonzero there
+    for i, row in enumerate(A):
+        for j in row:
+            cols[j].add(i)
+    U = _unit(m) if want_u else None
+    Uinv = _unit(m) if want_uinv else None
+    V = _unit(n) if want_v else None
+    Vinv = _unit(n) if want_vinv else None
 
     def swap_rows(i, j):
         if i == j:
             return
+        for r in (i, j):
+            for k in A[r]:
+                cols[k].discard(r)
         A[i], A[j] = A[j], A[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
+        for r in (i, j):
+            for k in A[r]:
+                cols[k].add(r)
+        for F in (U, Uinv):
+            if F is not None:
+                F[i], F[j] = F[j], F[i]
 
     def add_row(i, j, q):
         # row i += q * row j
-        ai, aj = A[i], A[j]
-        for k in range(n):
-            if aj[k]:
-                ai[k] += q * aj[k]
+        ai = A[i]
+        for k, x in A[j].items():
+            y = ai.get(k, 0) + q * x
+            if y:
+                ai[k] = y
+                cols[k].add(i)
+            else:
+                del ai[k]
+                cols[k].discard(i)
         if U is not None:
-            ui, uj = U[i], U[j]
-            for k in range(m):
-                if uj[k]:
-                    ui[k] += q * uj[k]
+            _axpy(U[i], U[j], q)
+        if Uinv is not None:
+            _axpy(Uinv[j], Uinv[i], -q)
 
     def neg_row(i):
-        A[i] = [-x for x in A[i]]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
+        for F in (A, U, Uinv):
+            if F is not None:
+                F[i] = {k: -x for k, x in F[i].items()}
 
     def swap_cols(i, j):
         if i == j:
             return
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-        if Vinv is not None:
-            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+        for r in cols[i] | cols[j]:
+            row = A[r]
+            x, y = row.pop(i, 0), row.pop(j, 0)
+            if y:
+                row[i] = y
+            if x:
+                row[j] = x
+        cols[i], cols[j] = cols[j], cols[i]
+        for F in (V, Vinv):
+            if F is not None:
+                F[i], F[j] = F[j], F[i]
 
     def add_col(i, j, q):
         # col i += q * col j
-        for row in A:
-            if row[j]:
-                row[i] += q * row[j]
+        ci = cols[i]
+        for r in cols[j]:
+            row = A[r]
+            y = row.get(i, 0) + q * row[j]
+            if y:
+                row[i] = y
+                ci.add(r)
+            else:
+                del row[i]
+                ci.discard(r)
         if V is not None:
-            for row in V:
-                if row[j]:
-                    row[i] += q * row[j]
+            _axpy(V[i], V[j], q)
         if Vinv is not None:
-            # (E^-1) Vinv with E = I + q*e_j e_i^T: row j -= q * row i
-            rj, ri = Vinv[j], Vinv[i]
-            for k in range(n):
-                if ri[k]:
-                    rj[k] -= q * ri[k]
+            _axpy(Vinv[j], Vinv[i], -q)
 
     def find_pivot(t):
+        # rows >= t vanish left of column t
         best = None
         for i in range(t, m):
-            row = A[i]
-            if not any(row):
-                continue
-            for j in range(t, n):
-                x = row[j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-                    if best[0] == 1:
-                        return best
+            if A[i]:
+                x, j = min((abs(x), j) for j, x in A[i].items())
+                if best is None or x < best[0]:
+                    best = (x, i, j)
+                    if x == 1:
+                        break
         return best
 
-    def diagonalize(t0):
-        t = t0
+    def diagonalize(t):
         while t < min(m, n):
             piv = find_pivot(t)
             if piv is None:
                 break
-            _, pi, pj = piv
-            swap_rows(t, pi)
-            swap_cols(t, pj)
             while True:
+                swap_rows(t, piv[1])
+                swap_cols(t, piv[2])
                 p = A[t][t]
-                dirty = False
-                for i in range(t + 1, m):
-                    if A[i][t]:
-                        q = A[i][t] // p
-                        add_row(i, t, -q)
-                        if A[i][t]:
-                            dirty = True
-                for j in range(t + 1, n):
-                    if A[t][j]:
-                        q = A[t][j] // p
-                        add_col(j, t, -q)
-                        if A[t][j]:
-                            dirty = True
-                if not dirty:
+                for i in [i for i in cols[t] if i != t]:
+                    add_row(i, t, -(A[i][t] // p))
+                for j in [j for j in A[t] if j != t]:
+                    add_col(j, t, -(A[t][j] // p))
+                if len(cols[t]) == 1 and len(A[t]) == 1:
                     break
                 piv = find_pivot(t)
-                _, pi, pj = piv
-                swap_rows(t, pi)
-                swap_cols(t, pj)
             t += 1
         return t
 
@@ -956,15 +1055,14 @@ def _snf(M, want_u=True, want_v=True, want_vinv=False):
     while changed:
         changed = False
         for i in range(rank - 1):
-            di, dj = A[i][i], A[i + 1][i + 1]
-            if di and dj and dj % di != 0:
+            if A[i + 1][i + 1] % A[i][i]:
                 add_col(i, i + 1, 1)
                 diagonalize(i)
                 changed = True
     for i in range(rank):
         if A[i][i] < 0:
             neg_row(i)
-    return A, U, V, Vinv
+    return SmithForm(m, n, [A[i][i] for i in range(rank)], U, V, Vinv, Uinv)
 
 
 def smith_normal_form(M):
@@ -973,99 +1071,4 @@ def smith_normal_form(M):
     U and V are unimodular; diagonal entries are non-negative; the result is
     deterministic (smallest-magnitude pivot, row-major tie-break).
     """
-    D, U, V, _ = _snf(M, want_u=True, want_v=True)
-    return D, U, V
-
-
-def mat_mul(A, B):
-    n, k = len(A), len(B)
-    p = len(B[0]) if k else 0
-    out = [[0] * p for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(p):
-                    if Bt[j]:
-                        Oi[j] += a * Bt[j]
-    return out
-
-
-def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v) if a) for row in A]
-
-
-def rank_and_diag(D):
-    r = 0
-    for i in range(min(len(D), len(D[0]) if D else 0)):
-        if D[i][i]:
-            r += 1
-    return r, [D[i][i] for i in range(r)]
-
-
-class IntSolver:
-    """Reusable exact solver for M x = v over the integers (via SNF)."""
-
-    def __init__(self, M):
-        self.m = len(M)
-        self.n = len(M[0]) if self.m else 0
-        self.D, self.U, self.V, _ = _snf(M, want_u=True, want_v=True)
-        self.rank, self.diag = rank_and_diag(self.D)
-
-    def solve(self, v):
-        """An integer solution x of M x = v, or None."""
-        w = mat_vec(self.U, v)
-        y = [0] * self.n
-        for i in range(self.rank):
-            if w[i] % self.diag[i] != 0:
-                return None
-            y[i] = w[i] // self.diag[i]
-        for i in range(self.rank, self.m):
-            if w[i] != 0:
-                return None
-        return mat_vec(self.V, y)
-
-    def kernel_basis(self):
-        return [[self.V[i][j] for i in range(self.n)] for j in range(self.rank, self.n)]
-
-    def solve_group(self, values, group: Group):
-        """Solve M x = v with entries of v (and x) in an abelian group.
-
-        Uses the SNF transform plus per-group division by integers; returns a
-        list of raw group values or None when the system is inconsistent.
-        """
-        zero = group.zero()
-        w = []
-        for i in range(self.m):
-            acc = zero
-            Ui = self.U[i]
-            for k, val in enumerate(values):
-                if Ui[k]:
-                    acc = group.add(acc, group.mul_int(Ui[k], val))
-            w.append(acc)
-        y = []
-        for i in range(self.rank):
-            g = group.div_int(self.diag[i], w[i])
-            if g is None:
-                return None
-            y.append(g)
-        for i in range(self.rank, self.m):
-            if w[i] != zero:
-                return None
-        xs = []
-        for i in range(self.n):
-            acc = zero
-            Vi = self.V[i]
-            for j in range(self.rank):
-                if Vi[j]:
-                    acc = group.add(acc, group.mul_int(Vi[j], y[j]))
-            xs.append(acc)
-        return xs
-
-
-def integer_kernel_basis(M):
-    """Basis (list of columns) of the integer kernel of M."""
-    return IntSolver(M).kernel_basis()
+    return _snf(M).dense()[:3]

@@ -185,8 +185,18 @@ class _Parser:
             if sign * k < 0:
                 v = self.const(self.reciprocal(v, "negative power of"))
             base, v = v, self.const(Scalar.of(1))
-            for _ in range(k):
-                v = mul_terms(v, base)
+            if sum(map(any, zip(*base))) > 1:
+                # in two or more variables the squares of a dense base hold
+                # more terms than the k successive products do
+                for _ in range(k):
+                    v = mul_terms(v, base)
+            else:
+                while k:  # repeated squaring
+                    if k & 1:
+                        v = mul_terms(v, base)
+                    k >>= 1
+                    if k:
+                        base = mul_terms(base, base)
         return neg_terms(v) if neg else v
 
     def atom(self):

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from diffcech.errors import ParseError
-from diffcech.exprs import parse_poly_terms
+from diffcech.coeff import Scalar
+from diffcech.exprs import _degree, mul_terms, parse_poly_terms
 
 A = Fraction(7, 3)
 X = (Fraction(-2, 5), Fraction(3, 2))
@@ -80,3 +81,40 @@ def test_parse_matches_fraction_arithmetic():
 def test_zero_divisor_is_a_parse_error(text):
     with pytest.raises(ParseError, match="division by zero"):
         parse_poly_terms(text, 2)
+
+
+def _power_base(rng, nvars, const):
+    """Text of one to three integer multiples of a, 1 and the variables, or
+    of their products in pairs."""
+    atoms = ["a", "1"] + ([] if const else [f"x{i}" for i in range(nvars)])
+    factors = [rng.choice(atoms) if rng.random() < 0.7
+               else f"{rng.choice(atoms)}*{rng.choice(atoms)}"
+               for _ in range(rng.randint(1, 3))]
+    return " + ".join(f"{rng.choice([-3, -2, -1, 1, 2, 5])}*{f}"
+                      for f in factors)
+
+
+@pytest.mark.parametrize("nvars", [0, 1, 2])
+def test_power_matches_successive_multiplication(nvars):
+    # base^k and base^-k against k successive products, for every exponent
+    # the degree limit admits on some bases and for seeded ones on the rest
+    rng = random.Random(1200 + nvars)
+    one = {(0,) * nvars: Scalar.of(1)}
+    for case in range(16):
+        negative = case % 4 == 3
+        text = _power_base(rng, nvars, negative)
+        base = parse_poly_terms(text, nvars)
+        if negative:
+            if not base:
+                continue
+            base = {(0,) * nvars: 1 / base[(0,) * nvars]}
+        top = 64 // max(_degree(base), 1)
+        exponents = (range(top + 1) if case < 2 else
+                     sorted({0, 1, 2, top, *rng.sample(range(top + 1), 5)}))
+        power, k = one, 0
+        for e in exponents:
+            while k < e:
+                power, k = mul_terms(power, base), k + 1
+            sign = "-" if negative else ""
+            assert parse_poly_terms(f"({text})^{sign}{e}", nvars) == power, (
+                text, sign, e)

@@ -54,6 +54,22 @@ def test_install_and_uninstall_resolve_every_target():
         t.uninstall()
     assert all(_target(*key) is fn for key, fn in before.items())
 
+    # the SNF span reads the shape of its dense first argument: H^0 over Z
+    # factors the degree-0 boundary matrix, then the relations of its kernel
+    # generators, which have no columns
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert cli.run(["cohomology", "--degree", "0", "--coeff", "Z",
+                        "gallery:torus9"], out=lines.append) == 0
+    finally:
+        t.uninstall()
+    M = cech.boundary_matrix(gallery.get_presentation("torus9"), 0)
+    snf = t.stats["coeff.snf"]
+    assert snf.calls == 2
+    assert snf.sizes == {"entries": len(M) * len(M[0]),
+                         "max_dim": max(len(M), len(M[0]))}
+
 
 def test_probed_caches_keep_their_keys():
     tracer = _load_tracer()
