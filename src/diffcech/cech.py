@@ -700,13 +700,13 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
     S = _snf(A, want_u=False, want_v=True, want_vinv=True)
     r = S.rank
     width = len(B[0]) if B else 0
-    B = [{j: x for j, x in enumerate(row) if x} for row in B]
+    B_rows = [{j: x for j, x in enumerate(row) if x} for row in B]
     # rows < r of Vinv*B vanish since AB = 0: boundaries lie in the span of
     # the columns r.. of V
     if group.tag == "Z":
         # ker A is spanned by the columns r.. of V
         gens, scale = S.kernel(), [1] * (n - r)
-        rel = [sparse_mix(row, B, width) for row in S.Vinv[r:]]
+        rel = [sparse_mix(row, B_rows, width) for row in S.Vinv[r:]]
 
         def to_gens(z):
             if any(z[:r]):
@@ -719,7 +719,7 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
         m = group.m
         gens = S.V
         scale = [m // math.gcd(d, m) for d in S.diag + [0] * (n - r)]
-        rel = [sparse_mix(row, B, width)
+        rel = [sparse_mix(row, B_rows, width)
                + [m // scale[i] if j == i else 0 for j in range(n)]
                for i, row in enumerate(S.Vinv)]
 

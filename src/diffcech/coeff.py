@@ -868,17 +868,9 @@ def sparse_mix(coeffs, vecs, length):
     return out
 
 
-def _dense(vecs, size, by_columns):
-    if vecs is None:
-        return None
-    out = [[0] * size for _ in range(size)]
-    for a, vec in enumerate(vecs):
-        for b, x in vec.items():
-            if by_columns:
-                out[b][a] = x
-            else:
-                out[a][b] = x
-    return out
+def _dense(vecs, size):
+    return (None if vecs is None else
+            [[vec.get(j, 0) for j in range(size)] for vec in vecs])
 
 
 class SmithForm:
@@ -895,11 +887,11 @@ class SmithForm:
 
     def dense(self):
         """(D, U, V, Vinv) as lists of rows, None where not tracked."""
-        D = [[0] * self.n for _ in range(self.m)]
-        for i, d in enumerate(self.diag):
-            D[i][i] = d
-        return (D, _dense(self.U, self.m, False), _dense(self.V, self.n, True),
-                _dense(self.Vinv, self.n, False))
+        D = [{i: d} for i, d in enumerate(self.diag)]
+        V = _dense(self.V, self.n)
+        return (_dense(D + [{}] * (self.m - self.rank), self.n),
+                _dense(self.U, self.m), V and [list(col) for col in zip(*V)],
+                _dense(self.Vinv, self.n))
 
     def kernel(self):
         """The integer kernel of M: the sparse columns of V past the rank."""
@@ -952,8 +944,6 @@ def _snf(M, want_u=True, want_v=True, want_vinv=False, want_uinv=False):
     Vinv = _unit(n) if want_vinv else None
 
     def swap_rows(i, j):
-        if i == j:
-            return
         for r in (i, j):
             for k in A[r]:
                 cols[k].discard(r)
@@ -987,8 +977,6 @@ def _snf(M, want_u=True, want_v=True, want_vinv=False, want_uinv=False):
                 F[i] = {k: -x for k, x in F[i].items()}
 
     def swap_cols(i, j):
-        if i == j:
-            return
         for r in cols[i] | cols[j]:
             row = A[r]
             x, y = row.pop(i, 0), row.pop(j, 0)
