@@ -944,13 +944,11 @@ def _snf(M, want_u=True, want_v=True, want_vinv=False, want_uinv=False):
     Vinv = _unit(n) if want_vinv else None
 
     def swap_rows(i, j):
-        for r in (i, j):
-            for k in A[r]:
-                cols[k].discard(r)
         A[i], A[j] = A[j], A[i]
-        for r in (i, j):
-            for k in A[r]:
-                cols[k].add(r)
+        for k in A[i].keys() ^ A[j].keys():
+            new, old = (i, j) if k in A[i] else (j, i)
+            cols[k].discard(old)
+            cols[k].add(new)
         for F in (U, Uinv):
             if F is not None:
                 F[i], F[j] = F[j], F[i]
@@ -1011,7 +1009,7 @@ def _snf(M, want_u=True, want_v=True, want_vinv=False, want_uinv=False):
         best = None
         for i in range(t, m):
             if A[i]:
-                x, j = min((abs(x), j) for j, x in A[i].items())
+                x, j = min(zip(map(abs, A[i].values()), A[i]))
                 if best is None or x < best[0]:
                     best = (x, i, j)
                     if x == 1:
