@@ -21,6 +21,7 @@ from diffcech.cech import (
     h0_global_sections,
     random_cochain,
     random_cocycle,
+    zero_cochain,
 )
 from diffcech.cli import run
 from diffcech.coeff import ALPHA, RAlphaGroup, group_from_tag
@@ -51,17 +52,29 @@ def _full_torus9_h1():
 
 
 def _coords(name, k, tag, seed):
-    """Oracle coordinates of the reported generators, then of seeded
-    cocycles: coboundaries plus random multiples of the generators."""
     pres = gallery.get_presentation(name)
     group = group_from_tag(tag)
-    rep = cohomology(pres, group, k)
+    return _oracle_coords(cohomology(pres, group, k), seed)
+
+
+def _oracle_coords(rep, seed):
+    """Oracle coordinates of the reported generators, then of seeded
+    cocycles: coboundaries plus random multiples of the generators (only
+    the multiples in degree 0).  Scalar coordinates are written as text."""
+    pres, k, group = rep.pres, rep.degree, rep.group
     rng = random.Random(seed)
-    cocycles = rep.representatives + [
-        random_cocycle(pres, k, group, rng, rep.representatives)
-        for _ in range(6)
-    ]
-    return [json.dumps(list(rep.class_coordinates(c))) for c in cocycles]
+    if k:
+        cocycles = [random_cocycle(pres, k, group, rng, rep.representatives)
+                    for _ in range(6)]
+    else:
+        cocycles = []
+        for _ in range(6):
+            c = zero_cochain(pres, 0, group)
+            for r in rep.representatives:
+                c = c + r.scale_int(rng.randrange(-3, 4))
+            cocycles.append(c)
+    return [json.dumps(list(rep.class_coordinates(c)), default=str)
+            for c in rep.representatives + cocycles]
 
 
 # a triangle and a separate edge: two components
@@ -134,6 +147,12 @@ _MIXED = {
 }
 
 
+def _gallery_verify():
+    lines = []
+    code = run(["gallery", "verify"], out=lines.append)
+    return [f"exit {code}"] + lines
+
+
 def _check_cocycle(presentation, crossed):
     doc = {"presentation": presentation, "group": "R(alpha)",
            "cochain": {"degree": 1, "crossed": crossed}}
@@ -166,6 +185,20 @@ CASES = {
     "coords rp2 H^2 Z": lambda: _coords("rp2", 2, "Z", 7),
     "coords rp2 H^2 Z/4": lambda: _coords("rp2", 2, "Z/4", 8),
     "coords circle6 H^1 Z/4": lambda: _coords("circle6", 1, "Z/4", 9),
+    "coords torus9 H^1 R(alpha)": lambda: _coords("torus9", 1, "R(alpha)", 10),
+    "coords torus9 H^2 R(alpha)": lambda: _coords("torus9", 2, "R(alpha)", 11),
+    "coords circle3 H^1 R(alpha)":
+        lambda: _coords("circle3", 1, "R(alpha)", 12),
+    "coords irrational-torus H^0":
+        lambda: _coords("irrational-torus", 0, "R(alpha)", 13),
+    "coords h1_group irrational-torus D=1":
+        lambda: _oracle_coords(h1_group(_itorus(1)), 14),
+    "coords h1_group irrational-torus D=2":
+        lambda: _oracle_coords(h1_group(_itorus(2)), 15),
+    "coords h1_group irrational-torus D=3":
+        lambda: _oracle_coords(h1_group(_itorus(3)), 16),
+    "coords h1_group lattice2 D=1":
+        lambda: _oracle_coords(h1_group(_lattice()), 17),
     "h0 torus9 Z": lambda: _h0(gallery.get_presentation("torus9"), "Z"),
     "h0 two-pieces Z": lambda: _h0(_TWO_PIECES, "Z"),
     "h0 two-pieces Z/3": lambda: _h0(_TWO_PIECES, "Z/3"),
@@ -192,6 +225,7 @@ CASES = {
     # the orbit sum of the reflection: 1 + 1 != 0
     "cli check-cocycle fails the torsion sum":
         lambda: _check_cocycle(_MIXED, {"g1": "1", "g2": "0"}),
+    "cli gallery verify": _gallery_verify,
 }
 
 
