@@ -7,13 +7,17 @@ import pytest
 from diffcech import gallery
 from diffcech.cech import (
     Cochain,
+    classes_equal,
     coboundary,
     cohomology,
     random_cochain,
     random_cocycle,
+    zero_cochain,
 )
-from diffcech.coeff import RAlphaGroup
+from diffcech.coeff import ALPHA, RAlphaGroup
 from diffcech.errors import FreenessError
+from diffcech.funclass import AffineMap
+from diffcech.presentation import Generator, GroupQuotient
 from diffcech.grpcoh import (
     CrossedHom,
     cocycle_from_crossed,
@@ -23,8 +27,36 @@ from diffcech.grpcoh import (
 )
 
 
+R = RAlphaGroup()
+
+
 def _itorus():
     return gallery.get_presentation("irrational-torus")
+
+
+def _itorus_degree(d):
+    gens = _itorus().generators
+    return GroupQuotient(1, gens, True, d, f"irrational-torus-D{d}")
+
+
+def _lattice2():
+    shifts = [[1, 0], [0, 1], [ALPHA, 0], [0, ALPHA]]
+    return GroupQuotient(
+        2, [Generator(0, AffineMap.translation(b)) for b in shifts], True, 1,
+        "lattice2")
+
+
+def _mixed():
+    """A reflection of x0 (order 2) next to a unit translation of x1."""
+    reflection = AffineMap([[-1, 0], [0, 1]], [0, 0])
+    return GroupQuotient(
+        2, [Generator(2, reflection), Generator(0, AffineMap.translation(
+            [0, 1]))], False, 1, "mixed")
+
+
+def _z4_rotation():
+    rotation = AffineMap([[0, -1], [1, 0]], [0, 0])
+    return GroupQuotient(2, [Generator(4, rotation)], False, 1, "z4-rotation")
 
 
 class TestCrossedHom:
@@ -143,6 +175,28 @@ class TestH1Group:
         crz = gallery.get_presentation("circle-rz")
         assert h1_group(crz).dimension == 0
         assert cohomology(crz, RAlphaGroup(), 1).dimension == 0
+
+    @pytest.mark.parametrize("pres", [
+        *(_itorus_degree(d) for d in (1, 2, 3)), _lattice2(),
+        gallery.get_presentation("circle-rz"), _mixed(),
+        gallery.get_presentation("z2-reflection"), _z4_rotation()],
+        ids=["irrational-torus-D1", "irrational-torus-D2",
+             "irrational-torus-D3", "lattice2", "circle-rz", "mixed",
+             "z2-reflection", "z4-rotation"])
+    def test_zero_class_is_a_witness(self, pres):
+        # on an infinite K, cohomology(pres, R, 1) is h1_group itself; the
+        # witness search of classes_equal solves d(alpha) = c in the
+        # widened class and reads neither crossed relations nor principal
+        # potentials
+        rep = h1_group(pres)
+        zero = zero_cochain(pres, 1, R)
+        rng = random.Random(19)
+        cocycles = rep.representatives + [
+            coboundary(random_cochain(pres, 0, R, rng)) for _ in range(3)]
+        cocycles += [random_cocycle(pres, 1, R, rng, rep.representatives)
+                     for _ in range(4)]
+        for c in cocycles:
+            assert rep.is_zero_class(c) == classes_equal(c, zero).equal
 
     def test_representative_is_a_cocycle(self):
         rep = h1_group(_itorus())
