@@ -9,6 +9,7 @@ returns the unique group element translating one fiber point to another.
 from __future__ import annotations
 
 import random
+from math import lcm
 from typing import Optional
 
 from .cech import (
@@ -19,10 +20,9 @@ from .cech import (
     is_cocycle,
     zero_cochain,
 )
-from .coeff import Group, GroupElement, Scalar
+from .coeff import Group, GroupElement, Scalar, _snf
 from .errors import CocycleError, FiberError, ParseError
 from .funclass import AffineMap
-from . import linalg
 
 
 class BundlePoint:
@@ -117,19 +117,24 @@ def _arrow(pres, y1, y2):
             raise FiberError("arrow search supports translation actions only")
         shifts.append(g.affine.b)
     diff = [Scalar.of(b) - Scalar.of(a) for a, b in zip(y1, y2)]
-    # compare coefficient-wise in the symbol a, coordinate by coordinate:
-    # a linear system over Q
+    # compare coefficient-wise in the symbol a, coordinate by coordinate, and
+    # clear each equation of denominators: a linear system over Z, solved
+    # in integers by the SNF (over Q a free unknown set to 0 may leave a
+    # fraction where an integer solution exists)
     degree = max((len(x.alpha_coefficients())
                   for x in diff + [x for s in shifts for x in s]), default=0)
-    rows = [[_coeff(s[c], p) for s in shifts]
-            for c in range(pres.dim) for p in range(degree)]
-    rhs = [_coeff(diff[c], p) for c in range(pres.dim) for p in range(degree)]
+    rows = []
+    for c in range(pres.dim):
+        for p in range(degree):
+            eq = [_coeff(s[c], p) for s in shifts] + [_coeff(diff[c], p)]
+            scale = lcm(*(x.denominator for x in eq))
+            rows.append([int(x * scale) for x in eq])
     if not rows:
-        rows, rhs = [[0] * len(shifts)], [0]
-    sol = linalg.solve(rows, rhs)
-    if sol is None or any(x.denominator != 1 for x in sol):
+        rows = [[0] * (len(shifts) + 1)]
+    sol = _snf([row[:-1] for row in rows]).solve([row[-1] for row in rows])
+    if sol is None:
         raise FiberError("points lie in different orbits")
-    k = pres.k_canonical(tuple(int(x) for x in sol))
+    k = pres.k_canonical(tuple(sol))
     if pres.act_point(y1, k) != tuple(Scalar.of(x) for x in y2):
         raise FiberError("points lie in different orbits")
     return k

@@ -93,10 +93,16 @@ class TestCocycleLaw:
         ([1, 2], [3, -7], [Fraction(1, 2), ALPHA]),
         ([1, ALPHA, 1 + ALPHA], [2 + 3 * ALPHA, -ALPHA, 5],
          [ALPHA / 2, Fraction(1, 3)]),
+        # 1 = 3 - 2 and 1/6 = 2/3 - 1/2 are reached by no solution over Q
+        # whose free unknowns are 0
+        ([2, 3], [1, -1, 7], [Fraction(1, 2), ALPHA]),
+        ([Fraction(1, 2), Fraction(1, 3), 2 * ALPHA, 3 * ALPHA],
+         [Fraction(1, 6), ALPHA - Fraction(5, 6)],
+         [Fraction(1, 12), ALPHA / 2]),
     ])
     def test_dependent_translations(self, shifts, reached, missed):
-        # with linearly dependent translations the arrow search leaves a
-        # free unknown, which must still come back as an integer
+        # with linearly dependent translations the arrow search leaves free
+        # unknowns, and must find an integer solution wherever one exists
         pres = GroupQuotient(
             1, [Generator(0, AffineMap([[Scalar.of(1)]], [Scalar.of(t)]))
                 for t in shifts], free=False)
