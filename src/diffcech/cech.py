@@ -490,7 +490,7 @@ def coboundary(c: Cochain) -> Cochain:
         for t in pres.tuples(k + 1):
             acc = g.zero()
             for i in range(k + 2):
-                v = c.value_at(t[:i] + t[i + 1 :])
+                v = c.payload[t[:i] + t[i + 1 :]]
                 acc = g.add(acc, v if i % 2 == 0 else g.neg(v))
             out[t] = acc
         return Cochain(pres, k + 1, g, "values", out)
@@ -590,7 +590,10 @@ MAX_MATRIX_SIDE = 4096
 
 
 def boundary_matrix(pres, k: int) -> List[List[int]]:
-    """Integer matrix of d: C^k -> C^{k+1} on a nerve (rows = (k+2)-tuples)."""
+    """Integer matrix of d: C^k -> C^{k+1} on a nerve (rows = (k+2)-tuples).
+
+    A face of a stored tuple is stored as it is: increasing tuples have
+    increasing faces, so no face needs a sign from sorting."""
     cols = pres.tuples(k)
     rows = pres.tuples(k + 1)
     if max(len(rows), len(cols)) > MAX_MATRIX_SIDE:
@@ -606,14 +609,7 @@ def boundary_matrix(pres, k: int) -> List[List[int]]:
     M = [[0] * len(cols) for _ in rows]
     for r, t in enumerate(rows):
         for i in range(k + 2):
-            s = t[:i] + t[i + 1 :]
-            if pres.alternating:
-                sign, s = _sort_parity(s)
-                if sign == 0:
-                    continue
-            else:
-                sign = 1
-            M[r][idx[s]] += sign if i % 2 == 0 else -sign
+            M[r][idx[t[:i] + t[i + 1 :]]] += -1 if i % 2 else 1
     return M
 
 
@@ -749,43 +745,45 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
                             representatives=reps, oracle=oracle)
 
 
-def _field_cohomology_from_matrices(pres, k: int, group, A_s, B_cols,
+def _field_cohomology_from_matrices(pres, k: int, group, A, B,
                                     to_vector, from_vector,
                                     note: str = "") -> CohomologyReport:
-    """Field-coefficient H^k = ker A / span(B_cols), reduced by `linalg` in
-    the entries as given: integer nerve matrices over Q, function-class
-    systems over Q(a).  Since Q lies in Q(a) and the RREF is unique, both
-    give the same kernel basis and representatives; the oracle's cochain
-    vector is Q(a), so its coordinates are Scalars."""
-    kernel = linalg.nullspace(A_s)
+    """Field-coefficient H^k = ker A / im B for the row matrices A of d_k and
+    B of d_{k-1} (n x 0 in degree 0), reduced by `linalg` in the entries as
+    given: integer nerve matrices over Q, function-class systems over Q(a).
+    Since Q lies in Q(a) and the RREF is unique, both give the same kernel
+    basis and representatives; the oracle's cochain vector is Q(a), so its
+    coordinates are Scalars."""
+    kernel = linalg.nullspace(A)
+    width = len(B[0]) if B else 0
+
+    def beside_B(vectors):
+        return [row + [v[i] for v in vectors] for i, row in enumerate(B)]
+
     chosen = []
     if kernel:
         # a column of [B | ker] is a pivot exactly when it leaves the span of
         # the columns before it, so these pivots are the greedy choice
-        cols = B_cols + kernel
-        _, pivots = linalg.rref(
-            [[col[i] for col in cols] for i in range(len(kernel[0]))])
-        chosen = [kernel[p - len(B_cols)] for p in pivots if p >= len(B_cols)]
+        _, pivots = linalg.rref(beside_B(kernel))
+        chosen = [kernel[p - width] for p in pivots if p >= width]
+    B_chosen = beside_B(chosen)
 
     def oracle(c: Cochain):
-        coords = linalg.column_span_coords(B_cols + chosen, to_vector(c))
+        coords = linalg.solve(B_chosen, to_vector(c))
         if coords is None:
             raise CocycleError("class oracle applied to a non-cocycle")
-        return tuple(coords[len(B_cols):])
+        return tuple(coords[width:])
 
     reps = [from_vector(v) for v in chosen]
     return CohomologyReport(pres, k, group, "field", dimension=len(chosen),
                             representatives=reps, oracle=oracle, note=note)
 
 
-def _columns(M) -> List[list]:
-    return [list(col) for col in zip(*M)]
-
-
 def _nerve_field_cohomology(pres, k: int, group) -> CohomologyReport:
-    B_cols = _columns(boundary_matrix(pres, k - 1)) if k > 0 else []
+    B = (boundary_matrix(pres, k - 1) if k > 0
+         else [[] for _ in pres.tuples(0)])
     return _field_cohomology_from_matrices(
-        pres, k, group, boundary_matrix(pres, k), B_cols, _nerve_vector,
+        pres, k, group, boundary_matrix(pres, k), B, _nerve_vector,
         lambda v: _nerve_from_vector(pres, k, group, v))
 
 
@@ -844,11 +842,12 @@ def _quotient_field_cohomology(pres, k: int, group) -> CohomologyReport:
     # refuse a K^(k+1) over the limit before any matrix is built
     _quotient_points(pres, k + 1)
     cls = pres.function_class()
-    B_cols = _columns(_coboundary_matrix(pres, k - 1, cls)) if k else []
+    B = (_coboundary_matrix(pres, k - 1, cls) if k
+         else [[] for _ in range(cls.dimension)])
     note = (f"{'relative to' if k else 'invariants of'} class "
             f"(n={cls.n}, D={cls.max_degree})")
     return _field_cohomology_from_matrices(
-        pres, k, group, _coboundary_matrix(pres, k, cls), B_cols,
+        pres, k, group, _coboundary_matrix(pres, k, cls), B,
         lambda c: _quotient_vector(c, cls),
         lambda v: _quotient_from_vector(pres, k, cls, v), note)
 

@@ -122,9 +122,8 @@ def h1_group(pres) -> CohomologyReport:
     P_cols = [to_vector(principal_crossed(pres, m).values) for m in monomials]
     combos = linalg.nullspace([[col[i * dim + t] for col in P_cols]
                                for i in range(r) for t in top])
-    B_cols = [[sum((col[u] * c for col, c in zip(P_cols, combo)),
-                   Scalar.of(0)) for u in range(r * dim)]
-              for combo in combos]
+    B = [[sum((col[u] * c for col, c in zip(P_cols, combo)), Scalar.of(0))
+          for combo in combos] for u in range(r * dim)]
 
     def from_vector(v):
         return Cochain.crossed(pres, {
@@ -138,5 +137,5 @@ def h1_group(pres) -> CohomologyReport:
 
     note = (f"crossed mod principal; class (n={cls.n}, D={cls.max_degree}), "
             f"witnesses at D={wide.max_degree}")
-    return _field_cohomology_from_matrices(pres, 1, RAlphaGroup(), A_s, B_cols,
+    return _field_cohomology_from_matrices(pres, 1, RAlphaGroup(), A_s, B,
                                            cochain_vector, from_vector, note)

@@ -49,12 +49,9 @@ def rank(M) -> int:
 
 def nullspace(M) -> List[list]:
     """Basis of the kernel, one vector per free column, deterministic order."""
-    m = len(M)
-    n = len(M[0]) if m else 0
+    n = len(M[0]) if M else 0
     if n == 0:
         return []
-    if m == 0:
-        return [[int(i == j) for i in range(n)] for j in range(n)]
     R, pivots = rref(M)
     pivot_set = set(pivots)
     basis = []
@@ -80,11 +77,3 @@ def solve(M, b) -> Optional[list]:
     for r, col in enumerate(pivots):
         x[col] = R[r][n]
     return x
-
-
-def column_span_coords(columns, v) -> Optional[list]:
-    """Coordinates of v in the span of the given column vectors, or None."""
-    if not columns:
-        return [] if not any(v) else None
-    M = [[columns[j][i] for j in range(len(columns))] for i in range(len(v))]
-    return solve(M, v)

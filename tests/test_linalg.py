@@ -154,8 +154,10 @@ class TestSolve:
         assert x == [ALPHA - 2, Scalar.of(2)]
         assert all(isinstance(v, Scalar) for v in x)
 
-    def test_column_span_coords(self):
-        assert linalg.column_span_coords([], [0, Scalar.of(0)]) == []
-        assert linalg.column_span_coords([], [0, ALPHA]) is None
-        assert linalg.column_span_coords([[1, 1]], [ALPHA, ALPHA]) == [ALPHA]
-        assert linalg.column_span_coords([[1, 1]], [ALPHA, 1]) is None
+    def test_span_coords(self):
+        # coordinates in the span of the columns of a row matrix, none of
+        # them (two rows of width 0) or the one column (1, 1)
+        assert linalg.solve([[], []], [0, Scalar.of(0)]) == []
+        assert linalg.solve([[], []], [0, ALPHA]) is None
+        assert linalg.solve([[1], [1]], [ALPHA, ALPHA]) == [ALPHA]
+        assert linalg.solve([[1], [1]], [ALPHA, 1]) is None
