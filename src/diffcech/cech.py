@@ -377,6 +377,8 @@ def _quotient_points(pres, k: int) -> Optional[List[Tuple]]:
     """The group tuples a degree-k quotient cochain is stored at: () in
     degree 0, all of K^k for finite K, the generators in degree 1; None where
     the payload is lazy."""
+    if k < 0:
+        raise DegreeError(f"quotient cochains have no degree {k}")
     if k == 0:
         return [()]
     if pres.is_finite():

@@ -255,6 +255,20 @@ class TestQuotientCochains:
             vec = _quotient_vector(c, cls)
             assert _quotient_from_vector(pres, k, cls, vec) == c, k
 
+    @pytest.mark.parametrize("name", ["z2-reflection", "irrational-torus"])
+    def test_negative_degree_refused(self, name):
+        # a degree-0 random cocycle is d of a degree -1 cochain, which a
+        # quotient does not have; a nerve's degree -1 is the empty tuple
+        pres = gallery.get_presentation(name)
+        rng = random.Random(71)
+        with pytest.raises(DegreeError, match="no degree -1"):
+            random_cochain(pres, -1, RAlphaGroup(), rng)
+        with pytest.raises(DegreeError, match="no degree -1"):
+            random_cocycle(pres, 0, RAlphaGroup(), rng)
+        c3 = gallery.get_presentation("circle3")
+        assert c3.tuples(-1) == [()]
+        assert coboundary(random_cochain(c3, -1, RAlphaGroup(), rng)).degree == 0
+
     def test_degree_zero_invariance_check(self):
         it = gallery.get_presentation("irrational-torus")
         cls = it.function_class()
