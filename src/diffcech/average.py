@@ -57,16 +57,15 @@ def haar_average_function(g: FiniteTranslationGroupoid,
     return total.scale(Scalar.of(g.weight))
 
 
-def trivializing_homotopy(g: FiniteTranslationGroupoid, f: Cochain,
-                          k=None) -> Cochain:
+def trivializing_homotopy(g: FiniteTranslationGroupoid, f: Cochain) -> Cochain:
     """g(u0,...,u_{k-1}) = delta(u0)(f(u0,...,u_{k-1},.)); dg = (-1)^k f."""
     pres = g.pres
     if f.pres != pres:
         raise ParseError("cocycle lives on a different presentation")
     if f.group.tag != "R(alpha)":
         raise ParseError("averaging needs the R model coefficients")
-    k = f.degree if k is None else k
-    if k != f.degree or k < 1:
+    k = f.degree
+    if k < 1:
         raise DegreeError(f"expected a cocycle of positive degree, got {k}")
     _require_cocycle(f)
     w = Scalar.of(g.weight)

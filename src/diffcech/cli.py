@@ -84,13 +84,7 @@ def _compact(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _header(out, command: str):
-    out(f"diffcech {command}")
-    out(f"seed: {_seed()}")
-
-
 def cmd_cohomology(args, out) -> int:
-    _header(out, "cohomology")
     pres = _presentation_arg(args.file)
     group = group_from_tag(args.coeff)
     rep = cohomology(pres, group, args.degree)
@@ -104,7 +98,6 @@ def cmd_cohomology(args, out) -> int:
 
 
 def cmd_check_cocycle(args, out) -> int:
-    _header(out, "check-cocycle")
     c = _cochain_arg(args.file)
     chk = is_cocycle(c, seed=_seed())
     if chk:
@@ -115,7 +108,6 @@ def cmd_check_cocycle(args, out) -> int:
 
 
 def cmd_coboundary(args, out) -> int:
-    _header(out, "coboundary")
     c = _cochain_arg(args.file)
     d = coboundary(c)
     doc = d.to_dict()
@@ -125,7 +117,6 @@ def cmd_coboundary(args, out) -> int:
 
 
 def cmd_classify_bundle(args, out) -> int:
-    _header(out, "classify-bundle")
     b = _bundle_arg(args.file)
     name = b.name or "bundle"
     res = is_trivializable(b)
@@ -149,7 +140,6 @@ def cmd_classify_bundle(args, out) -> int:
 
 
 def cmd_isomorphic(args, out) -> int:
-    _header(out, "isomorphic")
     b1 = _bundle_arg(args.file1)
     b2 = _bundle_arg(args.file2)
     res = isomorphic(b1, b2)
@@ -162,7 +152,6 @@ def cmd_isomorphic(args, out) -> int:
 
 
 def cmd_bockstein(args, out) -> int:
-    _header(out, "bockstein")
     ses = parse_ses(args.ses)
     c = _cochain_arg(args.file)
     d = connecting_map(ses, c)
@@ -173,7 +162,6 @@ def cmd_bockstein(args, out) -> int:
 
 
 def cmd_average_trivialize(args, out) -> int:
-    _header(out, "average-trivialize")
     c = _cochain_arg(args.file)
     gpd = FiniteTranslationGroupoid(c.pres)
     try:
@@ -188,7 +176,6 @@ def cmd_average_trivialize(args, out) -> int:
 
 
 def cmd_gallery(args, out) -> int:
-    _header(out, "gallery")
     if args.action == "list":
         for name in gallery.names():
             e = gallery.get(name)
@@ -297,6 +284,8 @@ def run(argv, out=None) -> int:
     except SystemExit as e:
         return 2 if e.code else 0
     try:
+        emit(f"diffcech {args.command}")
+        emit(f"seed: {_seed()}")
         return args.fn(args, emit)
     except DiffCechError as e:
         emit(f"error: {e}")

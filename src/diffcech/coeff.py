@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import ClassError, ParseError, TagError
 
@@ -129,7 +129,7 @@ _Z_ONE = (1,)
 _P_ONE = (Fraction(1),)
 
 
-def _fmt_poly(p, sym="a"):
+def _fmt_poly(p):
     """Canonical compact form, descending powers, e.g. '2*a^2-a+1'."""
     if not p:
         return "0"
@@ -142,7 +142,7 @@ def _fmt_poly(p, sym="a"):
             term = str(c) if c > 0 else str(-c)
         else:
             mag = abs(c)
-            base = sym if k == 1 else f"{sym}^{k}"
+            base = "a" if k == 1 else f"a^{k}"
             term = base if mag == 1 else f"{mag}*{base}"
         if not parts:
             parts.append(term if c > 0 else "-" + term)
@@ -563,9 +563,14 @@ class QmodZGroup(Group):
         return str(x)
 
     def parse_el(self, s):
+        # Fraction would expand an exponent form (10**exp digits) before any
+        # size check; format_el never writes one
+        if isinstance(s, str) and "e" in s.lower():
+            raise ParseError(f"bad Q/Z element {s!r}: exponent forms are "
+                             f"not read")
         try:
             return Fraction(s) % 1
-        except ValueError:
+        except (ValueError, ZeroDivisionError, OverflowError):
             raise ParseError(f"bad Q/Z element {s!r}")
 
 

@@ -21,6 +21,7 @@ from . import linalg
 Expo = Tuple[int, ...]
 
 _ONE = Scalar.of(1)
+_R = RAlphaGroup()
 
 
 class AffineMap:
@@ -155,13 +156,9 @@ def monomial_basis(n: int, max_degree: int):
 class FunctionClass:
     """Polynomials of total degree <= max_degree in n variables."""
 
-    def __init__(self, n: int, max_degree: int, group=None):
-        group = group or RAlphaGroup()
-        if group.tag != "R(alpha)":
-            raise ClassError("function classes must be scalar-valued")
+    def __init__(self, n: int, max_degree: int):
         self.n = n
         self.max_degree = max_degree
-        self.group = group
         self.basis = monomial_basis(n, max_degree)
 
     @property
@@ -171,8 +168,8 @@ class FunctionClass:
     def zero(self) -> "FunctionElement":
         return FunctionElement(self, {})
 
-    def monomial(self, e: Expo, coeff=1) -> "FunctionElement":
-        return FunctionElement(self, {tuple(e): Scalar.of(coeff)})
+    def monomial(self, e: Expo) -> "FunctionElement":
+        return FunctionElement(self, {tuple(e): _ONE})
 
     def parse(self, text: str) -> "FunctionElement":
         return FunctionElement(self, parse_poly_terms(text, self.n))
@@ -184,10 +181,10 @@ class FunctionClass:
         return FunctionElement(self, terms)
 
     def widen(self, extra: int) -> "FunctionClass":
-        return FunctionClass(self.n, self.max_degree + extra, self.group)
+        return FunctionClass(self.n, self.max_degree + extra)
 
     def random(self, rng) -> "FunctionElement":
-        return self.from_coordinates([self.group.random(rng) for _ in self.basis])
+        return self.from_coordinates([_R.random(rng) for _ in self.basis])
 
     def __eq__(self, other):
         return (

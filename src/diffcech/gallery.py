@@ -233,7 +233,7 @@ def circle_refinement():
     """Common refinement of the two arc covers of the circle."""
     c3 = get_presentation("circle3")
     c6 = get_presentation("circle6")
-    joint = joint_circle_nerve(_CIRCLE3_ARCS, _CIRCLE6_ARCS, k_max=4)
+    joint = joint_circle_nerve(_CIRCLE3_ARCS, _CIRCLE6_ARCS)
     return common_refinement(c3, c6, joint)
 
 

@@ -282,9 +282,8 @@ class GroupQuotient:
     def act_point(self, point, k):
         return self.affine_of(k).apply(point)
 
-    def function_class(self, degree: Optional[int] = None) -> FunctionClass:
-        return FunctionClass(self.dim, degree if degree is not None
-                             else self.function_class_degree)
+    def function_class(self) -> FunctionClass:
+        return FunctionClass(self.dim, self.function_class_degree)
 
     def random_point(self, rng):
         from .coeff import ALPHA
@@ -511,7 +510,6 @@ def circle_arc_nerve(arcs, k_max: int = 4, alternating: bool = True,
     return FiniteNerve(list(range(n)), faces, k_max, alternating, name)
 
 
-def joint_circle_nerve(arcs_q, arcs_r, k_max: int = 4) -> FiniteNerve:
+def joint_circle_nerve(arcs_q, arcs_r) -> FiniteNerve:
     """Joint cover nerve for two arc covers of the circle (q arcs first)."""
-    return circle_arc_nerve(list(arcs_q) + list(arcs_r), k_max,
-                            alternating=True, name="joint")
+    return circle_arc_nerve(list(arcs_q) + list(arcs_r), name="joint")

@@ -12,7 +12,7 @@ import json
 
 from .bundle import BundlePresentation
 from .cech import Cochain
-from .coeff import Group, Scalar, group_from_tag
+from .coeff import Scalar, group_from_tag
 from .errors import ParseError
 from .funclass import AffineMap
 from .presentation import FiniteNerve, Generator, GroupQuotient
@@ -149,10 +149,9 @@ def resolve_presentation(spec):
     return presentation_from_dict(spec)
 
 
-def cochain_document_to_dict(c: Cochain, pres_spec=None) -> dict:
+def cochain_document_to_dict(c: Cochain) -> dict:
     return {
-        "presentation": pres_spec if pres_spec is not None
-        else presentation_to_dict(c.pres),
+        "presentation": presentation_to_dict(c.pres),
         "group": c.group.tag,
         "cochain": c.to_dict(),
     }

@@ -8,6 +8,7 @@ import pytest
 from diffcech import gallery
 from diffcech.bundle import (
     BundlePoint,
+    BundlePresentation,
     bundle_from_cocycle,
     cocycle_from_bundle,
     division,
@@ -112,6 +113,17 @@ class TestCocycleLaw:
             assert b.f_value(y, (y[0] + t,)).is_zero()
         for t in missed:
             assert not b.same_fiber(b.tau0(y), b.tau0((y[0] + t,)))
+
+    def test_finite_group_arrow(self):
+        # over a finite K the arrow is found by search: -3 = 3.g1, and the
+        # linear cocycle's value at g1 is x0, so f(3, -3) = 3
+        z2 = gallery.get_presentation("z2-reflection")
+        b = BundlePresentation(
+            z2, RAlphaGroup(), gallery.get("z2-reflection").cocycles["linear"])
+        assert b.f_value((3,), (-3,)) == 3
+        assert b.f_value((3,), (3,)).is_zero()
+        with pytest.raises(FiberError, match="different orbits"):
+            b.f_value((3,), (2,))
 
 
 class TestDivision:

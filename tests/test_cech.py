@@ -275,6 +275,31 @@ class TestQuotientCochains:
         assert is_cocycle(Cochain.function(it, cls.parse("2")))
         assert not is_cocycle(Cochain.function(it, cls.parse("x0")))
 
+    def test_probe_and_table_counterexamples(self):
+        # d of crossed data is lazy and passes every probe; a random lazy
+        # 2-cochain fails the first probe; a finite K scans its table
+        it = gallery.get_presentation("irrational-torus")
+        kappa = gallery.get("irrational-torus").cocycles["kappa"]
+        dk = coboundary(kappa)
+        assert dk.payload_kind == "lazy" and dk.degree == 2
+        assert is_cocycle(dk)
+        c = random_cochain(it, 2, RAlphaGroup(), random.Random(5))
+        assert c.payload_kind == "lazy"
+        chk = is_cocycle(c)
+        assert not chk
+        assert chk.location == ((-4, 2), (4, 3), (-2, -4))
+        assert chk.detail == (
+            "(3*a+8/3)*x0^3 + (12*a^2-8*a-115/3)*x0^2 + "
+            "(24*a^3-64*a^2-133/3*a+472/3)*x0 + "
+            "16*a^4-76*a^3+176/3*a^2+490/3*a-1309/6")
+        z2 = gallery.get_presentation("z2-reflection")
+        c = random_cochain(z2, 1, RAlphaGroup(), random.Random(3))
+        assert c.payload_kind == "table"
+        chk = is_cocycle(c)
+        assert not chk
+        assert chk.location == ((0,), (0,))
+        assert chk.detail == "(-3*a-5/3)*x0^3 + (a+1/3)*x0^2 + (a-2)*x0 + a-1"
+
     def test_coboundary_of_function_is_principal(self):
         it = gallery.get_presentation("irrational-torus")
         rng = random.Random(23)
@@ -558,6 +583,27 @@ class TestClassesEqual:
         res = classes_equal(kappa, Cochain.crossed(it, {}))
         assert not res.equal
         assert "no witness" in res.certificate
+
+
+    def test_nerve_degree_zero(self):
+        c3 = gallery.get_presentation("circle3")
+        two = Cochain.nerve(c3, 0, ZGroup(), {t: 2 for t in c3.tuples(0)})
+        three = Cochain.nerve(c3, 0, ZGroup(), {t: 3 for t in c3.tuples(0)})
+        res = classes_equal(two, two)
+        assert res.equal and res.certificate == "equal as global sections"
+        assert res.witness.degree == 0 and res.witness.is_zero()
+        res = classes_equal(two, three)
+        assert not res.equal and res.witness is None
+        assert res.certificate == "degree-0 classes differ value-wise"
+
+    def test_quotient_degree_zero(self):
+        it = gallery.get_presentation("irrational-torus")
+        cls = it.function_class()
+        two = Cochain.function(it, cls.parse("2"))
+        res = classes_equal(two, Cochain.function(it, cls.parse("2")))
+        assert res.equal and res.certificate == "equal functions"
+        res = classes_equal(two, Cochain.function(it, cls.parse("3")))
+        assert not res.equal and res.certificate == "functions differ"
 
 
 class TestPullbacks:

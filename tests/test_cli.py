@@ -20,6 +20,12 @@ def _run(argv):
     return code, lines
 
 
+def _qz_doc(value):
+    return {"presentation": "gallery:circle3", "group": "Q/Z",
+            "cochain": {"degree": 1, "values": {
+                "(0,1)": value, "(0,2)": "0", "(1,2)": "0"}}}
+
+
 class TestCohomology:
     def test_circle(self):
         code, lines = _run(["cohomology", "--degree", "1", "--coeff", "Z",
@@ -64,6 +70,22 @@ class TestCheckCocycle:
         code, lines = _run(["check-cocycle", str(p)])
         assert code == 1
         assert any("counterexample" in ln for ln in lines)
+
+    def test_widened_function(self, tmp_path):
+        # a degree-0 value may use the one extra degree a witness needs
+        # (D = 3 on the irrational torus), and no more
+        p = tmp_path / "wide.json"
+        doc = {"presentation": "gallery:irrational-torus", "group": "R(alpha)",
+               "cochain": {"degree": 0, "function": "x0^4"}}
+        p.write_text(json.dumps(doc))
+        code, lines = _run(["check-cocycle", str(p)])
+        assert code == 1
+        assert lines[2].startswith("cocycle: no, counterexample at g1: ")
+        doc["cochain"]["function"] = "x0^5"
+        p.write_text(json.dumps(doc))
+        code, lines = _run(["check-cocycle", str(p)])
+        assert code == 2
+        assert lines[2] == "error: monomial (5,) exceeds max degree 4"
 
 
 class TestBundles:
@@ -283,16 +305,27 @@ class TestErrors:
         (["check-cocycle"],
          {"presentation": "gallery:z2-reflection", "group": "Z",
           "cochain": {"degree": 1, "table": {"(0)": "0", "(1)": "x0"}}}),
+        (["check-cocycle"], _qz_doc("1/0")),
+        (["bockstein", "--ses", "Z:R:Q/Z"], _qz_doc("1/0")),
+        # Fraction would build 10**10000000 before any check
+        (["check-cocycle"], _qz_doc("1e10000000")),
+        (["bockstein", "--ses", "Z:R:Q/Z"], _qz_doc("1E10000000")),
+        # JSON reads the number 1e400 as an infinite float
+        (["check-cocycle"], _qz_doc(float("inf"))),
     ], ids=["k_max-string", "alive-int", "charts-int", "alive-string-chart",
             "dim-string", "long-integer", "degree-string", "ses-modulus",
             "function-zero-divisor", "translation-zero-divisor",
             "function-on-nerve", "crossed-on-nerve", "table-on-nerve",
             "crossed-degree", "function-degree", "function-degree-string",
-            "function-over-Z", "table-over-Z"])
+            "function-over-Z", "table-over-Z", "qz-zero-denominator",
+            "qz-zero-denominator-bockstein", "qz-exponent",
+            "qz-exponent-bockstein", "qz-infinity"])
     def test_malformed_input(self, tmp_path, argv, doc):
         p = tmp_path / "doc.json"
         p.write_text(json.dumps(doc))
+        start = time.perf_counter()
         code, lines = _run(argv + [str(p)])
+        assert time.perf_counter() - start < 1.0
         assert code == 2
         assert any(ln.startswith("error: ") for ln in lines)
 
