@@ -290,8 +290,8 @@ class Cochain:
                              f"{pres.kind} presentation")
         if field == "values":
             vals = {
-                _parse_tuple_key(key): group.parse_el(text)
-                for key, text in doc["values"].items()
+                _parse_tuple_key(key): group.parse_el(_value_text(v))
+                for key, v in doc["values"].items()
             }
             return Cochain.nerve(pres, k, group, vals)
         if group.tag != "R(alpha)":
@@ -321,9 +321,21 @@ class Cochain:
         return Cochain.table(pres, k, vals)
 
 
+def _value_text(v) -> str:
+    """A nerve cochain value as the text its group reads: JSON strings and
+    integers are taken; floats, booleans, null and lists are refused, since
+    a group would read them inexactly or not at all."""
+    if isinstance(v, str):
+        return v
+    if type(v) is int:
+        return str(v)
+    raise ParseError(f"cochain value {v!r} is not a string or an integer")
+
+
 def _parse_in_widest(cls, text: str) -> FunctionElement:
-    """Parse allowing the witness headroom of one extra degree."""
-    terms = parse_poly_terms(text, cls.n)
+    """Parse allowing the witness headroom of one extra degree; a power of
+    several variables over that degree is refused before it is expanded."""
+    terms = parse_poly_terms(text, cls.n, cls.max_degree + 1)
     try:
         return FunctionElement(cls, terms)
     except ClassError:

@@ -13,7 +13,7 @@ x-variables.
 from __future__ import annotations
 
 from .coeff import Scalar
-from .errors import ParseError
+from .errors import ClassError, ParseError
 
 _OPS = set("+-*/^()")
 
@@ -104,11 +104,12 @@ def _degree(p) -> int:
 
 
 class _Parser:
-    def __init__(self, toks, text, nvars):
+    def __init__(self, toks, text, nvars, max_degree):
         self.toks = toks
         self.pos = 0
         self.text = text
         self.nvars = nvars
+        self.max_degree = max_degree
         self.origin = (0,) * nvars
 
     def peek(self):
@@ -186,6 +187,11 @@ class _Parser:
                 v = self.const(self.reciprocal(v, "negative power of"))
             base, v = v, self.const(Scalar.of(1))
             if sum(map(any, zip(*base))) > 1:
+                deg = max(map(sum, base))
+                if self.max_degree is not None and deg * k > self.max_degree:
+                    raise ClassError(f"power ^{k} of a degree-{deg} "
+                                     f"expression in {self.text!r} exceeds "
+                                     f"max degree {self.max_degree}")
                 # in two or more variables the squares of a dense base hold
                 # more terms than the k successive products do
                 for _ in range(k):
@@ -221,10 +227,12 @@ class _Parser:
         raise ParseError(f"unexpected token {t!r} in {self.text!r}")
 
 
-def parse_poly_terms(text: str, nvars: int):
+def parse_poly_terms(text: str, nvars: int, max_degree=None):
     """Parse into a {exponent tuple: Scalar} dict with tuples of length
-    nvars; a variable x_i with i >= nvars is refused before it is built."""
-    p = _Parser(_tokenize(text), text, nvars)
+    nvars; a variable x_i with i >= nvars is refused before it is built, and
+    so is a power in two or more variables of total degree over max_degree
+    (the power of a nonzero polynomial has exactly that degree)."""
+    p = _Parser(_tokenize(text), text, nvars, max_degree)
     v = p.expr()
     if p.peek() is not None:
         raise ParseError(f"trailing input in {text!r}")

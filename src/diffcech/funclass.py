@@ -9,6 +9,7 @@ gallery uses.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Dict, Sequence, Tuple
 
@@ -22,6 +23,7 @@ Expo = Tuple[int, ...]
 
 _ONE = Scalar.of(1)
 _R = RAlphaGroup()
+_new = object.__new__
 
 
 class AffineMap:
@@ -159,20 +161,24 @@ class FunctionClass:
     def __init__(self, n: int, max_degree: int):
         self.n = n
         self.max_degree = max_degree
-        self.basis = monomial_basis(n, max_degree)
+
+    @cached_property
+    def basis(self):
+        return monomial_basis(self.n, self.max_degree)
 
     @property
     def dimension(self):
         return len(self.basis)
 
     def zero(self) -> "FunctionElement":
-        return FunctionElement(self, {})
+        return _make(self, {})
 
     def monomial(self, e: Expo) -> "FunctionElement":
         return FunctionElement(self, {tuple(e): _ONE})
 
     def parse(self, text: str) -> "FunctionElement":
-        return FunctionElement(self, parse_poly_terms(text, self.n))
+        return FunctionElement(self, parse_poly_terms(text, self.n,
+                                                      self.max_degree))
 
     def from_coordinates(self, coords) -> "FunctionElement":
         terms = {
@@ -201,7 +207,12 @@ class FunctionClass:
 
 
 class FunctionElement:
-    """A polynomial in its class, stored sparsely by monomial."""
+    """A polynomial in its class, stored sparsely by monomial.
+
+    The constructor checks every term; arithmetic inside the package builds
+    its results with ``_make``, which trusts terms that are canonical by
+    construction.
+    """
 
     __slots__ = ("cls", "terms")
 
@@ -224,7 +235,9 @@ class FunctionElement:
     def in_class(self, cls: FunctionClass) -> "FunctionElement":
         if cls.n != self.cls.n:
             raise ClassError("cannot move between classes of different arity")
-        return FunctionElement(cls, self.terms)
+        if cls.max_degree >= self.cls.max_degree:
+            return _make(cls, self.terms)
+        return FunctionElement(cls, self.terms)  # narrowing: check degrees
 
     def _join(self, other: "FunctionElement") -> FunctionClass:
         if self.cls.n != other.cls.n:
@@ -232,17 +245,16 @@ class FunctionElement:
         return self.cls if self.cls.max_degree >= other.cls.max_degree else other.cls
 
     def __add__(self, other):
-        return FunctionElement(self._join(other),
-                               add_terms(self.terms, other.terms))
+        return _make(self._join(other), add_terms(self.terms, other.terms))
 
     def __neg__(self):
-        return FunctionElement(self.cls, neg_terms(self.terms))
+        return _make(self.cls, neg_terms(self.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, s) -> "FunctionElement":
-        return FunctionElement(self.cls, scale_terms(self.terms, Scalar.of(s)))
+        return _make(self.cls, scale_terms(self.terms, Scalar.of(s)))
 
     __mul__ = scale
 
@@ -265,13 +277,19 @@ class FunctionElement:
         return total
 
     def compose_affine(self, phi: AffineMap) -> "FunctionElement":
-        """Coefficients of y |-> self(phi(y)), computed exactly."""
+        """Coefficients of y |-> self(phi(y)), computed exactly: the sum of
+        c * image(e) over the terms, which stays in the class because an
+        affine map never raises the total degree."""
         if phi.dim != self.cls.n:
             raise ClassError("affine map has wrong dimension for this class")
-        result = {}
+        out = {}
+        image = phi.monomial_image
         for e, c in self.terms.items():
-            result = add_terms(result, scale_terms(phi.monomial_image(e), c))
-        return FunctionElement(self.cls, result)
+            for f, v in image(e).items():
+                s = c * v
+                out[f] = out[f] + s if f in out else s
+        return _make(self.cls, {f: s for f, s in out.items()
+                                if not s.is_zero()})
 
     def __eq__(self, other):
         return (
@@ -288,6 +306,15 @@ class FunctionElement:
 
     def __repr__(self):
         return f"FunctionElement({self})"
+
+
+def _make(cls: FunctionClass, terms: Dict[Expo, Scalar]) -> FunctionElement:
+    """An element from terms already canonical in cls: nonzero Scalars on
+    exponent tuples of its arity and degree.  Nothing is checked."""
+    h = _new(FunctionElement)
+    h.cls = cls
+    h.terms = terms
+    return h
 
 
 def act(phi: AffineMap, h: FunctionElement) -> FunctionElement:

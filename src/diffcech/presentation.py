@@ -206,6 +206,9 @@ class GroupQuotient:
         self.name = name
         self._affine_cache: Dict[Tuple[int, ...], AffineMap] = {}
         self._validate()
+        self._torsion = tuple(g.torsion for g in self.generators)
+        self._torsion_free = not any(self._torsion)
+        self._function_class = FunctionClass(dim, function_class_degree)
 
     def _validate(self):
         for g in self.generators:
@@ -232,12 +235,12 @@ class GroupQuotient:
         return (0,) * self.rank
 
     def k_canonical(self, k) -> Tuple[int, ...]:
-        k = tuple(int(x) for x in k)
-        if len(k) != self.rank:
+        k = tuple(map(int, k))
+        if len(k) != len(self._torsion):
             raise ParseError(f"group element {k} has wrong rank")
-        return tuple(
-            x % g.torsion if g.torsion else x for x, g in zip(k, self.generators)
-        )
+        if self._torsion_free:
+            return k
+        return tuple(x % t if t else x for x, t in zip(k, self._torsion))
 
     def k_add(self, k1, k2):
         return self.k_canonical(tuple(a + b for a, b in zip(k1, k2)))
@@ -283,7 +286,7 @@ class GroupQuotient:
         return self.affine_of(k).apply(point)
 
     def function_class(self) -> FunctionClass:
-        return FunctionClass(self.dim, self.function_class_degree)
+        return self._function_class
 
     def random_point(self, rng):
         from .coeff import ALPHA

@@ -20,10 +20,14 @@ def _run(argv):
     return code, lines
 
 
-def _qz_doc(value):
-    return {"presentation": "gallery:circle3", "group": "Q/Z",
+def _value_doc(group, value):
+    return {"presentation": "gallery:circle3", "group": group,
             "cochain": {"degree": 1, "values": {
                 "(0,1)": value, "(0,2)": "0", "(1,2)": "0"}}}
+
+
+def _qz_doc(value):
+    return _value_doc("Q/Z", value)
 
 
 class TestCohomology:
@@ -312,6 +316,16 @@ class TestErrors:
         (["bockstein", "--ses", "Z:R:Q/Z"], _qz_doc("1E10000000")),
         # JSON reads the number 1e400 as an infinite float
         (["check-cocycle"], _qz_doc(float("inf"))),
+        # a value is a string or an integer: Z would read 2.5 as 2 and true
+        # as 1, Q/Z would read 0.1 as a binary fraction
+        (["check-cocycle"], _value_doc("Z", 2.5)),
+        (["check-cocycle"], _value_doc("Z", True)),
+        (["check-cocycle"], _value_doc("Z", None)),
+        (["check-cocycle"], _value_doc("Z", [1])),
+        (["check-cocycle"], _qz_doc(0.1)),
+        (["check-cocycle"], _qz_doc(True)),
+        (["check-cocycle"], _value_doc("R(alpha)", 0.5)),
+        (["check-cocycle"], _value_doc("prod[Z,Z/2]", 5)),
     ], ids=["k_max-string", "alive-int", "charts-int", "alive-string-chart",
             "dim-string", "long-integer", "degree-string", "ses-modulus",
             "function-zero-divisor", "translation-zero-divisor",
@@ -319,7 +333,9 @@ class TestErrors:
             "crossed-degree", "function-degree", "function-degree-string",
             "function-over-Z", "table-over-Z", "qz-zero-denominator",
             "qz-zero-denominator-bockstein", "qz-exponent",
-            "qz-exponent-bockstein", "qz-infinity"])
+            "qz-exponent-bockstein", "qz-infinity", "z-float", "z-bool",
+            "z-null", "z-list", "qz-float", "qz-bool", "ralpha-float",
+            "prod-integer"])
     def test_malformed_input(self, tmp_path, argv, doc):
         p = tmp_path / "doc.json"
         p.write_text(json.dumps(doc))
@@ -328,6 +344,43 @@ class TestErrors:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert any(ln.startswith("error: ") for ln in lines)
+
+    @pytest.mark.parametrize("group,value", [
+        ("Z", 1), ("Z/3", -1), ("Q/Z", 2), ("R(alpha)", 3)])
+    def test_integer_values_read_as_their_text(self, tmp_path, group, value):
+        reports = []
+        for v in (value, str(value)):
+            p = tmp_path / "doc.json"
+            p.write_text(json.dumps(_value_doc(group, v)))
+            reports.append(_run(["check-cocycle", str(p)]))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 0
+
+    def test_power_over_the_class_refused_before_expansion(self, tmp_path):
+        # (x0+x1+1)^64 has 2145 terms; in a degree-1 class (2 with the
+        # witness headroom) it is refused before any product is taken
+        doc = {"presentation": {
+                   "kind": "quotient", "dim": 2, "free": True,
+                   "function_class_degree": 1,
+                   "generators": [
+                       {"torsion": 0, "affine": {"A": [["1", "0"], ["0", "1"]],
+                                                 "b": ["1", "0"]}},
+                       {"torsion": 0, "affine": {"A": [["1", "0"], ["0", "1"]],
+                                                 "b": ["0", "a"]}}]},
+               "group": "R(alpha)",
+               "cochain": {"degree": 0, "function": "(x0+x1+1)^64"}}
+        p = tmp_path / "power.json"
+        p.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, lines = _run(["check-cocycle", str(p)])
+        assert time.perf_counter() - start < 0.05
+        assert code == 2
+        assert lines[2] == ("error: power ^64 of a degree-1 expression in "
+                            "'(x0+x1+1)^64' exceeds max degree 2")
+        doc["cochain"]["function"] = "(x0+x1+1)^2"
+        p.write_text(json.dumps(doc))
+        code, lines = _run(["check-cocycle", str(p)])
+        assert code == 1 and lines[2].startswith("cocycle: no")
 
     def test_unserializable_coboundary_prints_no_result(self):
         # d of crossed data over an infinite group is lazy; the command must

@@ -150,6 +150,54 @@ class TestFunctionElement:
             h = cls.random(rng)
             assert cls.from_coordinates(h.coordinates()) == h
 
+    def test_trusted_results_are_canonical(self):
+        # +, -, scale and act build their results unchecked; each must be
+        # what the checking constructor builds from the same terms, with no
+        # zero coefficient.  Acting by phi on act(phi^-1, g) for a sparse g
+        # cancels terms inside compose_affine.
+        rng = random.Random(15)
+
+        def maps(n):
+            ident = [[int(i == j) for j in range(n)] for i in range(n)]
+            flip = [[-x for x in row] for row in ident]
+            shift = [ALPHA * rng.randrange(-3, 4) + rng.randrange(-2, 3)
+                     for _ in range(n)]
+            return [AffineMap.translation(shift), AffineMap(flip, shift),
+                    AffineMap(flip, [0] * n), _random_affine(rng, n)]
+
+        def sparse(cls):
+            h = cls.zero()
+            for _ in range(rng.randrange(1, 4)):
+                e = rng.choice(cls.basis)
+                h = h + cls.monomial(e).scale(
+                    rng.randrange(-3, 4) + ALPHA * rng.randrange(-1, 2))
+            return h
+
+        def check(r, cls):
+            assert r.cls == cls
+            assert all(isinstance(c, Scalar) and not c.is_zero()
+                       for c in r.terms.values())
+            rebuilt = FunctionElement(r.cls, r.terms)
+            assert r == rebuilt and r.terms == rebuilt.terms
+
+        cancelled = 0
+        for _ in range(40):
+            n = rng.randrange(1, 3)
+            cls = FunctionClass(n, rng.randrange(1, 4))
+            g, h = sparse(cls), cls.random(rng)
+            for r in (g + h, g - h, h - h, g - g + h, -g, g.scale(0),
+                      h.scale(ALPHA - 2), g.in_class(cls.widen(1)) + h):
+                check(r, cls if r.cls.max_degree == cls.max_degree
+                      else cls.widen(1))
+            for phi in maps(n):
+                pre = act(phi.inverse(), g)
+                back = act(phi, pre)
+                assert back == g
+                cancelled += len(pre.terms) > len(g.terms)
+                for r in (pre, back, act(phi, h), act(phi, h - h)):
+                    check(r, cls)
+        assert cancelled  # some act really did cancel terms
+
     def test_degree_bound_enforced(self):
         cls = FunctionClass(1, 2)
         with pytest.raises(ClassError):

@@ -89,3 +89,23 @@ def test_probed_caches_keep_their_keys():
     cech._crossed_single(pres, val, 1, 5)
     assert (val, 1, 5) in pres._crossed_cache
     assert tracer._crossed_hit(pres, val, 1, 5)
+
+
+def test_crossed_value_reaches_the_traced_action():
+    # the per-layer metrics of the action count calls through
+    # FunctionElement.compose_affine and GroupQuotient.affine_of; an
+    # evaluation path that went round them would zero those metrics
+    tracer = _load_tracer()
+    gens = gallery.get_presentation("irrational-torus").generators
+    pres = GroupQuotient(1, gens, free=True, function_class_degree=2)
+    cls = pres.function_class()
+    values = {0: cls.parse("x0^2 - a"), 1: cls.parse("x0")}
+    t = tracer.Tracer()
+    t.install()
+    try:
+        cech.crossed_value(pres, values, (3, -2))
+    finally:
+        t.uninstall()
+    assert t.stats["cech.crossed_value"].calls == 1
+    assert t.stats["funclass.compose_affine"].calls > 0
+    assert t.stats["presentation.affine_of"].calls > 0

@@ -157,6 +157,30 @@ class TestGroupQuotient:
         assert z2.k_canonical((5,)) == (1,)
         assert z2.k_add((1,), (1,)) == (0,)
 
+    def test_k_canonical(self):
+        it = gallery.get_presentation("irrational-torus")
+        assert it.k_canonical((-7, 10**6)) == (-7, 10**6)
+        assert it.k_canonical([Fraction(3), True]) == (3, 1)
+        rotation = AffineMap([[0, -1], [1, 0]], [0, 0])
+        z4 = GroupQuotient(2, [Generator(4, rotation)], free=False)
+        assert z4.k_canonical((-1,)) == (3,)
+        assert z4.k_canonical((-8,)) == (0,)
+        assert z4.k_canonical((9,)) == (1,)
+        # a free generator beside a torsion one is left as it is
+        mixed = GroupQuotient(
+            2, [Generator(2, AffineMap([[-1, 0], [0, 1]], [0, 0])),
+                Generator(0, AffineMap.translation([0, 1]))], free=False)
+        assert mixed.k_canonical((-3, -3)) == (1, -3)
+        for pres, k in ((it, (1,)), (it, (1, 2, 3)), (z4, ()), (z4, (1, 1))):
+            with pytest.raises(ParseError, match="wrong rank"):
+                pres.k_canonical(k)
+
+    def test_function_class_is_built_once(self):
+        it = gallery.get_presentation("irrational-torus")
+        cls = it.function_class()
+        assert it.function_class() is cls
+        assert cls == it.function_class() and (cls.n, cls.max_degree) == (1, 3)
+
     def test_action_is_a_homomorphism(self):
         it = gallery.get_presentation("irrational-torus")
         rng = random.Random(3)
