@@ -186,9 +186,11 @@ class TestFunctionElement:
             cls = FunctionClass(n, rng.randrange(1, 4))
             g, h = sparse(cls), cls.random(rng)
             for r in (g + h, g - h, h - h, g - g + h, -g, g.scale(0),
-                      h.scale(ALPHA - 2), g.in_class(cls.widen(1)) + h):
-                check(r, cls if r.cls.max_degree == cls.max_degree
-                      else cls.widen(1))
+                      h.scale(ALPHA - 2)):
+                check(r, cls)
+            wide = cls.widen(1)
+            check(g.in_class(wide) + h, wide)
+            check(h.in_class(wide).in_class(cls), cls)
             for phi in maps(n):
                 pre = act(phi.inverse(), g)
                 back = act(phi, pre)
