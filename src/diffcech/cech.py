@@ -45,6 +45,10 @@ from .funclass import FunctionElement, act
 DEFAULT_SEED = 1729
 PROBES = 200
 CROSSED_PROBES = 8
+# entries a presentation's crossed-sum cache holds before it is cleared; its
+# keys hold the crossed value itself, so fresh cocycles add keys that
+# nothing reads again
+CROSSED_CACHE_SIZE = 1024
 
 
 def _sort_parity(t):
@@ -465,6 +469,8 @@ def _crossed_single(pres, val: FunctionElement, i: int, n: int) -> FunctionEleme
         acc = half + act(pres.affine_of(pres.gen_power(i, m)), half)
         if n % 2:
             acc = acc + act(pres.affine_of(pres.gen_power(i, n - 1)), val)
+    if len(cache) >= CROSSED_CACHE_SIZE:
+        cache.clear()
     cache[key] = acc
     return acc
 
@@ -788,6 +794,12 @@ def _quotient_from_vector(pres, k: int, cls, vec) -> Cochain:
     return _quotient_cochain(pres, k, values.__getitem__)
 
 
+def _add_into(row, j, x):
+    """row[j] += x, with the first contribution to a ZERO cell written as is."""
+    v = row[j]
+    row[j] = x if v is ZERO else v + x
+
+
 def _coboundary_matrix(pres, k: int, cls) -> List[List[Scalar]]:
     """Rows of d: C^k -> C^{k+1} of a quotient, in the coordinates of cls.
 
@@ -812,12 +824,12 @@ def _coboundary_matrix(pres, k: int, cls) -> List[List[Scalar]]:
         phi = pres.affine_of(k1)
         for j, e in enumerate(basis):
             for e_out, x in phi.monomial_image(e).items():
-                block[where[e_out]][c + j] += x
+                _add_into(block[where[e_out]], c + j, x)
         for i in range(1, k + 2):
             c = start[kt[:i - 1] + kt[i:]]
             sign = -ONE if i % 2 else ONE
             for j in range(d):
-                block[j][c + j] += sign
+                _add_into(block[j], c + j, sign)
     return M
 
 

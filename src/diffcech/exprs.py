@@ -158,9 +158,23 @@ class _Parser:
                 raise ParseError(f"{'product' if op == '*' else 'quotient'} "
                                  f"of degree {d} in {self.text!r} exceeds "
                                  f"the degree limit of {MAX_EXPONENT}")
-            v = (mul_terms(v, f) if op == "*" else
-                 scale_terms(v, self.reciprocal(f)))
+            if op == "*":
+                if v and f:  # deg pq = deg p + deg q for nonzero p and q
+                    deg = max(map(sum, v)) + max(map(sum, f))
+                    self.within_class(f"product of degree {deg}", deg, v, f)
+                v = mul_terms(v, f)
+            else:
+                v = scale_terms(v, self.reciprocal(f))
         return v
+
+    def within_class(self, what, deg, *polys):
+        """Refuse a power or product in two or more variables of total
+        degree deg over max_degree, before it is expanded; in one variable
+        the class's own monomial check names the monomial."""
+        if (self.max_degree is not None and deg > self.max_degree
+                and sum(map(any, zip(*(e for p in polys for e in p)))) > 1):
+            raise ClassError(f"{what} in {self.text!r} exceeds max degree "
+                             f"{self.max_degree}")
 
     def factor(self):
         neg = False
@@ -188,10 +202,8 @@ class _Parser:
             base, v = v, self.const(Scalar.of(1))
             if sum(map(any, zip(*base))) > 1:
                 deg = max(map(sum, base))
-                if self.max_degree is not None and deg * k > self.max_degree:
-                    raise ClassError(f"power ^{k} of a degree-{deg} "
-                                     f"expression in {self.text!r} exceeds "
-                                     f"max degree {self.max_degree}")
+                self.within_class(f"power ^{k} of a degree-{deg} expression",
+                                  deg * k, base)
                 # in two or more variables the squares of a dense base hold
                 # more terms than the k successive products do
                 for _ in range(k):
@@ -230,8 +242,9 @@ class _Parser:
 def parse_poly_terms(text: str, nvars: int, max_degree=None):
     """Parse into a {exponent tuple: Scalar} dict with tuples of length
     nvars; a variable x_i with i >= nvars is refused before it is built, and
-    so is a power in two or more variables of total degree over max_degree
-    (the power of a nonzero polynomial has exactly that degree)."""
+    so is a power or product in two or more variables of total degree over
+    max_degree (a power or product of nonzero polynomials has exactly that
+    degree)."""
     p = _Parser(_tokenize(text), text, nvars, max_degree)
     v = p.expr()
     if p.peek() is not None:

@@ -143,6 +143,8 @@ class AffineMap:
 
 def monomial_basis(n: int, max_degree: int):
     """All exponent tuples of total degree <= max_degree, graded lex order."""
+    if n == 0:  # the one empty monomial, however large max_degree is
+        return [()] if max_degree >= 0 else []
     basis = []
     for d in range(max_degree + 1):
         degs = set()

@@ -1,11 +1,18 @@
 """Exact linear algebra over any field of exact elements.
 
 Matrices are lists of rows.  Entries may be ints, Fractions or Scalars of
-Q(a), mixed freely: an entry is zero when it is falsy, and pivots are
-inverted as ``Fraction(1) / pivot``, so integer and rational systems are
-reduced over Q as they are and never meet floating point.  The reduced row
-echelon form is unique, so a rational matrix gives the same pivots and
-values here as its lift to Q(a).  Used wherever coefficients live in a field:
+Q(a), mixed freely; an entry is zero when it is falsy.  ``rref`` reduces
+fraction-free, after Bareiss (Math. Comp. 1968).  Each row is cleared of
+denominators once, into a sparse primitive row over Z when every entry is
+rational and over Z[a] otherwise.  An element of Z[a] is an integer
+coefficient tuple, as inside ``Scalar``, and this module does its arithmetic
+with ``coeff``'s private helpers ``_zmul``, ``_zadd``, ``_zquo`` and
+``_zgcd``.  A row is eliminated as p * row - f * pivot row, with p and f
+divided by their gcd, on nonzero entries only, and is then divided by its
+integer content.  Each output entry is one quotient, made canonical at the
+end.  The reduced row echelon form is unique, so the pivot rows may be
+chosen for small multipliers, and a rational matrix gives the same pivots
+and values as its lift to Q(a).  Used wherever coefficients live in a field:
 field-coefficient cohomology of nerves and the function-class linear systems
 of quotient presentations.
 """
@@ -13,34 +20,178 @@ of quotient presentations.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Tuple
 
-_ONE = Fraction(1)
+from .coeff import ONE, ZERO, Scalar, _make, _zadd, _zgcd, _zmul, _zneg, _zquo
+
+_Z_ONE = (1,)
+_F_ZERO = Fraction(0)
+_F_ONE = Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# rows over Z: {column: nonzero int}
+
+
+def _int_row(row):
+    """Nonzero rational entries {column: x} as a primitive row over Z."""
+    parts = {j: (x.znum[0], x.zden[0]) if x.__class__ is Scalar
+             else (x.numerator, x.denominator) for j, x in row.items()}
+    m = lcm(*[d for _, d in parts.values()])
+    return _int_primitive({j: n * (m // d) for j, (n, d) in parts.items()})
+
+
+def _int_primitive(row):
+    c = gcd(*row.values())
+    return {j: x // c for j, x in row.items()} if c > 1 else row
+
+
+def _int_eliminate(row, piv, col):
+    """p * row - f * piv for the entries p of piv and f of row at col, over
+    the gcd of p and f taken with the sign of p."""
+    p, f = piv[col], row[col]
+    g = gcd(p, f)
+    if p < 0:
+        g = -g
+    p, f = p // g, f // g
+    new = row.copy() if p == 1 else {j: p * x for j, x in row.items()}
+    for j, y in piv.items():
+        v = new.get(j, 0) - f * y
+        if v:
+            new[j] = v
+        else:
+            del new[j]
+    return _int_primitive(new)
+
+
+# ---------------------------------------------------------------------------
+# rows over Z[a]: {column: nonzero int tuple}
+
+
+def _poly_row(row):
+    """Nonzero entries {column: x} of Q(a) as a primitive row over Z[a]."""
+    parts = {j: (x.znum, x.zden) if x.__class__ is Scalar
+             else ((x.numerator,), (x.denominator,))
+             for j, x in row.items()}
+    dens = {d for _, d in parts.values()}
+    m = _Z_ONE
+    for d in dens:
+        if len(m) == 1 and len(d) == 1:
+            m = (lcm(m[0], d[0]),)
+        else:
+            m = _zmul(m, _zquo(d, _zgcd(m, d)))
+    cofactor = {d: _zquo(m, d) for d in dens}
+    return _poly_primitive({j: _zmul(n, cofactor[d])
+                            for j, (n, d) in parts.items()})
+
+
+def _poly_primitive(row):
+    c = gcd(*[c for x in row.values() for c in x])
+    if c > 1:
+        return {j: tuple([v // c for v in x]) for j, x in row.items()}
+    return row
+
+
+def _poly_eliminate(row, piv, col):
+    """``_int_eliminate`` over Z[a]: the gcd takes the sign of lead(p)."""
+    p, f = piv[col], row[col]
+    g = _zgcd(p, f)
+    if p[-1] < 0:
+        g = _zneg(g)
+    if g != _Z_ONE:
+        p, f = _zquo(p, g), _zquo(f, g)
+    f = _zneg(f)
+    new = row.copy() if p == _Z_ONE else {j: _zmul(p, x)
+                                          for j, x in row.items()}
+    for j, y in piv.items():
+        x = new.get(j)
+        v = _zmul(f, y) if x is None else _zadd(x, _zmul(f, y))
+        if v:
+            new[j] = v
+        else:
+            del new[j]
+    return _poly_primitive(new)
+
+
+def _quotient(x, d):
+    """The canonical Scalar x/d of two nonzero polynomials over Z."""
+    g = _zgcd(x, d)
+    if d[-1] < 0:
+        g = _zneg(g)
+    if g != _Z_ONE:
+        x, d = _zquo(x, g), _zquo(d, g)
+    return _make(x, d)
 
 
 def rref(M) -> Tuple[List[list], List[int]]:
-    """Reduced row echelon form and the pivot column indices."""
-    A = [list(row) for row in M]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    pivots = []
-    r = 0
+    """Reduced row echelon form and the pivot column indices.  The entries
+    are Scalars when M holds a Scalar, and Fractions otherwise."""
+    m = len(M)
+    n = len(M[0]) if m else 0
+    scalars = any(Scalar in map(type, row) for row in M)
+    # the zero Scalar is mostly the one ZERO, passed over without a call
+    rows = [{j: x for j, x in enumerate(row) if x is not ZERO and x}
+            for row in M]
+    poly = scalars and any(x.__class__ is Scalar and (len(x.znum) > 1
+                                                      or len(x.zden) > 1)
+                           for row in rows for x in row.values())
+    if poly:
+        active = [r for r in map(_poly_row, rows) if r]
+        eliminate = _poly_eliminate
+
+        def cost(row):
+            p = row[col]
+            return len(p), abs(p[-1]), len(row)
+    else:
+        active = [r for r in map(_int_row, rows) if r]
+        eliminate = _int_eliminate
+
+        def cost(row):
+            return abs(row[col]), len(row)
+    done, pivots = [], []
     for col in range(n):
-        piv = next((i for i in range(r, m) if A[i][col]), None)
-        if piv is None:
+        hits = [row for row in active if col in row]
+        if not hits:
             continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = _ONE / A[r][col]
-        A[r] = [x * inv if x else x for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][col]:
-                f = A[i][col]
-                A[i] = [x - f * y if y else x for x, y in zip(A[i], A[r])]
+        piv = min(hits, key=cost)
+        active = [row for row in active if col not in row]
+        for row in hits:
+            if row is not piv:
+                row = eliminate(row, piv, col)
+                if row:
+                    active.append(row)
+        done.append(piv)
         pivots.append(col)
-        r += 1
-        if r == m:
+        if not active:
             break
-    return A, pivots
+    # back substitution from the last pivot row up, so that every row used
+    # is already reduced and brings in no pivot column but its own
+    for k in range(len(done) - 2, -1, -1):
+        row = done[k]
+        for col, piv in zip(pivots[:k:-1], done[:k:-1]):
+            if col in row:
+                row = eliminate(row, piv, col)
+        done[k] = row
+
+    if poly:
+        entry = _quotient
+    elif scalars:
+        def entry(x, d):
+            return _quotient((x,), (d,))
+    else:
+        entry = Fraction
+    zero, one = (ZERO, ONE) if scalars else (_F_ZERO, _F_ONE)
+    R = []
+    for col, row in zip(pivots, done):
+        d = row.pop(col)
+        out = [zero] * n
+        out[col] = one
+        for j, x in row.items():
+            out[j] = entry(x, d)
+        R.append(out)
+    R += [[zero] * n for _ in range(m - len(pivots))]
+    return R, pivots
 
 
 def rank(M) -> int:

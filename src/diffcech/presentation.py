@@ -21,6 +21,11 @@ from .funclass import AffineMap, FunctionClass
 # boundary matrices grow with this count
 MAX_TUPLES = 1 << 18
 
+# most monomials, C(n+D+1, D+1), in the class one degree above a quotient's
+# function class (n variables, degree D): H^1 and class comparison look for
+# witnesses there, and their linear systems grow with this count
+MAX_CLASS_DIMENSION = 64
+
 
 class FiniteNerve:
     """Nerve of a good cover, given by its abstract simplicial complex.
@@ -192,6 +197,21 @@ class Generator:
         return hash((self.torsion, self.affine))
 
 
+def _wide_class_over_the_cap(n: int, D: int) -> bool:
+    """Whether C(n+D+1, D+1) > MAX_CLASS_DIMENSION, for n, D >= 0.  With
+    k = min(n, D+1) it is built as C(n+D+1-k+i, i) for i = 1..k, which
+    grows with i, so a huge n or D stops after a few steps."""
+    if min(n, D) < 0:
+        return False
+    k = min(n, D + 1)
+    top, size = n + D + 1 - k, 1
+    for i in range(1, k + 1):
+        size = size * (top + i) // i
+        if size > MAX_CLASS_DIMENSION:
+            return True
+    return False
+
+
 class GroupQuotient:
     """Quotient of a contractible nebula domain R^n by an affine K-action."""
 
@@ -205,6 +225,12 @@ class GroupQuotient:
         self.function_class_degree = function_class_degree
         self.name = name
         self._affine_cache: Dict[Tuple[int, ...], AffineMap] = {}
+        if _wide_class_over_the_cap(dim, function_class_degree):
+            raise DegreeError(
+                f"the function class (n={dim}, D={function_class_degree}) has "
+                f"over {MAX_CLASS_DIMENSION} monomials one degree up, where "
+                f"witnesses are sought "
+                f"(diffcech.presentation.MAX_CLASS_DIMENSION)")
         self._validate()
         self._torsion = tuple(g.torsion for g in self.generators)
         self._torsion_free = not any(self._torsion)

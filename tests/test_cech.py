@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from diffcech import gallery
+from diffcech import gallery, serialize
 from diffcech.cech import (
+    CROSSED_CACHE_SIZE,
     Cochain,
     GroupHom,
     _coboundary_matrix,
@@ -299,6 +300,20 @@ class TestQuotientCochains:
         assert not chk
         assert chk.location == ((0,), (0,))
         assert chk.detail == "(-3*a-5/3)*x0^3 + (a+1/3)*x0^2 + (a-2)*x0 + a-1"
+
+    def test_crossed_cache_stays_bounded(self):
+        # the cache keys hold the crossed value, so every fresh cocycle adds
+        # keys (about 19 per check here) that nothing reads again
+        it = serialize.presentation_from_dict(serialize.presentation_to_dict(
+            gallery.get_presentation("irrational-torus")))
+        rng = random.Random(5)
+        sizes = []
+        for _ in range(200):
+            assert is_cocycle(random_cocycle(it, 1, RAlphaGroup(), rng))
+            sizes.append(len(it._crossed_cache))
+        assert max(sizes) <= CROSSED_CACHE_SIZE
+        # the loop adds more keys than the bound, so the cache was cleared
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
     def test_coboundary_of_function_is_principal(self):
         it = gallery.get_presentation("irrational-torus")

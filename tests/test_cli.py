@@ -382,6 +382,54 @@ class TestErrors:
         code, lines = _run(["check-cocycle", str(p)])
         assert code == 1 and lines[2].startswith("cocycle: no")
 
+    def test_product_over_the_class_refused_before_expansion(self, tmp_path):
+        # 60 factors of (x0+x1+1): the product has degree 3 > 2 by the third
+        # factor, and is refused before it is multiplied out
+        doc = {"presentation": {
+                   "kind": "quotient", "dim": 2, "free": True,
+                   "function_class_degree": 1,
+                   "generators": [
+                       {"torsion": 0, "affine": {"A": [["1", "0"], ["0", "1"]],
+                                                 "b": ["1", "0"]}},
+                       {"torsion": 0, "affine": {"A": [["1", "0"], ["0", "1"]],
+                                                 "b": ["0", "a"]}}]},
+               "group": "R(alpha)",
+               "cochain": {"degree": 0,
+                           "function": "*".join(["(x0+x1+1)"] * 60)}}
+        p = tmp_path / "product.json"
+        p.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, lines = _run(["check-cocycle", str(p)])
+        assert time.perf_counter() - start < 0.05
+        assert code == 2
+        assert lines[2].startswith("error: product of degree 3 in ")
+        assert lines[2].endswith(" exceeds max degree 2")
+        doc["cochain"]["function"] = "(x0+x1+1)*(x0-x1)"
+        p.write_text(json.dumps(doc))
+        code, lines = _run(["check-cocycle", str(p)])
+        assert code == 1 and lines[2].startswith("cocycle: no")
+
+    def test_class_over_the_size_cap(self, tmp_path):
+        # dim 7 at degree 7: 3432 monomials, 6435 one degree up; refused when
+        # the presentation is built, before any class is
+        eye = [["1" if i == j else "0" for j in range(7)] for i in range(7)]
+        doc = {"kind": "quotient", "dim": 7, "free": True,
+               "function_class_degree": 7,
+               "generators": [{"torsion": 0, "affine": {
+                   "A": eye, "b": ["1"] + ["0"] * 6}}]}
+        p = tmp_path / "class.json"
+        p.write_text(json.dumps(doc))
+        assert len(p.read_text()) == 424
+        start = time.perf_counter()
+        code, lines = _run(["cohomology", "--degree", "0", "--coeff",
+                            "R(alpha)", str(p)])
+        assert time.perf_counter() - start < 0.05
+        assert code == 2
+        assert lines[2] == (
+            "error: the function class (n=7, D=7) has over 64 monomials one "
+            "degree up, where witnesses are sought "
+            "(diffcech.presentation.MAX_CLASS_DIMENSION)")
+
     def test_unserializable_coboundary_prints_no_result(self):
         # d of crossed data over an infinite group is lazy; the command must
         # refuse it before it prints any part of a result

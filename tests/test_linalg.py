@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from diffcech import linalg
+from diffcech import gallery, linalg
+from diffcech.cech import _coboundary_matrix
 from diffcech.coeff import ALPHA, Scalar
+from diffcech.presentation import GroupQuotient
 
 
 def _random_matrix(rng, m, n, rank):
@@ -65,6 +67,151 @@ def _sparse_matrices(seed, count=30):
         m, n = rng.randrange(1, 11), rng.randrange(1, 11)
         yield [[entry() if rng.random() < 0.2 else 0 for _ in range(n)]
                for _ in range(m)]
+
+
+def _poly(rng, deg):
+    """A nonzero polynomial in a of degree at most deg, small coefficients."""
+    while True:
+        p = Scalar([rng.randrange(-3, 4) for _ in range(deg + 1)])
+        if p:
+            return p
+
+
+def _sparse(rng, m, n, entry, density=0.4):
+    return [[entry() if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)]
+
+
+def _poly_denominators(rng):
+    # rational functions with non-constant denominators
+    m, n = rng.randrange(2, 7), rng.randrange(2, 7)
+    return _sparse(rng, m, n, lambda: _poly(rng, 2) / (ALPHA + rng.choice(
+        [-2, -1, 1, 3])) / _poly(rng, 1))
+
+
+def _shared_factors(rng):
+    # each row a multiple of one of a few polynomial factors, so that
+    # pivots and multipliers share factors with whole rows
+    factors = [ALPHA + 1, ALPHA * ALPHA - 2, 3 * ALPHA - 1]
+    m, n = rng.randrange(2, 7), rng.randrange(2, 7)
+    M = _sparse(rng, m, n, lambda: _poly(rng, 1), 0.6)
+    return [[x * f if x else 0 for x in row]
+            for row, f in zip(M, (rng.choice(factors) for _ in M))]
+
+
+def _specialization(rng):
+    """An integer matrix of rank r with one row moved off its span by
+    (a - 2) times a vector outside it: the rank is r + 1 over Q(a), and r at
+    a = 2.  Returns the matrix and r + 1."""
+    n = rng.randrange(3, 7)
+    r = rng.randrange(1, n)
+    M = _random_matrix(rng, rng.randrange(r + 1, r + 4), n, r)
+    while linalg.rank(M) != r:
+        M = _random_matrix(rng, len(M), n, r)
+    while True:
+        v = [rng.randrange(-3, 4) for _ in range(n)]
+        if linalg.rank(M + [v]) == r + 1:
+            break
+    i = rng.randrange(len(M))
+    M[i] = [x + (ALPHA - 2) * y for x, y in zip(M[i], v)]
+    return M, r + 1
+
+
+def _large_content(rng):
+    # huge common factors in integer and rational rows
+    m, n = rng.randrange(2, 7), rng.randrange(2, 7)
+    big = 10 ** 40 * 3 ** rng.randrange(1, 30)
+    return [[x * big if i % 2 else Fraction(x * big, 7 ** 25)
+             for x in row] for i, row in enumerate(
+                _random_matrix(rng, m, n, rng.randrange(1, min(m, n) + 1)))]
+
+
+def _mixed(rng):
+    # int, Fraction, constant Scalar and Q(a) entries side by side
+    kinds = [
+        lambda: rng.randrange(-3, 4),
+        lambda: Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
+        lambda: Scalar.of(Fraction(rng.randrange(-3, 4), 2)),
+        lambda: _poly(rng, 2) / rng.choice([1, ALPHA, ALPHA + 2]),
+    ]
+    m, n = rng.randrange(2, 8), rng.randrange(2, 8)
+    return _sparse(rng, m, n, lambda: rng.choice(kinds)(), 0.5)
+
+
+def _itorus_matrices():
+    """d: C^0 -> C^1 of the irrational torus at D = 3 and 4, in its class
+    and in the widened class, with the transposes."""
+    gens = gallery.get_presentation("irrational-torus").generators
+    for d in (3, 4):
+        pres = GroupQuotient(1, gens, free=True, function_class_degree=d)
+        for cls in (pres.function_class(), pres.function_class().widen(1)):
+            M = _coboundary_matrix(pres, 0, cls)
+            yield M
+            yield [list(col) for col in zip(*M)]
+
+
+def _assert_rref_is_the_dense_rref(M):
+    """Pivots and entries of the fraction-free RREF against the dense
+    field RREF: a Scalar by its canonical pair (znum, zden), a Fraction by
+    value."""
+    R, pivots = linalg.rref(M)
+    R_dense, pivots_dense = _dense_rref(M)
+    assert pivots == pivots_dense
+    assert len(R) == len(M)
+    scalar_in = any(isinstance(x, Scalar) for row in M for x in row)
+    for row, row_dense in zip(R, R_dense):
+        assert len(row) == len(row_dense)
+        for x, y in zip(row, row_dense):
+            if scalar_in:
+                y = Scalar.of(y)
+                assert type(x) is Scalar
+                assert (x.znum, x.zden) == (y.znum, y.zden), (x, y)
+            else:
+                assert type(x) is Fraction and x == y, (x, y)
+
+
+class TestFractionFree:
+    @pytest.mark.parametrize("family", [_poly_denominators, _shared_factors,
+                                        _large_content, _mixed])
+    def test_seeded_families(self, family):
+        rng = random.Random(f"rref:{family.__name__}")
+        for _ in range(25):
+            _assert_rref_is_the_dense_rref(family(rng))
+
+    def test_rank_drop_at_a_specialization(self):
+        # a - 2 is not zero in Q(a): the row stays a pivot row
+        rng = random.Random(41)
+        for _ in range(25):
+            M, r = _specialization(rng)
+            assert linalg.rank(M) == r
+            _assert_rref_is_the_dense_rref(M)
+
+    def test_irrational_torus_coboundary_matrices(self):
+        for M in _itorus_matrices():
+            _assert_rref_is_the_dense_rref(M)
+            b = [sum(row, Scalar.of(0)) for row in M]
+            x = linalg.solve(M, b)
+            assert [sum((a * v for a, v in zip(row, x)), Scalar.of(0))
+                    for row in M] == b
+
+    def test_type_contract(self):
+        # Scalars wherever the input holds one, even one zero Scalar;
+        # Fractions for int and Fraction input; never a float or an int
+        rng = random.Random(43)
+        cases = [(_random_matrix(rng, 4, 5, 2), Fraction),
+                 ([[0, Fraction(1, 2)], [3, 0]], Fraction),
+                 ([[0, 0], [0, 0]], Fraction),
+                 ([[0, 1], [2, Scalar.of(0)]], Scalar),
+                 ([[Scalar.of(0)] * 3] * 2, Scalar),
+                 ([[1, 2], [3, Scalar.of(4)]], Scalar),
+                 (_mixed(rng), Scalar)]
+        for M, kind in cases:
+            R, _ = linalg.rref(M)
+            assert all(type(x) is kind for row in R for x in row), M
+            for v in linalg.nullspace(M):
+                assert all(type(x) in (int, kind) for x in v)
+        assert linalg.rref([]) == ([], [])
+        assert linalg.rref([[], []]) == ([[], []], [])
 
 
 class TestRref:

@@ -12,6 +12,7 @@ from diffcech.coeff import ALPHA, Scalar
 from diffcech.errors import CompatibilityError, DegreeError, ParseError
 from diffcech.funclass import AffineMap
 from diffcech.presentation import (
+    MAX_CLASS_DIMENSION,
     MAX_TUPLES,
     FiniteNerve,
     Generator,
@@ -134,6 +135,26 @@ class TestGroupQuotient:
         for g in (Generator(-2, flip), Generator(-3, shift)):
             with pytest.raises(ParseError, match="negative"):
                 GroupQuotient(1, [g], free=False, function_class_degree=1)
+
+    def test_class_size_cap(self):
+        # C(n+D+1, D+1) monomials one degree up, against the cap; a huge n
+        # or D is refused (or, with no variables, built) at once
+        for n in range(12):
+            for d in range(70):
+                wide = math.comb(n + d + 1, d + 1)
+                if wide > MAX_CLASS_DIMENSION:
+                    with pytest.raises(DegreeError, match="MAX_CLASS_DIM"):
+                        GroupQuotient(n, [], free=True,
+                                      function_class_degree=d)
+                    break
+                cls = GroupQuotient(n, [], free=True,
+                                    function_class_degree=d).function_class()
+                assert cls.dimension == math.comb(n + d, d)
+        for n, d in ((1, 10 ** 12), (10 ** 12, 0), (10 ** 9, 10 ** 9)):
+            with pytest.raises(DegreeError):
+                GroupQuotient(n, [], free=True, function_class_degree=d)
+        empty = GroupQuotient(0, [], free=True, function_class_degree=10 ** 12)
+        assert empty.function_class().basis == [()]
 
     def test_affine_of_uses_repeated_squaring(self, monkeypatch):
         gens = gallery.get_presentation("irrational-torus").generators
