@@ -77,13 +77,14 @@ def _poly_row(row):
     dens = {d for _, d in parts.values()}
     m = _Z_ONE
     for d in dens:
-        if len(m) == 1 and len(d) == 1:
-            m = (lcm(m[0], d[0]),)
-        else:
-            m = _zmul(m, _zquo(d, _zgcd(m, d)))
+        m = _zmul(m, _zquo(d, _zgcd(m, d)))
     cofactor = {d: _zquo(m, d) for d in dens}
     return _poly_primitive({j: _zmul(n, cofactor[d])
                             for j, (n, d) in parts.items()})
+
+
+def _poly_size(x):
+    return len(x), abs(x[-1])
 
 
 def _poly_primitive(row):
@@ -137,24 +138,17 @@ def rref(M) -> Tuple[List[list], List[int]]:
                                                       or len(x.zden) > 1)
                            for row in rows for x in row.values())
     if poly:
-        active = [r for r in map(_poly_row, rows) if r]
-        eliminate = _poly_eliminate
-
-        def cost(row):
-            p = row[col]
-            return len(p), abs(p[-1]), len(row)
+        lift, eliminate, size = _poly_row, _poly_eliminate, _poly_size
     else:
-        active = [r for r in map(_int_row, rows) if r]
-        eliminate = _int_eliminate
-
-        def cost(row):
-            return abs(row[col]), len(row)
+        lift, eliminate, size = _int_row, _int_eliminate, abs
+    active = [r for r in map(lift, rows) if r]
     done, pivots = [], []
     for col in range(n):
         hits = [row for row in active if col in row]
         if not hits:
             continue
-        piv = min(hits, key=cost)
+        # the smallest pivot entry, then the sparsest row
+        piv = min(hits, key=lambda row: (size(row[col]), len(row)))
         active = [row for row in active if col not in row]
         for row in hits:
             if row is not piv:
