@@ -623,17 +623,18 @@ def boundary_matrix(pres, k: int) -> List[List[int]]:
 class CohomologyReport:
     """Structure of H^k plus representative cocycles and a class oracle."""
 
-    def __init__(self, pres, degree: int, group: Group, kind: str,
-                 free_rank: int = 0, invariant_factors=(), dimension: int = 0,
-                 representatives=(), oracle: Optional[Callable] = None,
-                 note: str = ""):
+    def __init__(self, pres, degree: int, group: Group, free_rank: int = 0,
+                 invariant_factors=(), representatives=(),
+                 oracle: Optional[Callable] = None, note: str = ""):
         self.pres = pres
         self.degree = degree
         self.group = group
-        self.kind = kind  # "integer" | "field"
-        self.free_rank = free_rank
+        # over the field R(alpha) the free rank is read as a dimension
+        self.kind = "field" if group.tag == "R(alpha)" else "integer"
+        field = self.kind == "field"
+        self.free_rank = 0 if field else free_rank
         self.invariant_factors = list(invariant_factors)
-        self.dimension = dimension
+        self.dimension = free_rank if field else 0
         self.representatives = list(representatives)
         self._oracle = oracle
         self.note = note
@@ -688,9 +689,11 @@ def _nerve_from_vector(pres, degree, group, vec) -> Cochain:
 
 
 def _integer_cohomology(pres, k: int, group: Group, A, B) -> CohomologyReport:
-    """H^k over Z or Z/m for the nerve matrices A of d_k and B of d_{k-1}, as
-    a presented group: generator cochains modulo relations, reduced by one
-    SNF of the relations."""
+    """H^k of a nerve over Z, Z/m or R(alpha) for the integer matrices A of
+    d_k and B of d_{k-1}, as a presented group: generator cochains modulo
+    relations, reduced by one SNF of the relations.  Q is flat over Z, so
+    over R(alpha) this is H^k over Z tensored with Q(a): the torsion dies and
+    the free generators are a basis."""
     n = len(pres.tuples(k))
     S = _snf(A, want_u=False, want_v=True, want_vinv=True)
     r = S.rank
@@ -698,8 +701,9 @@ def _integer_cohomology(pres, k: int, group: Group, A, B) -> CohomologyReport:
     B_rows = [{j: x for j, x in enumerate(row) if x} for row in B]
     # rows < r of Vinv*B vanish since AB = 0: boundaries lie in the span of
     # the columns r.. of V
-    if group.tag == "Z":
-        # ker A is spanned by the columns r.. of V
+    m = getattr(group, "m", 0)
+    if not m:
+        # ker A is spanned by the columns r.. of V, over Z and over a field
         gens, scale = S.kernel(), [1] * (n - r)
         rel = [sparse_mix(row, B_rows, width) for row in S.Vinv[r:]]
 
@@ -711,7 +715,6 @@ def _integer_cohomology(pres, k: int, group: Group, A, B) -> CohomologyReport:
         # mod m, x times column j of V is a cocycle exactly when s_j divides
         # x, for s_j = m / gcd(d_j, m) (d_j = 0, so s_j = 1, past the rank);
         # the scaled column then has order m / s_j
-        m = group.m
         gens = S.V
         scale = [m // math.gcd(d, m) for d in S.diag + [0] * (n - r)]
         rel = [sparse_mix(row, B_rows, width)
@@ -727,32 +730,34 @@ def _integer_cohomology(pres, k: int, group: Group, A, B) -> CohomologyReport:
     q = len(gens)
     R = _snf(rel, want_v=False, want_uinv=True)
     rR, eR = R.rank, R.diag
-    out_idx = [i for i in range(rR) if eR[i] > 1] + list(range(rR, q))
+    torsion = [] if group.tag == "R(alpha)" else [
+        i for i in range(rR) if eR[i] > 1]
+    out_idx = torsion + list(range(rR, q))
+    U_out = [R.U[i] for i in out_idx]
+    mods = [eR[i] for i in torsion] + [0] * (q - rR)
 
     def oracle(c: Cochain):
-        w = sparse_apply(R.U, to_gens(sparse_apply(S.Vinv, _nerve_vector(c))))
-        return tuple(w[i] % eR[i] if i < rR else w[i] for i in out_idx)
+        w = sparse_apply(U_out, to_gens(sparse_apply(S.Vinv, _nerve_vector(c))))
+        return tuple(x % e if e else x for x, e in zip(w, mods))
 
     # U_R is unimodular, so generator i of the group is column i of U_R^-1
     # in the coordinates of the scaled gens
     reps = [_nerve_from_vector(pres, k, group, sparse_mix(
         {j: scale[j] * x for j, x in R.Uinv[i].items()}, gens, n))
         for i in out_idx]
-    return CohomologyReport(pres, k, group, "integer", free_rank=q - rR,
-                            invariant_factors=[eR[i] for i in out_idx
-                                               if i < rR],
+    return CohomologyReport(pres, k, group, free_rank=q - rR,
+                            invariant_factors=mods[:len(torsion)],
                             representatives=reps, oracle=oracle)
 
 
 def _field_cohomology_from_matrices(pres, k: int, group, A, B,
                                     to_vector, from_vector,
                                     note: str = "") -> CohomologyReport:
-    """Field-coefficient H^k = ker A / im B for the row matrices A of d_k and
-    B of d_{k-1} (n x 0 in degree 0), reduced by `linalg` in the entries as
-    given: integer nerve matrices over Q, function-class systems over Q(a).
-    Since Q lies in Q(a) and the RREF is unique, both give the same kernel
-    basis and representatives; the oracle's cochain vector is Q(a), so its
-    coordinates are Scalars."""
+    """H^k = ker A / im B over Q(a) for the row matrices A of d_k and B of
+    d_{k-1} (n x 0 in degree 0) of a quotient's function-class system,
+    reduced by `linalg`.  The representatives are the kernel vectors that
+    leave the span of B, chosen greedily in order; the oracle's coordinates
+    solve [B | chosen] and are Scalars."""
     kernel = linalg.nullspace(A)
     width = len(B[0]) if B else 0
 
@@ -774,7 +779,7 @@ def _field_cohomology_from_matrices(pres, k: int, group, A, B,
         return tuple(coords[width:])
 
     reps = [from_vector(v) for v in chosen]
-    return CohomologyReport(pres, k, group, "field", dimension=len(chosen),
+    return CohomologyReport(pres, k, group, free_rank=len(chosen),
                             representatives=reps, oracle=oracle, note=note)
 
 
@@ -856,18 +861,11 @@ def cohomology(pres, group: Group, k: int) -> CohomologyReport:
             raise DegreeError(
                 f"degree {k} not supported with k_max={pres.k_max}"
             )
-        integer = group.tag == "Z" or group.tag.startswith("Z/")
-        if not integer and group.tag != "R(alpha)":
-            raise ParseError(f"unsupported coefficient tag {group.tag!r} "
-                             "for nerve cohomology")
+        _require_nerve_tag(group)
         A = boundary_matrix(pres, k)
         B = (boundary_matrix(pres, k - 1) if k > 0
              else [[] for _ in pres.tuples(0)])
-        if integer:
-            return _integer_cohomology(pres, k, group, A, B)
-        return _field_cohomology_from_matrices(
-            pres, k, group, A, B, _nerve_vector,
-            lambda v: _nerve_from_vector(pres, k, group, v))
+        return _integer_cohomology(pres, k, group, A, B)
     if group.tag != "R(alpha)":
         raise ParseError("quotient cohomology uses the R model coefficients")
     if k == 0 or pres.is_finite():
@@ -885,9 +883,7 @@ def h0_global_sections(pres, group: Group) -> CohomologyReport:
     """H^0 as global sections: locally constant data glued over the nerve,
     or the K-invariant functions of a quotient."""
     if pres.kind == "nerve":
-        tag = group.tag
-        if tag not in ("Z", "R(alpha)") and not tag.startswith("Z/"):
-            raise ParseError(f"unsupported coefficient tag {tag!r}")
+        _require_nerve_tag(group)
         comps = pres.components()
         reps = [
             Cochain.nerve(pres, 0, group, {
@@ -901,15 +897,20 @@ def h0_global_sections(pres, group: Group) -> CohomologyReport:
             _require_cocycle(c)
             return tuple(c.payload[(comp[0],)] for comp in comps)
 
-        n, field = len(comps), tag == "R(alpha)"
+        n, m = len(comps), getattr(group, "m", 0)
         return CohomologyReport(
-            pres, 0, group, "field" if field else "integer",
-            free_rank=n if tag == "Z" else 0,
-            invariant_factors=[group.m] * n if tag.startswith("Z/") else (),
-            dimension=n if field else 0, representatives=reps, oracle=oracle,
-            note=f"{n} component(s)")
+            pres, 0, group, free_rank=0 if m else n,
+            invariant_factors=[m] * n if m else (), representatives=reps,
+            oracle=oracle, note=f"{n} component(s)")
 
     return _quotient_field_cohomology(pres, 0, group)
+
+
+def _require_nerve_tag(group: Group):
+    tag = group.tag
+    if tag not in ("Z", "R(alpha)") and not tag.startswith("Z/"):
+        raise ParseError(f"unsupported coefficient tag {tag!r} "
+                         "for nerve cohomology")
 
 
 def _require_cocycle(c: Cochain):
