@@ -1,33 +1,30 @@
-"""Exact linear algebra over any field of exact elements.
+"""Exact linear algebra over the field Q(a).
 
 Matrices are lists of rows.  Entries may be ints, Fractions or Scalars of
-Q(a), mixed freely; an entry is zero when it is falsy.  ``rref`` reduces
-fraction-free, after Bareiss (Math. Comp. 1968).  Each row is cleared of
-denominators once, into a sparse primitive row over Z when every entry is
-rational and over Z[a] otherwise.  An element of Z[a] is an integer
-coefficient tuple, as inside ``Scalar``, and this module does its arithmetic
-with ``coeff``'s private helpers ``_zmul``, ``_zadd``, ``_zquo`` and
-``_zgcd``.  A row is eliminated as p * row - f * pivot row, with p and f
-divided by their gcd, on nonzero entries only, and is then divided by its
-integer content.  Each output entry is one quotient, made canonical at the
-end.  The reduced row echelon form is unique, so the pivot rows may be
-chosen for small multipliers, and a rational matrix gives the same pivots
-and values as its lift to Q(a).  Used wherever coefficients live in a field:
-field-coefficient cohomology of nerves and the function-class linear systems
-of quotient presentations.
+Q(a), mixed freely; an entry is zero when it is falsy, and every reduced
+entry is a canonical Scalar.  ``rref`` reduces fraction-free, after Bareiss
+(Math. Comp. 1968).  Each row is cleared of denominators once, into a sparse
+primitive row over Z when every entry is rational and over Z[a] otherwise.
+An element of Z[a] is an integer coefficient tuple, as inside ``Scalar``,
+and this module does its arithmetic with ``coeff``'s private helpers
+``_zmul``, ``_zadd``, ``_zquo`` and ``_zgcd``.  A row is eliminated as
+p * row - f * pivot row, with p and f divided by their gcd, on nonzero
+entries only, and is then divided by its integer content.  Each output entry
+is one quotient, made canonical at the end.  The reduced row echelon form is
+unique, so the pivot rows may be chosen for small multipliers.  Used for the
+function-class linear systems of quotient presentations; nerve cohomology
+needs none of it, since its integer matrices go through the Smith normal
+form of ``coeff``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Tuple
 
 from .coeff import ONE, ZERO, Scalar, _make, _zadd, _zgcd, _zmul, _zneg, _zquo
 
 _Z_ONE = (1,)
-_F_ZERO = Fraction(0)
-_F_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +123,15 @@ def _quotient(x, d):
 
 
 def rref(M) -> Tuple[List[list], List[int]]:
-    """Reduced row echelon form and the pivot column indices.  The entries
-    are Scalars when M holds a Scalar, and Fractions otherwise."""
+    """Reduced row echelon form, its entries canonical Scalars, and the
+    pivot column indices."""
     m = len(M)
     n = len(M[0]) if m else 0
-    scalars = any(Scalar in map(type, row) for row in M)
     # the zero Scalar is mostly the one ZERO, passed over without a call
     rows = [{j: x for j, x in enumerate(row) if x is not ZERO and x}
             for row in M]
-    poly = scalars and any(x.__class__ is Scalar and (len(x.znum) > 1
-                                                      or len(x.zden) > 1)
-                           for row in rows for x in row.values())
+    poly = any(x.__class__ is Scalar and (len(x.znum) > 1 or len(x.zden) > 1)
+               for row in rows for x in row.values())
     if poly:
         lift, eliminate, size = _poly_row, _poly_eliminate, _poly_size
     else:
@@ -168,23 +163,15 @@ def rref(M) -> Tuple[List[list], List[int]]:
                 row = eliminate(row, piv, col)
         done[k] = row
 
-    if poly:
-        entry = _quotient
-    elif scalars:
-        def entry(x, d):
-            return _quotient((x,), (d,))
-    else:
-        entry = Fraction
-    zero, one = (ZERO, ONE) if scalars else (_F_ZERO, _F_ONE)
     R = []
     for col, row in zip(pivots, done):
         d = row.pop(col)
-        out = [zero] * n
-        out[col] = one
+        out = [ZERO] * n
+        out[col] = ONE
         for j, x in row.items():
-            out[j] = entry(x, d)
+            out[j] = _quotient(x, d) if poly else _quotient((x,), (d,))
         R.append(out)
-    R += [[zero] * n for _ in range(m - len(pivots))]
+    R += [[ZERO] * n for _ in range(m - len(pivots))]
     return R, pivots
 
 

@@ -1,4 +1,5 @@
-"""Field-generic exact linear algebra: ints and Fractions reduce over Q."""
+"""Exact linear algebra over Q(a): int, Fraction and Scalar entries reduce to
+canonical Scalars."""
 
 import random
 from fractions import Fraction
@@ -150,24 +151,24 @@ def _itorus_matrices():
             yield [list(col) for col in zip(*M)]
 
 
+def _canonical_pairs(R):
+    """Each entry of R as its canonical pair (znum, zden); an entry that is
+    not a Scalar fails."""
+    for row in R:
+        for x in row:
+            assert type(x) is Scalar, x
+    return [[(x.znum, x.zden) for x in row] for row in R]
+
+
 def _assert_rref_is_the_dense_rref(M):
-    """Pivots and entries of the fraction-free RREF against the dense
-    field RREF: a Scalar by its canonical pair (znum, zden), a Fraction by
-    value."""
+    """Pivots and entries of the fraction-free RREF against the dense field
+    RREF, each entry a Scalar compared by its canonical pair (znum, zden)."""
     R, pivots = linalg.rref(M)
     R_dense, pivots_dense = _dense_rref(M)
     assert pivots == pivots_dense
     assert len(R) == len(M)
-    scalar_in = any(isinstance(x, Scalar) for row in M for x in row)
-    for row, row_dense in zip(R, R_dense):
-        assert len(row) == len(row_dense)
-        for x, y in zip(row, row_dense):
-            if scalar_in:
-                y = Scalar.of(y)
-                assert type(x) is Scalar
-                assert (x.znum, x.zden) == (y.znum, y.zden), (x, y)
-            else:
-                assert type(x) is Fraction and x == y, (x, y)
+    assert _canonical_pairs(R) == _canonical_pairs(
+        [[Scalar.of(y) for y in row] for row in R_dense])
 
 
 class TestFractionFree:
@@ -195,21 +196,20 @@ class TestFractionFree:
                     for row in M] == b
 
     def test_type_contract(self):
-        # Scalars wherever the input holds one, even one zero Scalar;
-        # Fractions for int and Fraction input; never a float or an int
+        # canonical Scalars for every input, int and Fraction included;
+        # never a float, an int or a Fraction
         rng = random.Random(43)
-        cases = [(_random_matrix(rng, 4, 5, 2), Fraction),
-                 ([[0, Fraction(1, 2)], [3, 0]], Fraction),
-                 ([[0, 0], [0, 0]], Fraction),
-                 ([[0, 1], [2, Scalar.of(0)]], Scalar),
-                 ([[Scalar.of(0)] * 3] * 2, Scalar),
-                 ([[1, 2], [3, Scalar.of(4)]], Scalar),
-                 (_mixed(rng), Scalar)]
-        for M, kind in cases:
-            R, _ = linalg.rref(M)
-            assert all(type(x) is kind for row in R for x in row), M
+        cases = [_random_matrix(rng, 4, 5, 2),
+                 [[0, Fraction(1, 2)], [3, 0]],
+                 [[0, 0], [0, 0]],
+                 [[0, 1], [2, Scalar.of(0)]],
+                 [[Scalar.of(0)] * 3] * 2,
+                 [[1, 2], [3, Scalar.of(4)]],
+                 _mixed(rng)]
+        for M in cases:
+            _assert_rref_is_the_dense_rref(M)
             for v in linalg.nullspace(M):
-                assert all(type(x) in (int, kind) for x in v)
+                assert all(type(x) in (int, Scalar) for x in v)
         assert linalg.rref([]) == ([], [])
         assert linalg.rref([[], []]) == ([[], []], [])
 
@@ -226,15 +226,17 @@ class TestRref:
             assert not any(isinstance(x, float) for row in R for x in row)
 
     def test_integer_rref_is_the_scalar_rref(self):
-        # the RREF is unique and Q lies in Q(a), so reducing the integers as
-        # they are gives the values of their lift to Q(a)
+        # the RREF is unique and Q lies in Q(a), so int, Fraction and
+        # Scalar.of input reduce to the same canonical Scalars, those of the
+        # dense RREF
         for M in _matrices(3):
+            _assert_rref_is_the_dense_rref(M)
             R, pivots = linalg.rref(M)
-            RS, pivots_s = linalg.rref([[Scalar.of(x) for x in row]
-                                        for row in M])
-            assert pivots == pivots_s
-            assert R == RS
-            assert not any(isinstance(x, Scalar) for row in R for x in row)
+            for lift in (Fraction, Scalar.of):
+                RL, pivots_l = linalg.rref([[lift(x) for x in row]
+                                            for row in M])
+                assert pivots_l == pivots
+                assert _canonical_pairs(RL) == _canonical_pairs(R)
 
     def test_no_floating_point(self):
         for M in _matrices(5):
