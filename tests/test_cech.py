@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffcech import gallery, serialize
+from diffcech import gallery, linalg, serialize
 from diffcech.cech import (
     CROSSED_CACHE_SIZE,
     Cochain,
@@ -392,6 +392,13 @@ def _torus_nerve(n, alternating):
     return FiniteNerve.from_facets(n * n, facets, 3, alternating)
 
 
+def _named_nerve(name):
+    """A gallery nerve, or the alternating n x n torus for "torus<n>"."""
+    if name.startswith("torus") and name != "torus9":
+        return _torus_nerve(int(name[5:]), True)
+    return gallery.get_presentation(name)
+
+
 def _circle_nerve(m, alternating):
     """Nerve of m equal arcs covering the circle, each meeting only its
     two neighbours, k_max = 2."""
@@ -499,21 +506,85 @@ class TestIndependentRoutes:
                 assert (a.free_rank, a.invariant_factors) == (
                     f.free_rank, f.invariant_factors), (group.tag, k)
 
-    @pytest.mark.parametrize("name", GALLERY_NERVES)
+    @pytest.mark.parametrize("name", GALLERY_NERVES + ["torus4", "torus5",
+                                                      "torus6"])
     def test_field_dimension_is_integer_free_rank(self, name):
-        # universal coefficients: Q(a) row reduction against the integer SNF
-        pres = gallery.get_presentation(name)
+        # universal coefficients: the dimension read off the integer SNF is
+        # dim C^k - rank(d_k) - rank(d_{k-1}), with both ranks from Q(a) row
+        # reduction, and no torsion survives over the field
+        pres = _named_nerve(name)
         for k in range(pres.k_max):
-            assert (cohomology(pres, RAlphaGroup(), k).dimension
-                    == cohomology(pres, ZGroup(), k).free_rank)
+            rep = cohomology(pres, RAlphaGroup(), k)
+            ranks = linalg.rank(boundary_matrix(pres, k)) + (
+                linalg.rank(boundary_matrix(pres, k - 1)) if k else 0)
+            assert rep.dimension == len(pres.tuples(k)) - ranks, k
+            assert rep.dimension == cohomology(pres, ZGroup(), k).free_rank
+            assert len(rep.representatives) == rep.dimension
+            assert rep.invariant_factors == []
+
+    @pytest.mark.parametrize("name", GALLERY_NERVES + ["torus4", "torus5",
+                                                      "torus6"])
+    def test_field_coordinates_solve_beside_the_boundaries(self, name):
+        # generic Q(a) cocycles: Q(a)-multiples of the representatives plus
+        # a coboundary; the class coordinates are the multiples, and they
+        # solve [B | representatives] x = c by Q(a) row reduction
+        pres = _named_nerve(name)
+        group, rng = RAlphaGroup(), random.Random(f"field:{name}")
+        third = (ALPHA + 1) / 3
+
+        def generic():
+            return (Scalar.of(rng.randrange(-4, 5))
+                    + ALPHA * rng.randrange(-4, 5)) * third
+
+        for k in range(pres.k_max):
+            rep = cohomology(pres, group, k)
+            tuples = pres.tuples(k)
+            B = (boundary_matrix(pres, k - 1) if k
+                 else [[] for _ in tuples])
+            reps = [[r.payload[t] for t in tuples]
+                    for r in rep.representatives]
+            A = [row + [v[i] for v in reps] for i, row in enumerate(B)]
+            width = len(B[0])
+            for _ in range(3):
+                xs = [generic() for _ in reps]
+                ys = [generic() for _ in range(width)]
+                vec = [sum((a * y for a, y in zip(row, ys)), Scalar.of(0))
+                       + sum((x * v[i] for x, v in zip(xs, reps)),
+                             Scalar.of(0)) for i, row in enumerate(B)]
+                c = Cochain.nerve(pres, k, group, dict(zip(tuples, vec)))
+                coords = list(rep.class_coordinates(c))
+                assert coords == linalg.solve(A, vec)[width:] == xs, k
+            # a cochain off the cocycles is refused
+            zero = dict.fromkeys(tuples, Scalar.of(0))
+            units = (Cochain.nerve(pres, k, group, {**zero, t: third})
+                     for t in tuples)
+            c = next((c for c in units if not is_cocycle(c)), None)
+            if c is not None:
+                with pytest.raises(CocycleError):
+                    rep.class_coordinates(c)
+
+    def test_nerve_cohomology_reaches_no_row_reduction(self, monkeypatch):
+        # over R(alpha) a nerve report and its oracle come from the integer
+        # SNF alone
+        calls = []
+        monkeypatch.setattr(linalg, "rref",
+                            lambda M: calls.append(M) or ([], []))
+        rng = random.Random(61)
+        for name in GALLERY_NERVES:
+            pres = gallery.get_presentation(name)
+            for k in range(pres.k_max):
+                rep = cohomology(pres, RAlphaGroup(), k)
+                for c in rep.representatives + [random_cocycle(
+                        pres, k, RAlphaGroup(), rng, rep.representatives)]:
+                    rep.class_coordinates(c)
+        assert calls == []
 
     @pytest.mark.parametrize("name", GALLERY_NERVES + ["torus4", "torus5",
                                                       "torus6"])
     def test_rank_mod_p_is_snf_rank(self, name):
         # over GF(p) the rank of d is the number of invariant factors that p
         # does not divide; the elimination above shares nothing with the SNF
-        pres = (_torus_nerve(int(name[5:]), True) if name.startswith("torus")
-                else gallery.get_presentation(name))
+        pres = _named_nerve(name)
         for k in range(pres.k_max):
             M = boundary_matrix(pres, k)
             diag = _snf(M, want_u=False, want_v=False).diag
