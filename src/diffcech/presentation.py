@@ -201,8 +201,6 @@ def _wide_class_over_the_cap(n: int, D: int) -> bool:
     """Whether C(n+D+1, D+1) > MAX_CLASS_DIMENSION, for n, D >= 0.  With
     k = min(n, D+1) it is built as C(n+D+1-k+i, i) for i = 1..k, which
     grows with i, so a huge n or D stops after a few steps."""
-    if min(n, D) < 0:
-        return False
     k = min(n, D + 1)
     top, size = n + D + 1 - k, 1
     for i in range(1, k + 1):
@@ -225,6 +223,10 @@ class GroupQuotient:
         self.function_class_degree = function_class_degree
         self.name = name
         self._affine_cache: Dict[Tuple[int, ...], AffineMap] = {}
+        for what, size in (("dimension", dim),
+                           ("function class degree", function_class_degree)):
+            if size < 0:
+                raise DegreeError(f"the {what} {size} is negative")
         if _wide_class_over_the_cap(dim, function_class_degree):
             raise DegreeError(
                 f"the function class (n={dim}, D={function_class_degree}) has "

@@ -430,6 +430,22 @@ class TestErrors:
             "degree up, where witnesses are sought "
             "(diffcech.presentation.MAX_CLASS_DIMENSION)")
 
+    def test_negative_class_sizes(self, tmp_path):
+        # a negative dimension or degree is refused where the quotient is
+        # built, not read as an empty class
+        shift = [{"torsion": 0, "affine": {"A": [["1"]], "b": ["1"]}}]
+        for dim, degree, gens, what in (
+                (-1, 1, [], "dimension -1"),
+                (1, -1, shift, "function class degree -1")):
+            doc = {"kind": "quotient", "dim": dim, "free": True,
+                   "function_class_degree": degree, "generators": gens}
+            p = tmp_path / "negative.json"
+            p.write_text(json.dumps(doc))
+            code, lines = _run(["cohomology", "--degree", "0", "--coeff",
+                                "R(alpha)", str(p)])
+            assert code == 2
+            assert lines[2] == f"error: the {what} is negative"
+
     def test_unserializable_coboundary_prints_no_result(self):
         # d of crossed data over an infinite group is lazy; the command must
         # refuse it before it prints any part of a result
