@@ -14,12 +14,13 @@ from typing import Dict
 from .cech import (
     Cochain,
     CohomologyReport,
+    _add_into,
     _field_cohomology_from_matrices,
     _require_cocycle,
     crossed_relations,
     crossed_value,
 )
-from .coeff import RAlphaGroup, Scalar
+from .coeff import ZERO, RAlphaGroup
 from .errors import FreenessError, ParseError
 from .funclass import FunctionElement, act
 from . import linalg
@@ -122,8 +123,13 @@ def h1_group(pres) -> CohomologyReport:
     P_cols = [to_vector(principal_crossed(pres, m).values) for m in monomials]
     combos = linalg.nullspace([[col[i * dim + t] for col in P_cols]
                                for i in range(r) for t in top])
-    B = [[sum((col[u] * c for col, c in zip(P_cols, combo)), Scalar.of(0))
-          for combo in combos] for u in range(r * dim)]
+    B = [[ZERO] * len(combos) for _ in range(r * dim)]
+    P_nonzero = [[(u, x) for u, x in enumerate(col) if x] for col in P_cols]
+    for j, combo in enumerate(combos):
+        for nonzero, c in zip(P_nonzero, combo):
+            if c:
+                for u, x in nonzero:
+                    _add_into(B[u], j, x * c)
 
     def from_vector(v):
         return Cochain.crossed(pres, {
