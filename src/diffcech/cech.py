@@ -630,8 +630,8 @@ class CohomologyReport:
         self.degree = degree
         self.group = group
         # over the field R(alpha) the free rank is read as a dimension
-        self.kind = "field" if group.tag == "R(alpha)" else "integer"
-        field = self.kind == "field"
+        field = group.tag == "R(alpha)"
+        self.kind = "field" if field else "integer"
         self.free_rank = 0 if field else free_rank
         self.invariant_factors = list(invariant_factors)
         self.dimension = free_rank if field else 0
