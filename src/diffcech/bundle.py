@@ -128,10 +128,10 @@ def _arrow(pres, y1, y2):
         for p in range(degree):
             eq = [_coeff(s[c], p) for s in shifts] + [_coeff(diff[c], p)]
             scale = lcm(*(x.denominator for x in eq))
-            rows.append([int(x * scale) for x in eq])
-    if not rows:
-        rows = [[0] * (len(shifts) + 1)]
-    sol = _snf([row[:-1] for row in rows]).solve([row[-1] for row in rows])
+            rows.append({j: int(x * scale) for j, x in enumerate(eq) if x})
+    # column len(shifts) holds the right-hand sides
+    rhs = [row.pop(len(shifts), 0) for row in rows]
+    sol = _snf(rows, len(shifts)).solve(rhs)
     if sol is None:
         raise FiberError("points lie in different orbits")
     k = pres.k_canonical(tuple(sol))

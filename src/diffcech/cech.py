@@ -27,6 +27,7 @@ from .coeff import (
     ZERO,
     ZGroup,
     ZmodGroup,
+    _axpy,
     _snf,
     sparse_apply,
     sparse_mix,
@@ -591,16 +592,16 @@ def is_cocycle(c: Cochain, seed: int = DEFAULT_SEED) -> CocycleCheck:
 # boundary matrices and the cohomology engines
 
 
-# longest side of a dense boundary matrix; the SNF of an a x b matrix also
-# keeps b x b (or a x a) transforms
+# longest side of a boundary matrix; its rows are sparse, but the SNF of an
+# a x b matrix keeps b x b (or a x a) transforms, which fill in
 MAX_MATRIX_SIDE = 4096
 
 
-def boundary_matrix(pres, k: int) -> List[List[int]]:
-    """Integer matrix of d: C^k -> C^{k+1} on a nerve (rows = (k+2)-tuples).
-
-    A face of a stored tuple is stored as it is: increasing tuples have
-    increasing faces, so no face needs a sign from sorting."""
+def boundary_matrix(pres, k: int) -> List[Dict[int, int]]:
+    """Integer matrix of d: C^k -> C^{k+1} on a nerve, one sparse row per
+    (k+2)-tuple.  A face of a stored tuple is stored as it is: increasing
+    tuples have increasing faces, so no face needs a sign from sorting, and
+    faces that cancel (repeats allowed) leave no entry."""
     cols = pres.tuples(k)
     rows = pres.tuples(k + 1)
     if max(len(rows), len(cols)) > MAX_MATRIX_SIDE:
@@ -609,14 +610,10 @@ def boundary_matrix(pres, k: int) -> List[List[int]]:
             f"a side exceeds the limit of {MAX_MATRIX_SIDE} "
             f"(diffcech.cech.MAX_MATRIX_SIDE)")
     idx = {t: j for j, t in enumerate(cols)}
-    if not rows:
-        # no tuples upstairs: d is the zero map, kept as one zero row so the
-        # column count survives
-        return [[0] * len(cols)]
-    M = [[0] * len(cols) for _ in rows]
-    for r, t in enumerate(rows):
+    M = [{} for _ in rows]
+    for row, t in zip(M, rows):
         for i in range(k + 2):
-            M[r][idx[t[:i] + t[i + 1 :]]] += -1 if i % 2 else 1
+            _axpy(row, {idx[t[:i] + t[i + 1 :]]: 1}, -1 if i % 2 else 1)
     return M
 
 
@@ -684,28 +681,30 @@ def _nerve_vector(c: Cochain) -> list:
 
 
 def _nerve_from_vector(pres, degree, group, vec) -> Cochain:
-    return Cochain.nerve(pres, degree, group,
-                         dict(zip(pres.tuples(degree), vec)))
+    """The nerve cochain of the sparse vector vec over the degree's tuples."""
+    return Cochain.nerve(pres, degree, group, {
+        t: vec.get(j, 0) for j, t in enumerate(pres.tuples(degree))})
 
 
-def _integer_cohomology(pres, k: int, group: Group, A, B) -> CohomologyReport:
-    """H^k of a nerve over Z, Z/m or R(alpha) for the integer matrices A of
+def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
+    """H^k of a nerve over Z, Z/m or R(alpha) from the integer matrices A of
     d_k and B of d_{k-1}, as a presented group: generator cochains modulo
     relations, reduced by one SNF of the relations.  Q is flat over Z, so
     over R(alpha) this is H^k over Z tensored with Q(a): the torsion dies and
     the free generators are a basis."""
     n = len(pres.tuples(k))
-    S = _snf(A, want_u=False, want_v=True, want_vinv=True)
+    S = _snf(boundary_matrix(pres, k), n, want_u=False, want_vinv=True)
     r = S.rank
-    width = len(B[0]) if B else 0
-    B_rows = [{j: x for j, x in enumerate(row) if x} for row in B]
+    # in degree 0, B is the map from the zero group: n rows and no columns
+    B = boundary_matrix(pres, k - 1) if k else [{}] * n
+    width = len(pres.tuples(k - 1)) if k else 0
     # rows < r of Vinv*B vanish since AB = 0: boundaries lie in the span of
     # the columns r.. of V
     m = getattr(group, "m", 0)
     if not m:
         # ker A is spanned by the columns r.. of V, over Z and over a field
         gens, scale = S.kernel(), [1] * (n - r)
-        rel = [sparse_mix(row, B_rows, width) for row in S.Vinv[r:]]
+        rel = [sparse_mix(row, B) for row in S.Vinv[r:]]
 
         def to_gens(z):
             if any(z[:r]):
@@ -717,8 +716,8 @@ def _integer_cohomology(pres, k: int, group: Group, A, B) -> CohomologyReport:
         # the scaled column then has order m / s_j
         gens = S.V
         scale = [m // math.gcd(d, m) for d in S.diag + [0] * (n - r)]
-        rel = [sparse_mix(row, B_rows, width)
-               + [m // scale[i] if j == i else 0 for j in range(n)]
+        # relation width + i: generator i has order m / s_i
+        rel = [{**sparse_mix(row, B), width + i: m // scale[i]}
                for i, row in enumerate(S.Vinv)]
 
         def to_gens(z):
@@ -728,7 +727,7 @@ def _integer_cohomology(pres, k: int, group: Group, A, B) -> CohomologyReport:
             return [x // sj for x, sj in zip(z, scale)]
 
     q = len(gens)
-    R = _snf(rel, want_v=False, want_uinv=True)
+    R = _snf(rel, width + (n if m else 0), want_v=False, want_uinv=True)
     rR, eR = R.rank, R.diag
     torsion = [] if group.tag == "R(alpha)" else [
         i for i in range(rR) if eR[i] > 1]
@@ -743,7 +742,7 @@ def _integer_cohomology(pres, k: int, group: Group, A, B) -> CohomologyReport:
     # U_R is unimodular, so generator i of the group is column i of U_R^-1
     # in the coordinates of the scaled gens
     reps = [_nerve_from_vector(pres, k, group, sparse_mix(
-        {j: scale[j] * x for j, x in R.Uinv[i].items()}, gens, n))
+        {j: scale[j] * x for j, x in R.Uinv[i].items()}, gens))
         for i in out_idx]
     return CohomologyReport(pres, k, group, free_rank=q - rR,
                             invariant_factors=mods[:len(torsion)],
@@ -862,10 +861,7 @@ def cohomology(pres, group: Group, k: int) -> CohomologyReport:
                 f"degree {k} not supported with k_max={pres.k_max}"
             )
         _require_nerve_tag(group)
-        A = boundary_matrix(pres, k)
-        B = (boundary_matrix(pres, k - 1) if k > 0
-             else [[] for _ in pres.tuples(0)])
-        return _integer_cohomology(pres, k, group, A, B)
+        return _integer_cohomology(pres, k, group)
     if group.tag != "R(alpha)":
         raise ParseError("quotient cohomology uses the R model coefficients")
     if k == 0 or pres.is_finite():
@@ -1000,15 +996,16 @@ def classes_equal(f1: Cochain, f2: Cochain) -> ClassComparison:
                                        "equal as global sections")
             return ClassComparison(False, None,
                                    "degree-0 classes differ value-wise")
-        B = boundary_matrix(pres, k - 1)
-        sol = _snf(B).solve_group(_nerve_vector(diff), f1.group)
+        sol = _snf(boundary_matrix(pres, k - 1), len(pres.tuples(k - 1))
+                   ).solve_group(_nerve_vector(diff), f1.group)
         if sol is None:
             return ClassComparison(
                 False, None,
                 f"no (k-1)-cochain alpha over {f1.group.tag} solves "
                 f"d(alpha) = difference",
             )
-        alpha = _nerve_from_vector(pres, k - 1, f1.group, sol)
+        alpha = _nerve_from_vector(pres, k - 1, f1.group,
+                                   dict(enumerate(sol)))
         return ClassComparison(True, alpha, "witness found")
     return _quotient_classes_equal(pres, k, diff)
 

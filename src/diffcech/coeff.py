@@ -863,13 +863,12 @@ def sparse_apply(rows, vec):
     return [sum(x * vec[k] for k, x in row.items()) for row in rows]
 
 
-def sparse_mix(coeffs, vecs, length):
-    """The dense vector sum of coeffs[k] * vecs[k] over the sparse coeffs,
-    each vecs[k] sparse."""
-    out = [0] * length
+def sparse_mix(coeffs, vecs):
+    """The sparse vector sum of coeffs[k] * vecs[k] over the sparse coeffs,
+    each vecs[k] sparse; like every sparse vector, it stores no zero."""
+    out = {}
     for k, c in coeffs.items():
-        for i, x in vecs[k].items():
-            out[i] += c * x
+        _axpy(out, vecs[k], c)
     return out
 
 
@@ -879,8 +878,9 @@ def _dense(vecs, size):
 
 
 class SmithForm:
-    """D = U*M*V for an m x n integer matrix M: D is diagonal with the
-    invariant factors diag[0] | diag[1] | ... > 0, U and V are unimodular.
+    """D = U*M*V for an m x n integer matrix M, given as m sparse rows and
+    the column count n: D is diagonal with the invariant factors
+    diag[0] | diag[1] | ... > 0, U and V are unimodular.
 
     U and Vinv are lists of sparse rows, V and Uinv (the inverse of U) lists
     of sparse columns; a factor that was not tracked is None."""
@@ -929,16 +929,16 @@ class SmithForm:
         return xs
 
 
-def _snf(M, want_u=True, want_v=True, want_vinv=False, want_uinv=False):
-    """The SmithForm of M, a list of integer rows, with the factors asked for.
+def _snf(M, n, want_u=True, want_v=True, want_vinv=False, want_uinv=False):
+    """The SmithForm of M, a list of sparse integer rows with n columns, with
+    the factors asked for.  No row of M may store a zero; M is not changed.
 
     Pivot rule: the least (|x|, i, j) over the rows and columns not yet
     diagonal, so the smallest magnitude with a row-major tie-break.  A row
     operation on U is the inverse column operation on Uinv, and a column
     operation on V the inverse row operation on Vinv."""
     m = len(M)
-    n = len(M[0]) if m else 0
-    A = [{j: x for j, x in enumerate(row) if x} for row in M]
+    A = [dict(row) for row in M]
     cols = [set() for _ in range(n)]  # column j -> rows with a nonzero there
     for i, row in enumerate(A):
         for j in row:
@@ -1060,6 +1060,8 @@ def smith_normal_form(M):
     """Return (D, U, V) with D = U*M*V diagonal, invariant factors d1 | d2 | ...
 
     U and V are unimodular; diagonal entries are non-negative; the result is
-    deterministic (smallest-magnitude pivot, row-major tie-break).
+    deterministic (smallest-magnitude pivot, row-major tie-break).  M and
+    the factors are lists of dense integer rows.
     """
-    return _snf(M).dense()[:3]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in M]
+    return _snf(rows, len(M[0]) if M else 0).dense()[:3]

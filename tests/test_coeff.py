@@ -54,6 +54,11 @@ def _random_matrix(rng, rows, cols, bound=9):
             for _ in range(rows)]
 
 
+def _sparse(M):
+    """Dense integer rows as the sparse rows `_snf` takes."""
+    return [{j: x for j, x in enumerate(row) if x} for row in M]
+
+
 class TestScalar:
     def test_canonical_form_examples(self):
         assert Scalar((2,), (4,)) == Scalar.of(Fraction(1, 2))
@@ -379,27 +384,27 @@ class TestSmithNormalForm:
             M = _random_matrix(rng, rows, cols)
             x0 = [rng.randrange(-5, 6) for _ in range(cols)]
             b = _mat_vec(M, x0)
-            sol = _snf(M).solve(b)
+            sol = _snf(_sparse(M), cols).solve(b)
             assert sol is not None
             assert _mat_vec(M, sol) == b
 
     def test_solver_detects_inconsistency(self):
         # 2x = 1 has no integer solution
-        assert _snf([[2]]).solve([1]) is None
+        assert _snf([{0: 2}], 1).solve([1]) is None
 
     def test_kernel_basis(self):
         rng = random.Random(7)
         for _ in range(25):
             rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
             M = _random_matrix(rng, rows, cols)
-            for col in _snf(M).kernel():
+            for col in _snf(_sparse(M), cols).kernel():
                 v = [col.get(i, 0) for i in range(cols)]
                 assert _mat_vec(M, v) == [0] * rows
                 assert any(v)
 
     def test_solve_group_mod_m(self):
         # 3x = 1 in Z/5 has the solution x = 2
-        sol = _snf([[3]]).solve_group([1], ZmodGroup(5))
+        sol = _snf([{0: 3}], 1).solve_group([1], ZmodGroup(5))
         assert sol is not None
         assert (3 * sol[0]) % 5 == 1
 

@@ -54,9 +54,10 @@ def test_install_and_uninstall_resolve_every_target():
         t.uninstall()
     assert all(_target(*key) is fn for key, fn in before.items())
 
-    # the SNF span reads the shape of its dense first argument: H^0 over Z
-    # factors the degree-0 boundary matrix, then the relations of its kernel
-    # generators, which have no columns
+    # the SNF span reads its first argument as rows times the length of the
+    # first row, which for the sparse rows it gets counts that row's
+    # nonzeros: H^0 over Z factors the degree-0 boundary matrix, then the
+    # relations of its kernel generators, which are empty rows
     t = tracer.Tracer()
     t.install()
     try:

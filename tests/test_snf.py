@@ -2,7 +2,8 @@
 
 `_dense_snf` below is the earlier dense implementation, kept verbatim as the
 oracle.  Both follow the same pivot sequence, so D, U, V and V^-1 must agree
-entry by entry, whichever factors are tracked.
+entry by entry, whichever factors are tracked.  `_snf` gets sparse rows, as
+`boundary_matrix` returns them, and the oracle their densified copy.
 """
 
 import itertools
@@ -14,7 +15,8 @@ from diffcech import gallery
 from diffcech.cech import boundary_matrix
 from diffcech.coeff import _snf, sparse_apply, sparse_mix
 
-from test_cech import GALLERY_NERVES, _torus_nerve
+from test_cech import GALLERY_NERVES, _dense_rows, _torus_nerve
+from test_coeff import _sparse
 
 
 def _identity(n):
@@ -151,10 +153,10 @@ def _dense_snf(M, want_u=True, want_v=True, want_vinv=False):
 
 
 
-def _check_inverse(M, rng):
+def _check_inverse(M, n, rng):
     """Uinv, tracked by columns, is the inverse of U: exactly on small
     matrices, and on seeded vectors x through U * (Uinv * x) = x."""
-    S = _snf(M, want_uinv=True)
+    S = _snf(M, n, want_uinv=True)
     m = len(M)
     if m <= 60:
         U = S.dense()[1]
@@ -163,17 +165,24 @@ def _check_inverse(M, rng):
                 for row in U] == _identity(m)
     for _ in range(3):
         x = [rng.randrange(-9, 10) for _ in range(m)]
-        y = sparse_mix(dict(enumerate(x)), S.Uinv, m)
-        assert sparse_apply(S.U, y) == x
+        y = sparse_mix({i: v for i, v in enumerate(x) if v}, S.Uinv)
+        assert sparse_apply(S.U, _dense_rows([y], m)[0]) == x
 
 
-def _check(M, flags=None):
+def _check(M, n, flags=None):
+    """The sparse rows M with n columns against the oracle on their dense
+    copy.  The oracle reads the column count off the first row, so with no
+    rows its V and V^-1 are the identity on n columns."""
     for want in ([flags] if flags else
                  itertools.product((False, True), repeat=3)):
         want_u, want_v, want_vinv = want
-        got = _snf(M, want_u=want_u, want_v=want_v, want_vinv=want_vinv)
-        assert got.dense() == _dense_snf(M, want_u, want_v, want_vinv), want
-    _check_inverse(M, random.Random(len(M)))
+        got = _snf(M, n, want_u=want_u, want_v=want_v, want_vinv=want_vinv)
+        oracle = _dense_snf(_dense_rows(M, n), want_u, want_v, want_vinv)
+        if not M:
+            oracle = oracle[:2] + tuple(_identity(n) if w else None
+                                        for w in (want_v, want_vinv))
+        assert got.dense() == oracle, want
+    _check_inverse(M, n, random.Random(len(M)))
 
 
 def _random_matrix(rng):
@@ -190,7 +199,7 @@ def test_seeded_random_matrices():
     for _ in range(400):
         M = _random_matrix(rng)
         shapes.add((len(M), len(M[0]) if M else 0, any(map(any, M))))
-        _check(M)
+        _check(_sparse(M), len(M[0]) if M else 0)
     # empty, one-column and all-zero matrices are among them
     assert (0, 0, False) in shapes
     assert any(c == 1 for _, c, _ in shapes)
@@ -204,15 +213,15 @@ def test_seeded_random_matrices():
     ([[0, 9, 0], [15, 0, 0]], [3, 45]),
 ])
 def test_divisibility_chain(M, diag):
-    assert _snf(M).diag == diag
-    _check(M)
+    assert _snf(_sparse(M), len(M[0])).diag == diag
+    _check(_sparse(M), len(M[0]))
 
 
 @pytest.mark.parametrize("name", GALLERY_NERVES)
 def test_gallery_nerves(name):
     pres = gallery.get_presentation(name)
     for k in range(pres.k_max):
-        _check(boundary_matrix(pres, k))
+        _check(boundary_matrix(pres, k), len(pres.tuples(k)))
 
 
 @pytest.mark.parametrize("size,alternating", [
@@ -224,4 +233,5 @@ def test_torus_boundary_matrices(size, alternating):
     pres = _torus_nerve(size, alternating)
     degrees = range(pres.k_max if alternating or size == 4 else 2)
     for k in degrees:
-        _check(boundary_matrix(pres, k), flags=(True, True, True))
+        _check(boundary_matrix(pres, k), len(pres.tuples(k)),
+               flags=(True, True, True))
