@@ -129,7 +129,6 @@ def _arrow(pres, y1, y2):
             eq = [_coeff(s[c], p) for s in shifts] + [_coeff(diff[c], p)]
             scale = lcm(*(x.denominator for x in eq))
             rows.append({j: int(x * scale) for j, x in enumerate(eq) if x})
-    # column len(shifts) holds the right-hand sides
     rhs = [row.pop(len(shifts), 0) for row in rows]
     sol = _snf(rows, len(shifts)).solve(rhs)
     if sol is None:

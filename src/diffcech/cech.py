@@ -27,7 +27,6 @@ from .coeff import (
     ZERO,
     ZGroup,
     ZmodGroup,
-    _axpy,
     _snf,
     sparse_apply,
     sparse_mix,
@@ -613,7 +612,10 @@ def boundary_matrix(pres, k: int) -> List[Dict[int, int]]:
     M = [{} for _ in rows]
     for row, t in zip(M, rows):
         for i in range(k + 2):
-            _axpy(row, {idx[t[:i] + t[i + 1 :]]: 1}, -1 if i % 2 else 1)
+            j = idx[t[:i] + t[i + 1 :]]
+            x = row.pop(j, 0) + (-1 if i % 2 else 1)
+            if x:
+                row[j] = x
     return M
 
 
@@ -681,7 +683,6 @@ def _nerve_vector(c: Cochain) -> list:
 
 
 def _nerve_from_vector(pres, degree, group, vec) -> Cochain:
-    """The nerve cochain of the sparse vector vec over the degree's tuples."""
     return Cochain.nerve(pres, degree, group, {
         t: vec.get(j, 0) for j, t in enumerate(pres.tuples(degree))})
 

@@ -446,6 +446,20 @@ def _rank_mod_p(M, p):
     return rank
 
 
+def _builder_cases():
+    """Each gallery nerve, the 4x4-6x6 tori and the 3-6 arc circles, each
+    alternating and with repeats allowed ("-full")."""
+    for name in GALLERY_NERVES:
+        pres = gallery.get_presentation(name)
+        yield pytest.param(pres, id=name)
+        yield pytest.param(gallery.full_variant(pres), id=f"{name}-full")
+    for space, build, sizes in (("torus", _torus_nerve, (4, 5, 6)),
+                                ("arcs", _circle_nerve, (3, 4, 5, 6))):
+        for size in sizes:
+            yield pytest.param(build(size, True), id=f"{space}{size}")
+            yield pytest.param(build(size, False), id=f"{space}{size}-full")
+
+
 def _z4_rotation():
     rotation = AffineMap([[0, -1], [1, 0]], [0, 0])
     return GroupQuotient(2, [Generator(4, rotation)], free=False,
@@ -621,17 +635,7 @@ class TestIndependentRoutes:
             assert _rank_mod_p(_dense_rows(boundary_matrix(pres, 1),
                                            len(pres.tuples(1))), 2) == 9
 
-    @pytest.mark.parametrize("pres", [
-        *(gallery.get_presentation(name) for name in GALLERY_NERVES),
-        *(gallery.full_variant(gallery.get_presentation(name))
-          for name in GALLERY_NERVES),
-        *(build(size, alternating) for build, sizes in (
-            (_torus_nerve, (4, 5, 6)), (_circle_nerve, (3, 4, 5, 6)))
-          for size in sizes for alternating in (True, False))],
-        ids=GALLERY_NERVES + [f"{name}-full" for name in GALLERY_NERVES] + [
-            f"{space}{size}{'' if alternating else '-full'}"
-            for space, sizes in (("torus", (4, 5, 6)), ("arcs", (3, 4, 5, 6)))
-            for size in sizes for alternating in (True, False)])
+    @pytest.mark.parametrize("pres", list(_builder_cases()))
     def test_boundary_matrix_is_the_coboundary(self, pres):
         # the sparse rows against coboundary's own face loop on seeded
         # integer cochains; no row stores a zero, and d_{k+1} d_k = 0
