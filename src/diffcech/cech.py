@@ -608,7 +608,7 @@ def boundary_matrix(pres, k: int) -> List[Dict[int, int]]:
             f"the degree-{k} boundary matrix is {len(rows)} x {len(cols)}; "
             f"a side exceeds the limit of {MAX_MATRIX_SIDE} "
             f"(diffcech.cech.MAX_MATRIX_SIDE)")
-    idx = {t: j for j, t in enumerate(cols)}
+    idx = pres.index(k)
     M = [{} for _ in rows]
     for row, t in zip(M, rows):
         for i in range(k + 2):
@@ -702,6 +702,7 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
     # rows < r of Vinv*B vanish since AB = 0: boundaries lie in the span of
     # the columns r.. of V
     m = getattr(group, "m", 0)
+    field = group.tag == "R(alpha)"
     if not m:
         # ker A is spanned by the columns r.. of V, over Z and over a field
         gens, scale = S.kernel(), [1] * (n - r)
@@ -717,9 +718,10 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
         # the scaled column then has order m / s_j
         gens = S.V
         scale = [m // math.gcd(d, m) for d in S.diag + [0] * (n - r)]
-        # relation width + i: generator i has order m / s_i
-        rel = [{**sparse_mix(row, B), width + i: m // scale[i]}
-               for i, row in enumerate(S.Vinv)]
+        # relation width + i: generator i has order m / s_i (alone below r)
+        rel = [{width + i: m // s} for i, s in enumerate(scale)]
+        for i in range(r, n):
+            rel[i] = {**sparse_mix(S.Vinv[i], B), width + i: m // scale[i]}
 
         def to_gens(z):
             z = [x % m for x in z]
@@ -728,16 +730,22 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
             return [x // sj for x, sj in zip(z, scale)]
 
     q = len(gens)
-    R = _snf(rel, width + (n if m else 0), want_v=False, want_uinv=True)
+    ncols = width + (n if m else 0)
+    R = _snf(rel, ncols, want_u=False, want_v=False, want_uinv=True)
     rR, eR = R.rank, R.diag
-    torsion = [] if group.tag == "R(alpha)" else [
-        i for i in range(rR) if eR[i] > 1]
+    torsion = [] if field else [i for i in range(rR) if eR[i] > 1]
     out_idx = torsion + list(range(rR, q))
-    U_out = [R.U[i] for i in out_idx]
     mods = [eR[i] for i in torsion] + [0] * (q - rR)
+    apply = linalg.apply_integer_rows if field else sparse_apply
+    U_out = None
 
     def oracle(c: Cochain):
-        w = sparse_apply(U_out, to_gens(sparse_apply(S.Vinv, _nerve_vector(c))))
+        nonlocal U_out
+        if U_out is None:
+            # no pivot choice reads a factor, so this is the U of R
+            U = _snf(rel, ncols, want_v=False).U
+            U_out = [U[i] for i in out_idx]
+        w = apply(U_out, to_gens(apply(S.Vinv, _nerve_vector(c))))
         return tuple(x % e if e else x for x, e in zip(w, mods))
 
     # U_R is unimodular, so generator i of the group is column i of U_R^-1

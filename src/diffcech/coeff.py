@@ -883,7 +883,9 @@ class SmithForm:
     diag[0] | diag[1] | ... > 0, U and V are unimodular.
 
     U and Vinv are lists of sparse rows, V and Uinv (the inverse of U) lists
-    of sparse columns; a factor that was not tracked is None."""
+    of sparse columns, in the logical order of D; a factor that was not
+    tracked is None.  No pivot choice reads a factor, so each factor is the
+    same whichever others were tracked."""
 
     def __init__(self, m, n, diag, U, V, Vinv, Uinv):
         self.m, self.n, self.diag = m, n, diag
@@ -936,10 +938,16 @@ def _snf(M, n, want_u=True, want_v=True, want_vinv=False, want_uinv=False):
     Pivot rule: the least (|x|, i, j) over the rows and columns not yet
     diagonal, so the smallest magnitude with a row-major tie-break.  A row
     operation on U is the inverse column operation on Uinv, and a column
-    operation on V the inverse row operation on Vinv."""
+    operation on V the inverse row operation on Vinv.
+
+    A and the factors keep the physical row and column ids of M; rid and cid
+    map the logical positions (i, j) to them and cpos maps columns back, so
+    a swap moves no entry.  In one pivot each row operation reads only the
+    pivot row and its own pivot-column entry (a column operation likewise),
+    so the order of the physical ids visited changes no entry."""
     m = len(M)
     A = [dict(row) for row in M]
-    cols = [set() for _ in range(n)]  # column j -> rows with a nonzero there
+    cols = [set() for _ in range(n)]  # column c -> rows with a nonzero there
     for i, row in enumerate(A):
         for j in row:
             cols[j].add(i)
@@ -947,74 +955,51 @@ def _snf(M, n, want_u=True, want_v=True, want_vinv=False, want_uinv=False):
     Uinv = _unit(m) if want_uinv else None
     V = _unit(n) if want_v else None
     Vinv = _unit(n) if want_vinv else None
+    rid = list(range(m))
+    cid, cpos = list(range(n)), list(range(n))
 
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        for k in A[i].keys() ^ A[j].keys():
-            new, old = (i, j) if k in A[i] else (j, i)
-            cols[k].discard(old)
-            cols[k].add(new)
-        for F in (U, Uinv):
-            if F is not None:
-                F[i], F[j] = F[j], F[i]
-
-    def add_row(i, j, q):
-        # row i += q * row j
-        ai = A[i]
-        for k, x in A[j].items():
-            y = ai.get(k, 0) + q * x
+    def add_row(r, s, q):
+        # row r += q * row s
+        ar = A[r]
+        for c, x in A[s].items():
+            y = ar.get(c, 0) + q * x
             if y:
-                ai[k] = y
-                cols[k].add(i)
+                ar[c] = y
+                cols[c].add(r)
             else:
-                del ai[k]
-                cols[k].discard(i)
+                del ar[c]
+                cols[c].discard(r)
         if U is not None:
-            _axpy(U[i], U[j], q)
+            _axpy(U[r], U[s], q)
         if Uinv is not None:
-            _axpy(Uinv[j], Uinv[i], -q)
+            _axpy(Uinv[s], Uinv[r], -q)
 
-    def neg_row(i):
-        for F in (A, U, Uinv):
-            if F is not None:
-                F[i] = {k: -x for k, x in F[i].items()}
-
-    def swap_cols(i, j):
-        for r in cols[i] | cols[j]:
+    def add_col(c, d, q):
+        # col c += q * col d
+        cc = cols[c]
+        for r in cols[d]:
             row = A[r]
-            x, y = row.pop(i, 0), row.pop(j, 0)
+            y = row.get(c, 0) + q * row[d]
             if y:
-                row[i] = y
-            if x:
-                row[j] = x
-        cols[i], cols[j] = cols[j], cols[i]
-        for F in (V, Vinv):
-            if F is not None:
-                F[i], F[j] = F[j], F[i]
-
-    def add_col(i, j, q):
-        # col i += q * col j
-        ci = cols[i]
-        for r in cols[j]:
-            row = A[r]
-            y = row.get(i, 0) + q * row[j]
-            if y:
-                row[i] = y
-                ci.add(r)
+                row[c] = y
+                cc.add(r)
             else:
-                del row[i]
-                ci.discard(r)
+                del row[c]
+                cc.discard(r)
         if V is not None:
-            _axpy(V[i], V[j], q)
+            _axpy(V[c], V[d], q)
         if Vinv is not None:
-            _axpy(Vinv[j], Vinv[i], -q)
+            _axpy(Vinv[d], Vinv[c], -q)
 
     def find_pivot(t):
-        # rows >= t vanish left of column t
+        # (|x|, logical row, logical column) of the least entry in the rows
+        # at positions >= t, which vanish left of column t
         best = None
         for i in range(t, m):
-            if A[i]:
-                x, j = min(zip(map(abs, A[i].values()), A[i]))
+            row = A[rid[i]]
+            if row:
+                x, j = min(zip(map(abs, row.values()),
+                               map(cpos.__getitem__, row)))
                 if best is None or x < best[0]:
                     best = (x, i, j)
                     if x == 1:
@@ -1027,14 +1012,30 @@ def _snf(M, n, want_u=True, want_v=True, want_vinv=False, want_uinv=False):
             if piv is None:
                 break
             while True:
-                swap_rows(t, piv[1])
-                swap_cols(t, piv[2])
-                p = A[t][t]
-                for i in [i for i in cols[t] if i != t]:
-                    add_row(i, t, -(A[i][t] // p))
-                for j in [j for j in A[t] if j != t]:
-                    add_col(j, t, -(A[t][j] // p))
-                if len(cols[t]) == 1 and len(A[t]) == 1:
+                _, i, j = piv
+                pr, pc = rid[i], cid[j]
+                rid[t], rid[i] = pr, rid[t]
+                cid[t], cid[j] = pc, cid[t]
+                cpos[pc], cpos[cid[j]] = t, j
+                prow = A[pr]
+                p = prow[pc]
+                for r in [r for r in cols[pc] if r != pr]:
+                    add_row(r, pr, -(A[r][pc] // p))
+                others = [c for c in prow if c != pc]
+                if p == 1 or p == -1:
+                    # column pc is now p alone, so clearing row pr changes
+                    # only that row of A
+                    for c in others:
+                        q = -prow.pop(c) * p
+                        cols[c].discard(pr)
+                        if V is not None:
+                            _axpy(V[c], V[pc], q)
+                        if Vinv is not None:
+                            _axpy(Vinv[pc], Vinv[c], -q)
+                    break
+                for c in others:
+                    add_col(c, pc, -(prow[c] // p))
+                if len(cols[pc]) == 1 and len(prow) == 1:
                     break
                 piv = find_pivot(t)
             t += 1
@@ -1046,14 +1047,19 @@ def _snf(M, n, want_u=True, want_v=True, want_vinv=False, want_uinv=False):
     while changed:
         changed = False
         for i in range(rank - 1):
-            if A[i + 1][i + 1] % A[i][i]:
-                add_col(i, i + 1, 1)
+            if A[rid[i + 1]][cid[i + 1]] % A[rid[i]][cid[i]]:
+                add_col(cid[i], cid[i + 1], 1)
                 diagonalize(i)
                 changed = True
-    for i in range(rank):
-        if A[i][i] < 0:
-            neg_row(i)
-    return SmithForm(m, n, [A[i][i] for i in range(rank)], U, V, Vinv, Uinv)
+    for r, c in zip(rid[:rank], cid):
+        if A[r][c] < 0:
+            for F in (A, U, Uinv):
+                if F is not None:
+                    F[r] = {k: -x for k, x in F[r].items()}
+    U, V, Vinv, Uinv = (F and [F[k] for k in ids] for F, ids in (
+        (U, rid), (V, cid), (Vinv, cid), (Uinv, rid)))
+    return SmithForm(m, n, [A[r][c] for r, c in zip(rid[:rank], cid)],
+                     U, V, Vinv, Uinv)
 
 
 def smith_normal_form(M):

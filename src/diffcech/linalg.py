@@ -22,7 +22,8 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import List, Optional, Tuple
 
-from .coeff import ONE, ZERO, Scalar, _make, _zadd, _zgcd, _zmul, _zneg, _zquo
+from .coeff import (ONE, ZERO, Scalar, _make, _zadd, _zgcd, _zmul, _zneg, _zquo,
+                    _ztrim, sparse_apply)
 
 _Z_ONE = (1,)
 
@@ -66,8 +67,9 @@ def _int_eliminate(row, piv, col):
 # rows over Z[a]: {column: nonzero int tuple}
 
 
-def _poly_row(row):
-    """Nonzero entries {column: x} of Q(a) as a primitive row over Z[a]."""
+def _poly_lift(row):
+    """Entries {column: x} of Q(a) as numerators {column: p} over Z[a] and
+    their least common denominator, so that x = p / denominator."""
     parts = {j: (x.znum, x.zden) if x.__class__ is Scalar
              else ((x.numerator,), (x.denominator,))
              for j, x in row.items()}
@@ -76,8 +78,12 @@ def _poly_row(row):
     for d in dens:
         m = _zmul(m, _zquo(d, _zgcd(m, d)))
     cofactor = {d: _zquo(m, d) for d in dens}
-    return _poly_primitive({j: _zmul(n, cofactor[d])
-                            for j, (n, d) in parts.items()})
+    return {j: _zmul(n, cofactor[d]) for j, (n, d) in parts.items()}, m
+
+
+def _poly_row(row):
+    """Nonzero entries {column: x} of Q(a) as a primitive row over Z[a]."""
+    return _poly_primitive(_poly_lift(row)[0])
 
 
 def _poly_size(x):
@@ -120,6 +126,20 @@ def _quotient(x, d):
     if g != _Z_ONE:
         x, d = _zquo(x, g), _zquo(d, g)
     return _make(x, d)
+
+
+def apply_integer_rows(rows, vec):
+    """rows * vec as canonical Scalars, for sparse integer rows and a dense
+    vector over Q(a) lifted to Z[a] over one denominator, power by power."""
+    num, den = _poly_lift(dict(enumerate(vec)))
+    size = max([1, *map(len, num.values())])
+    parts = [sparse_apply(rows, [p[e] if e < len(p) else 0
+                                 for p in num.values()]) for e in range(size)]
+    out = []
+    for coeffs in zip(*parts):
+        p = _ztrim(list(coeffs))
+        out.append(_quotient(p, den) if p else ZERO)
+    return out
 
 
 def rref(M) -> Tuple[List[list], List[int]]:

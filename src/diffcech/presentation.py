@@ -27,6 +27,15 @@ MAX_TUPLES = 1 << 18
 MAX_CLASS_DIMENSION = 64
 
 
+def _within_limit(k, tuples):
+    """The alive tuples of degree k, refused when there are too many."""
+    if len(tuples) > MAX_TUPLES:
+        raise DegreeError(
+            f"more than {MAX_TUPLES} alive tuples in degree {k} "
+            f"(diffcech.presentation.MAX_TUPLES)")
+    return tuples
+
+
 class FiniteNerve:
     """Nerve of a good cover, given by its abstract simplicial complex.
 
@@ -45,6 +54,7 @@ class FiniteNerve:
         self.name = name
         self.faces = frozenset(frozenset(f) for f in faces)
         self._tuple_cache: Dict[int, List[Tuple[int, ...]]] = {}
+        self._index_cache: Dict[int, Dict[Tuple[int, ...], int]] = {}
         self._validate()
 
     def _validate(self):
@@ -91,27 +101,29 @@ class FiniteNerve:
     def tuples(self, k: int) -> List[Tuple[int, ...]]:
         """Alive (k+1)-tuples in lexicographic order.
 
-        Faces are closed under subsets, so every prefix of an alive tuple is
-        alive: degree j extends each tuple of degree j-1 by the charts that
-        share an edge with its last entry (only larger ones in alternating
-        mode), in increasing order.  Every degree up to k is cached.
+        In alternating mode these are the sorted faces of size k+1.  With
+        repeats allowed, every prefix of an alive tuple is alive: degree j
+        extends each tuple of degree j-1 by the charts that share an edge
+        with its last entry, in increasing order, caching every degree.
         """
         if k < 0:
             return [()]
         if k > self.k_max:
             raise DegreeError(f"degree {k} exceeds k_max={self.k_max}")
         cache = self._tuple_cache
+        if self.alternating and k not in cache:
+            cache[k] = _within_limit(k, sorted(
+                tuple(sorted(f)) for f in self.faces if len(f) == k + 1))
         if k not in cache:
             # nbrs[i]: the charts sharing an edge face with chart i, itself
-            # included, increasing; in alternating mode only the larger ones
+            # included, increasing
             nbrs = [{i} for i in range(len(self.charts))]
             for f in self.faces:
                 if len(f) == 2:
                     i, j = f
                     nbrs[i].add(j)
                     nbrs[j].add(i)
-            nbrs = [sorted(v for v in nb if not self.alternating or v > i)
-                    for i, nb in enumerate(nbrs)]
+            nbrs = [sorted(nb) for nb in nbrs]
             level = cache[len(cache) - 1] if cache else [()]
             for j in range(len(cache), k + 1):
                 out = []
@@ -122,12 +134,15 @@ class FiniteNerve:
                                    if v in base or base | {v} in self.faces)
                     else:
                         out.extend((v,) for v in range(len(self.charts)))
-                    if len(out) > MAX_TUPLES:
-                        raise DegreeError(
-                            f"more than {MAX_TUPLES} alive tuples in degree "
-                            f"{j} (diffcech.presentation.MAX_TUPLES)")
+                    _within_limit(j, out)
                 cache[j] = level = out
         return cache[k]
+
+    def index(self, k: int) -> Dict[Tuple[int, ...], int]:
+        """The position of each alive (k+1)-tuple in ``tuples(k)``."""
+        if k not in self._index_cache:
+            self._index_cache[k] = {t: j for j, t in enumerate(self.tuples(k))}
+        return self._index_cache[k]
 
     def degeneracy(self, k: int, i: int, tup: Tuple[int, ...]) -> Tuple[int, ...]:
         """Drop the i-th factor of an alive (k+1)-tuple."""

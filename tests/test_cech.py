@@ -1,12 +1,13 @@
 """Cochains, the coboundary operator, cohomology reports, class comparison."""
 
+import json
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from diffcech import gallery, linalg, serialize
+from diffcech import cech, gallery, linalg, serialize
 from diffcech.cech import (
     CROSSED_CACHE_SIZE,
     MAX_MATRIX_SIDE,
@@ -50,6 +51,8 @@ from diffcech.presentation import (
     PresentationMorphism,
     circle_arc_nerve,
 )
+
+from test_golden import CASES as GOLDEN_CASES, GOLDEN
 
 GALLERY_QUOTIENTS = [
     name for name in gallery.names()
@@ -485,6 +488,14 @@ def _unit_cochain_matrix(pres, k, cls):
     return [list(row) for row in zip(*cols)]
 
 
+def _count_snf_calls(monkeypatch):
+    """The list that gets one entry per `_snf` call made by `cech`."""
+    calls = []
+    monkeypatch.setattr(cech, "_snf", lambda *args, **kwargs: calls.append(
+        kwargs) or _snf(*args, **kwargs))
+    return calls
+
+
 def _loop_sum(c):
     """Sum of a 1-cochain around the loop of arcs 0 -> 1 -> ... -> 0."""
     n = len(c.pres.charts)
@@ -618,6 +629,42 @@ class TestIndependentRoutes:
                         pres, k, RAlphaGroup(), rng, rep.representatives)]:
                     rep.class_coordinates(c)
         assert calls == []
+
+    @pytest.mark.parametrize("name,alternating", [
+        *((name, True) for name in GALLERY_NERVES),
+        ("torus4", True), ("torus4", False)])
+    def test_report_and_oracle_snf_counts(self, name, alternating,
+                                          monkeypatch):
+        # a report runs the SNF of d_k and that of the relations without U;
+        # its oracle runs the relations once more for U, on its first call
+        pres = _named_nerve(name)
+        if not alternating:
+            pres = gallery.full_variant(pres)
+        calls = _count_snf_calls(monkeypatch)
+        rng = random.Random(62)
+        for k in range(pres.k_max):
+            for tag in ("Z", "Z/2", "R(alpha)"):
+                group = group_from_tag(tag)
+                del calls[:]
+                rep = cohomology(pres, group, k)
+                assert len(calls) == 2, (k, tag)
+                zero = zero_cochain(pres, k, group)
+                assert not any(rep.class_coordinates(zero))
+                assert len(calls) == 3, (k, tag)
+                for c in rep.representatives + [random_cocycle(
+                        pres, k, group, rng, rep.representatives)]:
+                    rep.class_coordinates(c)
+                assert len(calls) == 3, (k, tag)
+
+    @pytest.mark.parametrize("name", [
+        name for name in GOLDEN_CASES
+        if name.startswith("coords ") and name.split()[1] in GALLERY_NERVES])
+    def test_oracle_snf_counts_keep_the_goldens(self, name, monkeypatch):
+        # each case runs one report and a dozen oracle calls
+        calls = _count_snf_calls(monkeypatch)
+        with open(GOLDEN, encoding="utf-8") as fh:
+            assert GOLDEN_CASES[name]() == json.load(fh)[name]
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("name", GALLERY_NERVES + ["torus4", "torus5",
                                                       "torus6"])

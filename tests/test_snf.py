@@ -235,3 +235,43 @@ def test_torus_boundary_matrices(size, alternating):
     for k in degrees:
         _check(boundary_matrix(pres, k), len(pres.tuples(k)),
                flags=(True, True, True))
+
+
+def _sparse_matrix(rng, units):
+    """Seeded sparse rows up to 24 x 24 and their column count; without
+    units every pivot leaves remainders, so the pivot moves and the
+    divisibility chain needs fixing."""
+    rows, n = rng.randrange(1, 25), rng.randrange(1, 25)
+    fill = rng.choice((0.1, 0.2, 0.35))
+    values = (-3, -2, -1, 1, 2, 3) if units else (-15, -10, -9, -6, -4, -3,
+                                                 -2, 2, 3, 4, 6, 9, 10, 15)
+    return [{j: rng.choice(values) for j in range(n) if rng.random() < fill}
+            for _ in range(rows)], n
+
+
+def test_seeded_sparse_matrices_that_re_pivot():
+    rng = random.Random(2001)
+    diags = []
+    for trial in range(40):
+        M, n = _sparse_matrix(rng, units=trial % 2)
+        _check(M, n)
+        diags.append(_snf(M, n, want_u=False, want_v=False).diag)
+    # non-unit invariant factors are among them
+    assert sum(any(d > 1 for d in diag) for diag in diags) >= 10
+
+
+def test_tracked_factors_do_not_depend_on_the_others():
+    rng = random.Random(2002)
+    cases = [_sparse_matrix(rng, units=trial % 2) for trial in range(16)]
+    for name in GALLERY_NERVES:
+        pres = gallery.get_presentation(name)
+        cases += [(boundary_matrix(pres, k), len(pres.tuples(k)))
+                  for k in range(pres.k_max)]
+    for M, n in cases:
+        full = _snf(M, n, True, True, True, True)
+        for want in itertools.product((False, True), repeat=4):
+            got = _snf(M, n, *want)
+            assert got.diag == full.diag
+            for factor, tracked in zip(("U", "V", "Vinv", "Uinv"), want):
+                assert getattr(got, factor) == (
+                    getattr(full, factor) if tracked else None), want
