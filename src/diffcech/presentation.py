@@ -102,9 +102,10 @@ class FiniteNerve:
         """Alive (k+1)-tuples in lexicographic order.
 
         In alternating mode these are the sorted faces of size k+1.  With
-        repeats allowed, every prefix of an alive tuple is alive: degree j
-        extends each tuple of degree j-1 by the charts that share an edge
-        with its last entry, in increasing order, caching every degree.
+        repeats allowed, every prefix of an alive tuple is alive, as faces
+        are closed under subsets: degree j extends each tuple of degree j-1
+        by the charts sharing an edge with its last entry, in increasing
+        order, caching every degree.
         """
         if k < 0:
             return [()]
