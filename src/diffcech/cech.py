@@ -13,7 +13,6 @@ its values there.
 
 from __future__ import annotations
 
-import math
 import random
 from itertools import product
 from typing import Callable, Dict, List, Optional, Tuple
@@ -28,8 +27,6 @@ from .coeff import (
     ZGroup,
     ZmodGroup,
     _snf,
-    sparse_apply,
-    sparse_mix,
 )
 from . import linalg
 from .errors import (
@@ -41,6 +38,7 @@ from .errors import (
 )
 from .exprs import parse_poly_terms
 from .funclass import FunctionElement, act
+from .reduce import Reduction
 
 DEFAULT_SEED = 1729
 PROBES = 200
@@ -591,8 +589,10 @@ def is_cocycle(c: Cochain, seed: int = DEFAULT_SEED) -> CocycleCheck:
 # boundary matrices and the cohomology engines
 
 
-# longest side of a boundary matrix; its rows are sparse, but the SNF of an
-# a x b matrix keeps b x b (or a x a) transforms, which fill in
+# longest side of a matrix that the SNF sees: a boundary matrix factored as it
+# is, or the leftover of one after its unit pivots (`reduce`); rows are
+# sparse, but the SNF of an a x b matrix keeps b x b (or a x a) transforms,
+# which fill in
 MAX_MATRIX_SIDE = 4096
 
 
@@ -601,13 +601,7 @@ def boundary_matrix(pres, k: int) -> List[Dict[int, int]]:
     (k+2)-tuple.  A face of a stored tuple is stored as it is: increasing
     tuples have increasing faces, so no face needs a sign from sorting, and
     faces that cancel (repeats allowed) leave no entry."""
-    cols = pres.tuples(k)
     rows = pres.tuples(k + 1)
-    if max(len(rows), len(cols)) > MAX_MATRIX_SIDE:
-        raise DegreeError(
-            f"the degree-{k} boundary matrix is {len(rows)} x {len(cols)}; "
-            f"a side exceeds the limit of {MAX_MATRIX_SIDE} "
-            f"(diffcech.cech.MAX_MATRIX_SIDE)")
     idx = pres.index(k)
     M = [{} for _ in rows]
     for row, t in zip(M, rows):
@@ -617,6 +611,13 @@ def boundary_matrix(pres, k: int) -> List[Dict[int, int]]:
             if x:
                 row[j] = x
     return M
+
+
+def _within_side(what: str, *sides: int):
+    if max(sides) > MAX_MATRIX_SIDE:
+        raise DegreeError(
+            f"{what} is {' x '.join(map(str, sides))}; a side exceeds the "
+            f"limit of {MAX_MATRIX_SIDE} (diffcech.cech.MAX_MATRIX_SIDE)")
 
 
 class CohomologyReport:
@@ -688,74 +689,35 @@ def _nerve_from_vector(pres, degree, group, vec) -> Cochain:
 
 
 def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
-    """H^k of a nerve over Z, Z/m or R(alpha) from the integer matrices A of
-    d_k and B of d_{k-1}, as a presented group: generator cochains modulo
-    relations, reduced by one SNF of the relations.  Q is flat over Z, so
-    over R(alpha) this is H^k over Z tensored with Q(a): the torsion dies and
-    the free generators are a basis."""
+    """H^k of a nerve over Z, Z/m or R(alpha), from the complex of d_{k-1}
+    and d_k with its unit pivots eliminated (`reduce.Reduction`).  Over
+    R(alpha) the class oracle maps the integer numerators of a cochain,
+    power by power of a."""
     n = len(pres.tuples(k))
-    S = _snf(boundary_matrix(pres, k), n, want_u=False, want_vinv=True)
-    r = S.rank
-    # in degree 0, B is the map from the zero group: n rows and no columns
-    B = boundary_matrix(pres, k - 1) if k else [{}] * n
-    width = len(pres.tuples(k - 1)) if k else 0
-    # rows < r of Vinv*B vanish since AB = 0: boundaries lie in the span of
-    # the columns r.. of V
-    m = getattr(group, "m", 0)
+    # in degree 0, d_{k-1} is the map from the zero group: n empty rows
+    red = Reduction(boundary_matrix(pres, k - 1) if k else [{}] * n,
+                    len(pres.tuples(k - 1)) if k else 0,
+                    boundary_matrix(pres, k), n)
+    _within_side(f"the degree-{k - 1}..{k + 1} complex left by the unit "
+                 f"pivots", *map(len, red.cells))
+    # each critical k-cell can be a generator, printed with n values
+    if len(red.cells[1]) * n > MAX_MATRIX_SIDE ** 2:
+        raise DegreeError(
+            f"{len(red.cells[1])} critical {k}-cells by {n} {k}-cells exceed "
+            f"the limit of {MAX_MATRIX_SIDE ** 2} generator values "
+            f"(diffcech.cech.MAX_MATRIX_SIDE squared)")
     field = group.tag == "R(alpha)"
-    if not m:
-        # ker A is spanned by the columns r.. of V, over Z and over a field
-        gens, scale = S.kernel(), [1] * (n - r)
-        rel = [sparse_mix(row, B) for row in S.Vinv[r:]]
-
-        def to_gens(z):
-            if any(z[:r]):
-                raise CocycleError("class oracle applied to a non-cocycle")
-            return z[r:]
-    else:
-        # mod m, x times column j of V is a cocycle exactly when s_j divides
-        # x, for s_j = m / gcd(d_j, m) (d_j = 0, so s_j = 1, past the rank);
-        # the scaled column then has order m / s_j
-        gens = S.V
-        scale = [m // math.gcd(d, m) for d in S.diag + [0] * (n - r)]
-        # relation width + i: generator i has order m / s_i (alone below r)
-        rel = [{width + i: m // s} for i, s in enumerate(scale)]
-        for i in range(r, n):
-            rel[i] = {**sparse_mix(S.Vinv[i], B), width + i: m // scale[i]}
-
-        def to_gens(z):
-            z = [x % m for x in z]
-            if any(x % sj for x, sj in zip(z, scale)):
-                raise CocycleError("class oracle applied to a non-cocycle")
-            return [x // sj for x, sj in zip(z, scale)]
-
-    q = len(gens)
-    ncols = width + (n if m else 0)
-    R = _snf(rel, ncols, want_u=False, want_v=False, want_uinv=True)
-    rR, eR = R.rank, R.diag
-    torsion = [] if field else [i for i in range(rR) if eR[i] > 1]
-    out_idx = torsion + list(range(rR, q))
-    mods = [eR[i] for i in torsion] + [0] * (q - rR)
-    apply = linalg.apply_integer_rows if field else sparse_apply
-    U_out = None
+    free, factors, reps, coords = red.cohomology(getattr(group, "m", 0), field)
 
     def oracle(c: Cochain):
-        nonlocal U_out
-        if U_out is None:
-            # no pivot choice reads a factor, so this is the U of R
-            U = _snf(rel, ncols, want_v=False).U
-            U_out = [U[i] for i in out_idx]
-        w = apply(U_out, to_gens(apply(S.Vinv, _nerve_vector(c))))
-        return tuple(x % e if e else x for x, e in zip(w, mods))
+        vec = _nerve_vector(c)
+        return tuple(linalg.apply_integer_map(coords, vec) if field
+                     else coords(vec))
 
-    # U_R is unimodular, so generator i of the group is column i of U_R^-1
-    # in the coordinates of the scaled gens
-    reps = [_nerve_from_vector(pres, k, group, sparse_mix(
-        {j: scale[j] * x for j, x in R.Uinv[i].items()}, gens))
-        for i in out_idx]
-    return CohomologyReport(pres, k, group, free_rank=q - rR,
-                            invariant_factors=mods[:len(torsion)],
-                            representatives=reps, oracle=oracle)
+    return CohomologyReport(
+        pres, k, group, free_rank=free, invariant_factors=factors,
+        representatives=[_nerve_from_vector(pres, k, group, z) for z in reps],
+        oracle=oracle)
 
 
 def _field_cohomology_from_matrices(pres, k: int, group, A, B,
@@ -1005,8 +967,9 @@ def classes_equal(f1: Cochain, f2: Cochain) -> ClassComparison:
                                        "equal as global sections")
             return ClassComparison(False, None,
                                    "degree-0 classes differ value-wise")
-        sol = _snf(boundary_matrix(pres, k - 1), len(pres.tuples(k - 1))
-                   ).solve_group(_nerve_vector(diff), f1.group)
+        M, n = boundary_matrix(pres, k - 1), len(pres.tuples(k - 1))
+        _within_side(f"the degree-{k - 1} boundary matrix", len(M), n)
+        sol = _snf(M, n).solve_group(_nerve_vector(diff), f1.group)
         if sol is None:
             return ClassComparison(
                 False, None,

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import List, Optional, Tuple
 
 from .coeff import (ONE, ZERO, Scalar, _make, _zadd, _zgcd, _zmul, _zneg, _zquo,
-                    _ztrim, sparse_apply)
+                    _ztrim)
 
 _Z_ONE = (1,)
 
@@ -128,13 +128,14 @@ def _quotient(x, d):
     return _make(x, d)
 
 
-def apply_integer_rows(rows, vec):
-    """rows * vec as canonical Scalars, for sparse integer rows and a dense
-    vector over Q(a) lifted to Z[a] over one denominator, power by power."""
+def apply_integer_map(fn, vec):
+    """fn(vec) as canonical Scalars, for a Z-linear fn on lists of ints and
+    a dense vector over Q(a): the vector is lifted to Z[a] over one
+    denominator, and fn maps it power by power."""
     num, den = _poly_lift(dict(enumerate(vec)))
     size = max([1, *map(len, num.values())])
-    parts = [sparse_apply(rows, [p[e] if e < len(p) else 0
-                                 for p in num.values()]) for e in range(size)]
+    parts = [fn([p[e] if e < len(p) else 0 for p in num.values()])
+             for e in range(size)]
     out = []
     for coeffs in zip(*parts):
         p = _ztrim(list(coeffs))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffcech import cech, gallery, linalg, serialize
+from diffcech import cech, gallery, linalg, reduce, serialize
 from diffcech.cech import (
     CROSSED_CACHE_SIZE,
     MAX_MATRIX_SIDE,
@@ -489,10 +489,12 @@ def _unit_cochain_matrix(pres, k, cls):
 
 
 def _count_snf_calls(monkeypatch):
-    """The list that gets one entry per `_snf` call made by `cech`."""
+    """The list that gets one entry per `_snf` call made by `cech` or by the
+    nerve engine in `reduce`."""
     calls = []
-    monkeypatch.setattr(cech, "_snf", lambda *args, **kwargs: calls.append(
-        kwargs) or _snf(*args, **kwargs))
+    for module in (cech, reduce):
+        monkeypatch.setattr(module, "_snf", lambda *args, **kwargs: calls.append(
+            kwargs) or _snf(*args, **kwargs))
     return calls
 
 
@@ -635,8 +637,9 @@ class TestIndependentRoutes:
         ("torus4", True), ("torus4", False)])
     def test_report_and_oracle_snf_counts(self, name, alternating,
                                           monkeypatch):
-        # a report runs the SNF of d_k and that of the relations without U;
-        # its oracle runs the relations once more for U, on its first call
+        # a report runs the SNF of what is left of d_k after its unit pivots
+        # and that of the relations without U; its oracle runs the
+        # relations once more for U, on its first call
         pres = _named_nerve(name)
         if not alternating:
             pres = gallery.full_variant(pres)

@@ -5,13 +5,15 @@ import os
 import subprocess
 import sys
 import time
-from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from diffcech import gallery, serialize
+from diffcech.cech import MAX_MATRIX_SIDE
 from diffcech.cli import run
+
+from test_reduce import _projective_planes
 
 
 def _run(argv):
@@ -202,20 +204,22 @@ class TestErrors:
         assert code == 2
         assert any("alive tuples in degree 18" in ln for ln in lines)
 
-    def test_boundary_matrix_over_the_limit(self, tmp_path):
-        # every face of one 7-chart simplex, repeats allowed: the boundary
-        # matrix out of degree 3 is 7^5 x 7^4 = 16807 x 2401
-        doc = {"kind": "nerve", "charts": [f"U{i}" for i in range(7)],
-               "alive": [list(f) for j in range(1, 8)
-                         for f in combinations(range(7), j)],
-               "k_max": 5, "alternating": False}
-        p = tmp_path / "simplex.json"
+    def test_reduced_complex_over_the_limit(self, tmp_path):
+        # copies of the 6-vertex RP^2 glued along one projective line, the
+        # loop 0-1-3: for H^1 each copy keeps a critical triangle on which
+        # d_1 is 2 at the one critical edge, so the SNF would see a matrix
+        # with one row per copy, one row over the limit
+        copies = MAX_MATRIX_SIDE + 1
+        doc = serialize.presentation_to_dict(_projective_planes(copies))
+        p = tmp_path / "projective-planes.json"
         p.write_text(json.dumps(doc))
-        for degree in (3, 4):
-            code, lines = _run(["cohomology", "--degree", str(degree),
-                                "--coeff", "Z", str(p)])
-            assert code == 2
-            assert any("exceeds the limit of 4096" in ln for ln in lines)
+        code, lines = _run(["cohomology", "--degree", "1", "--coeff", "Z",
+                            str(p)])
+        assert code == 2
+        assert lines[-1] == (
+            f"error: the degree-0..2 complex left by the unit pivots is "
+            f"0 x 1 x {copies}; a side exceeds the limit of 4096 "
+            f"(diffcech.cech.MAX_MATRIX_SIDE)")
 
     def test_sum_degree_over_the_cap(self, tmp_path):
         # the common denominator of 1/(a+1) + ... + 1/(a+n) has degree n
