@@ -34,7 +34,8 @@ def _eliminate(rows, ncols, log):
     the pivot row and column are their entries off the pivot, at the time.
 
     Pivot rule: the row of fewest entries that holds a unit, least id first,
-    and in it the unit whose column has the fewest entries, least id first.
+    and in it the unit whose column has the fewest entries, least id first;
+    no choice reads a set's order, so no choice depends on the hash seed.
     A heap holds (entries, id) keys; ``live[i]`` is the entry count under
     which row i sits in it, or -1, so a key that went stale is passed over
     and a row whose count comes back to its live key is not pushed again."""
