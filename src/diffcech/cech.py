@@ -707,7 +707,8 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
             f"the limit of {MAX_MATRIX_SIDE ** 2} generator values "
             f"(diffcech.cech.MAX_MATRIX_SIDE squared)")
     field = group.tag == "R(alpha)"
-    free, factors, reps, coords = red.cohomology(getattr(group, "m", 0), field)
+    free, factors, reps, coords = red.cohomology(
+        lambda: boundary_matrix(pres, k), getattr(group, "m", 0), field)
 
     def oracle(c: Cochain):
         vec = _nerve_vector(c)

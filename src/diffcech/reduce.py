@@ -28,10 +28,11 @@ from .coeff import _snf, sparse_apply, sparse_mix
 from .errors import CocycleError
 
 
-def _eliminate(rows, ncols, log):
-    """Eliminate the unit pivots of the sparse integer rows in place, and
-    append (row, column, pivot, pivot row, pivot column) for each to log;
-    the pivot row and column are their entries off the pivot, at the time.
+def _eliminate(rows, ncols, log, drop=()):
+    """Eliminate the unit pivots of the sparse integer rows in place, after
+    deleting the columns in drop, and append (row, column, pivot, pivot row,
+    pivot column) for each to log; the pivot row and column are their
+    entries off the pivot, at the time.
 
     Pivot rule: the row of fewest entries that holds a unit, least id first,
     and in it the unit whose column has the fewest entries, least id first;
@@ -43,6 +44,10 @@ def _eliminate(rows, ncols, log):
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
+    for c in drop:
+        for s in cols[c]:
+            del rows[s][c]
+        cols[c] = set()
     live = [len(row) or -1 for row in rows]
     heap = [(size, i) for i, size in enumerate(live) if size > 0]
     heapify(heap)
@@ -93,7 +98,7 @@ def _eliminate(rows, ncols, log):
 class Reduction:
     """C^{k-1} -A-> C^k -B-> C^{k+1}, given as the rows of A over n_prev
     columns and the rows of B over n columns, with every unit pivot of A
-    and then of B eliminated; A is consumed, B is kept for the cocycle test.
+    and then of B eliminated; A and B are consumed.
 
     ``cells`` are the critical k-cells and the critical (k-1)- and
     (k+1)-cells that still meet them, as ids; ``A`` and ``B`` are the
@@ -101,12 +106,10 @@ class Reduction:
     of A is zero.  The cells that meet no critical k-cell change no H^k."""
 
     def __init__(self, A, n_prev, B, n):
-        self._B = B
         self._log_a, self._log_b = [], []
         _eliminate(A, n_prev, self._log_a)
         gone = {r for r, *_ in self._log_a}
-        B = [{j: x for j, x in row.items() if j not in gone} for row in B]
-        _eliminate(B, n, self._log_b)
+        _eliminate(B, n, self._log_b, gone)
         gone.update(c for _, c, *_ in self._log_b)
         crit = [i for i in range(n) if i not in gone]
         prev = sorted({j for i in crit for j in A[i]})
@@ -133,20 +136,24 @@ class Reduction:
         crit = self.cells[1]
         z = {crit[i]: x for i, x in w.items()}
         for _, a, p, row, _ in reversed(self._log_b):
-            v = -p * sum(x * z.get(j, 0) for j, x in row.items())
-            if m:
-                v %= m
+            v = 0
+            for j, x in row.items():
+                v -= x * z.get(j, 0)
             if v:
-                z[a] = v
+                v = v * p % m if m else v * p
+                if v:
+                    z[a] = v
         return z
 
-    def cohomology(self, m=0, field=False):
+    def cohomology(self, d_k, m=0, field=False):
         """H^k over Z (m = 0), Z/m or, when field, over Q(a), as a presented
         group: generator cocycles modulo relations, reduced by one SNF of
         the relations.  Q is flat over Z, so over Q(a) this is H^k over Z
         tensored with Q(a): the torsion dies and the free generators are a
         basis.  Returns (free rank, invariant factors, representatives as
-        sparse full cocycles, coordinates of a full integer cocycle)."""
+        sparse full cocycles, coordinates of a full integer cocycle).  The
+        coordinates refuse a non-cocycle by the full matrix of d_k, which
+        d_k() builds on their first call."""
         n, width = len(self.cells[1]), len(self.cells[0])
         S = _snf(self.B, n, want_u=False, want_vinv=True)
         r = S.rank
@@ -181,16 +188,16 @@ class Reduction:
         torsion = [] if field else [i for i in range(rR) if eR[i] > 1]
         out_idx = torsion + list(range(rR, q))
         mods = [eR[i] for i in torsion] + [0] * (q - rR)
-        U_out = None
+        U_out = B = None
 
         def coordinates(z):
-            nonlocal U_out
-            if any(x % m if m else x for x in sparse_apply(self._B, z)):
-                raise CocycleError("class oracle applied to a non-cocycle")
+            nonlocal U_out, B
             if U_out is None:
                 # no pivot choice reads a factor, so this is the U of R
                 U = _snf(rel, ncols, want_v=False).U
-                U_out = [U[i] for i in out_idx]
+                U_out, B = [U[i] for i in out_idx], d_k()
+            if any(x % m if m else x for x in sparse_apply(B, z)):
+                raise CocycleError("class oracle applied to a non-cocycle")
             z = to_gens(sparse_apply(S.Vinv, self.project(z)))
             return [x % e if e else x
                     for x, e in zip(sparse_apply(U_out, z), mods)]
