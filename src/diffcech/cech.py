@@ -698,8 +698,8 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
     red = Reduction(boundary_matrix(pres, k - 1) if k else [{}] * n,
                     len(pres.tuples(k - 1)) if k else 0,
                     boundary_matrix(pres, k), n)
-    _within_side(f"the degree-{k - 1}..{k + 1} complex left by the unit "
-                 f"pivots", *map(len, red.cells))
+    _within_side(f"the complex for H^{k} left by the unit pivots",
+                 *map(len, red.cells))
     # each critical k-cell can be a generator, printed with n values
     if len(red.cells[1]) * n > MAX_MATRIX_SIDE ** 2:
         raise DegreeError(

@@ -217,7 +217,7 @@ class TestErrors:
                             str(p)])
         assert code == 2
         assert lines[-1] == (
-            f"error: the degree-0..2 complex left by the unit pivots is "
+            f"error: the complex for H^1 left by the unit pivots is "
             f"0 x 1 x {copies}; a side exceeds the limit of 4096 "
             f"(diffcech.cech.MAX_MATRIX_SIDE)")
 
