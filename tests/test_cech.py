@@ -493,8 +493,8 @@ def _count_snf_calls(monkeypatch):
     nerve engine in `reduce`."""
     calls = []
     for module in (cech, reduce):
-        monkeypatch.setattr(module, "_snf", lambda *args, **kwargs: calls.append(
-            kwargs) or _snf(*args, **kwargs))
+        monkeypatch.setattr(module, "_snf", lambda *args, **kw: calls.append(
+            kw) or _snf(*args, **kw))
     return calls
 
 

@@ -142,7 +142,8 @@ def _combine(coeffs, vectors, mods):
 
 def _check_against_unreduced(pres, k, tag, rng):
     group = group_from_tag(tag)
-    new, old = cohomology(pres, group, k), _unreduced_cohomology(pres, k, group)
+    new = cohomology(pres, group, k)
+    old = _unreduced_cohomology(pres, k, group)
     assert new.group_description() == old.group_description()
     assert (new.free_rank, new.invariant_factors, new.dimension) == (
         old.free_rank, old.invariant_factors, old.dimension)
@@ -300,7 +301,8 @@ def test_golden_generators_are_a_basis_for_the_unreduced_oracle(name, k, tag):
     pres = (gallery.full_variant(gallery.get_presentation("torus9"))
             if name == "torus9-full" else gallery.get_presentation(name))
     group = group_from_tag(tag)
-    new, old = cohomology(pres, group, k), _unreduced_cohomology(pres, k, group)
+    new = cohomology(pres, group, k)
+    old = _unreduced_cohomology(pres, k, group)
     P = [[int(str(x)) for x in old.class_coordinates(c)]
          for c in new.representatives]
     (order,) = set(old.invariant_factors) or {0}
