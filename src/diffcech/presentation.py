@@ -279,7 +279,12 @@ class GroupQuotient:
         return (0,) * self.rank
 
     def k_canonical(self, k) -> Tuple[int, ...]:
-        k = tuple(map(int, k))
+        given = tuple(k)
+        k = tuple(map(int, given))
+        if k != given:
+            bad = next(x for x, n in zip(given, k) if x != n)
+            raise ParseError(
+                f"group element {given} has the non-integral exponent {bad}")
         if len(k) != len(self._torsion):
             raise ParseError(f"group element {k} has wrong rank")
         if self._torsion_free:
@@ -316,15 +321,40 @@ class GroupQuotient:
         ] if self.generators else [()]
 
     def affine_of(self, k) -> AffineMap:
-        """The affine action of the group element with exponent vector k."""
+        """The affine action of the group element with exponent vector k.
+
+        Each map is cached under its canonical k and built from cached
+        parts: an element on several generators is the product of its
+        one-generator parts (the generators commute), g_i^n is the square
+        of g_i^(n/2), times g_i^(+-1) when n is odd, and g_i^-1 is the
+        inverse of g_i, computed once.
+        """
         k = self.k_canonical(k)
-        if k not in self._affine_cache:
+        phi = self._affine_cache.get(k)
+        if phi is not None:
+            return phi
+        used = [i for i, n in enumerate(k) if n]
+        if not used:
             phi = AffineMap.identity(self.dim)
-            for g, n in zip(self.generators, k):
-                if n:
-                    phi = g.affine.power(n).compose(phi)
-            self._affine_cache[k] = phi
-        return self._affine_cache[k]
+        elif len(used) > 1:
+            phi = self.affine_of(self.gen_power(used[0], k[used[0]]))
+            for i in used[1:]:
+                phi = self.affine_of(self.gen_power(i, k[i])).compose(phi)
+        else:
+            i = used[0]
+            n = k[i]
+            if n == 1:
+                phi = self.generators[i].affine
+            elif n == -1:
+                phi = self.generators[i].affine.inverse()
+            else:
+                sign = 1 if n > 0 else -1
+                half = self.affine_of(self.gen_power(i, sign * (abs(n) // 2)))
+                phi = half.compose(half)
+                if n % 2:
+                    phi = self.affine_of(self.gen_power(i, sign)).compose(phi)
+        self._affine_cache[k] = phi
+        return phi
 
     def act_point(self, point, k):
         return self.affine_of(k).apply(point)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from diffcech import gallery
+from diffcech.cech import Cochain
 from diffcech.coeff import ALPHA, Scalar
 from diffcech.errors import CompatibilityError, DegreeError, ParseError
 from diffcech.funclass import AffineMap
@@ -173,6 +174,73 @@ class TestGroupQuotient:
         assert it.affine_of((-10**4, 7)) == AffineMap.translation(
             [Scalar.of(-10**4) + ALPHA * 7])
 
+    def test_affine_of_matches_generator_powers(self):
+        # the oracle is the product of AffineMap.power over the generators,
+        # on the raw exponents (torsion wrap-around is not reduced first)
+        def oracle(pres, k):
+            phi = AffineMap.identity(pres.dim)
+            for g, n in zip(pres.generators, k):
+                if n:
+                    phi = g.affine.power(n).compose(phi)
+            return phi
+
+        shear = AffineMap([[1, 1], [0, 1]], [0, 1])
+        lattice = GroupQuotient(2, [
+            Generator(0, shear),
+            Generator(0, AffineMap.translation([1, 0])),
+            Generator(0, AffineMap.translation([ALPHA, 0])),
+            Generator(0, AffineMap([[1, ALPHA], [0, 1]], [0, ALPHA]))],
+            free=True, function_class_degree=1)
+        z4 = GroupQuotient(2, [Generator(4, AffineMap([[0, -1], [1, 0]],
+                                                      [0, 0]))], free=False)
+        mixed = GroupQuotient(
+            2, [Generator(2, AffineMap([[-1, 0], [0, 1]], [0, 0])),
+                Generator(0, AffineMap.translation([0, 1]))], free=False)
+        quotients = [gallery.get_presentation(name) for name in gallery.names()
+                     if gallery.get_presentation(name).kind == "quotient"]
+        rng = random.Random(22)
+        big = [10**4, -10**4, 10**4 + 1, -10**4 - 1]
+        big += [s * (2**j + d) for j in range(1, 15)
+                for d in (-1, 1) for s in (1, -1)]
+        for pres in quotients + [z4, mixed, lattice]:
+            r = pres.rank
+            box = list(itertools.product(range(-9, 10), repeat=r))
+            if len(box) > 400:
+                box = rng.sample(box, 400)
+            ks = box + [pres.gen_power(i, n) for i in range(r) for n in big]
+            ks += [tuple(rng.choice(big) for _ in range(r)) for _ in range(20)]
+            for i, g in enumerate(pres.generators):
+                if g.torsion:
+                    ks += [pres.gen_power(i, q * g.torsion + s)
+                           for q in (-3, -1, 1, 5) for s in range(g.torsion)]
+            expected = {k: oracle(pres, k) for k in ks}
+            for _ in range(3):
+                fresh = GroupQuotient(pres.dim, pres.generators, pres.free,
+                                      pres.function_class_degree)
+                rng.shuffle(ks)
+                for k in ks:
+                    assert fresh.affine_of(k) == expected[k], (pres, k)
+
+    def test_crossed_value_composes_logarithmically(self, monkeypatch):
+        # kappa at (10^6, -10^6) on a fresh torus: a few compositions per bit
+        gens = gallery.get_presentation("irrational-torus").generators
+        it = GroupQuotient(1, gens, free=True, function_class_degree=3)
+        cls = it.function_class()
+        kappa = Cochain.crossed(it, {0: cls.zero(), 1: cls.from_coordinates(
+            [ALPHA] + [0] * (cls.dimension - 1))})
+        calls = []
+        compose = AffineMap.compose
+
+        def counting(self, other):
+            calls.append(other)
+            return compose(self, other)
+
+        monkeypatch.setattr(AffineMap, "compose", counting)
+        v = kappa.q_value(((10**6, -10**6),))
+        assert len(calls) <= 5 * math.log2(10**6)
+        assert v == cls.from_coordinates(
+            [-10**6 * ALPHA] + [0] * (cls.dimension - 1))
+
     def test_canonical_torsion_reduction(self):
         z2 = gallery.get_presentation("z2-reflection")
         assert z2.k_canonical((5,)) == (1,)
@@ -195,6 +263,20 @@ class TestGroupQuotient:
         for pres, k in ((it, (1,)), (it, (1, 2, 3)), (z4, ()), (z4, (1, 1))):
             with pytest.raises(ParseError, match="wrong rank"):
                 pres.k_canonical(k)
+
+    def test_non_integral_exponents_refused(self):
+        it = gallery.get_presentation("irrational-torus")
+        kappa = gallery.get("irrational-torus").cocycles["kappa"]
+        with pytest.raises(ParseError, match=r"non-integral exponent 2\.7"):
+            kappa.q_value(((0, 2.7),))
+        for k, bad in (((Fraction(3, 2), 0), "3/2"),
+                       ((Fraction(1, 2), 0), "1/2"), ((4, -0.5), "-0.5")):
+            with pytest.raises(ParseError, match=f"non-integral exponent {bad}"):
+                it.affine_of(k)
+        z2 = gallery.get_presentation("z2-reflection")
+        with pytest.raises(ParseError, match="non-integral exponent 2.5"):
+            z2.k_canonical((2.5,))
+        assert it.k_canonical((Fraction(6, 3), 2.0)) == (2, 2)
 
     def test_function_class_is_built_once(self):
         it = gallery.get_presentation("irrational-torus")
