@@ -330,30 +330,41 @@ class GroupQuotient:
         inverse of g_i, computed once.
         """
         k = self.k_canonical(k)
-        phi = self._affine_cache.get(k)
+        cache = self._affine_cache
+        phi = cache.get(k)
         if phi is not None:
             return phi
         used = [i for i, n in enumerate(k) if n]
         if not used:
-            phi = AffineMap.identity(self.dim)
+            phi = cache[k] = AffineMap.identity(self.dim)
         elif len(used) > 1:
             phi = self.affine_of(self.gen_power(used[0], k[used[0]]))
             for i in used[1:]:
                 phi = self.affine_of(self.gen_power(i, k[i])).compose(phi)
+            cache[k] = phi
         else:
+            # g_i^(sign p) for the binary prefixes p of |n|, shortest first,
+            # in a loop, so that no exponent is too large for the stack.
+            # Each key is canonical: a torsion exponent is positive and
+            # below the order, and so is each prefix.
             i = used[0]
-            n = k[i]
-            if n == 1:
-                phi = self.generators[i].affine
-            elif n == -1:
-                phi = self.generators[i].affine.inverse()
-            else:
-                sign = 1 if n > 0 else -1
-                half = self.affine_of(self.gen_power(i, sign * (abs(n) // 2)))
-                phi = half.compose(half)
-                if n % 2:
-                    phi = self.affine_of(self.gen_power(i, sign)).compose(phi)
-        self._affine_cache[k] = phi
+            head, n, tail = k[:i], k[i], k[i + 1:]
+            sign = 1 if n > 0 else -1
+            key = head + (sign,) + tail
+            step = cache.get(key)
+            if step is None:
+                g = self.generators[i].affine
+                step = cache[key] = g if sign > 0 else g.inverse()
+            phi = step
+            for shift in range(abs(n).bit_length() - 2, -1, -1):
+                p = abs(n) >> shift
+                key = head + (sign * p,) + tail
+                half, phi = phi, cache.get(key)
+                if phi is None:
+                    phi = half.compose(half)
+                    if p & 1:
+                        phi = step.compose(phi)
+                    cache[key] = phi
         return phi
 
     def act_point(self, point, k):

@@ -221,6 +221,13 @@ class TestGroupQuotient:
                 for k in ks:
                     assert fresh.affine_of(k) == expected[k], (pres, k)
 
+    def test_affine_of_takes_huge_exponents(self):
+        gens = gallery.get_presentation("irrational-torus").generators
+        it = GroupQuotient(1, gens, free=True, function_class_degree=1)
+        k = (2**3000 + 1, -2**5000 - 3)
+        assert it.affine_of(k) == AffineMap.translation(
+            [Scalar.of(k[0]) + ALPHA * k[1]])
+
     def test_crossed_value_composes_logarithmically(self, monkeypatch):
         # kappa at (10^6, -10^6) on a fresh torus: a few compositions per bit
         gens = gallery.get_presentation("irrational-torus").generators
