@@ -448,28 +448,40 @@ def crossed_value(pres, values: Dict[int, FunctionElement], k) -> FunctionElemen
 
 def _crossed_single(pres, val: FunctionElement, i: int, n: int) -> FunctionElement:
     """S(n) = sum_{0 <= j < n} val.g_i^j, by S(1) = val, S(2m) = S(m) +
-    g_i^m.S(m) and S(m+1) = S(m) + g_i^m.val; S(-n) = -g_i^(-n).S(n)."""
+    g_i^m.S(m) and S(m+1) = S(m) + g_i^m.val; S(-n) = -g_i^(-n).S(n).
+
+    S is built over the binary prefixes p of |n|, shortest first, in a loop,
+    so that no exponent is too large for the stack; each S(p) is cached under
+    (val, i, p).  n itself is looked up first.
+    """
     if n == 1:
         return val
     cache = getattr(pres, "_crossed_cache", None)
     if cache is None:
         cache = pres._crossed_cache = {}
-    key = (val, i, n)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    acc = cache.get((val, i, n))
+    if acc is not None:
+        return acc
+    a = abs(n)
+    steps = [a >> s for s in range(a.bit_length() - 2, -1, -1)]
     if n < 0:
-        pos = _crossed_single(pres, val, i, -n)
-        acc = -act(pres.affine_of(pres.gen_power(i, n)), pos)
-    else:
-        m = n // 2
-        half = _crossed_single(pres, val, i, m)
-        acc = half + act(pres.affine_of(pres.gen_power(i, m)), half)
-        if n % 2:
-            acc = acc + act(pres.affine_of(pres.gen_power(i, n - 1)), val)
-    if len(cache) >= CROSSED_CACHE_SIZE:
-        cache.clear()
-    cache[key] = acc
+        steps.append(n)
+    acc = val
+    for p in steps:
+        key = (val, i, p)
+        part, acc = acc, (None if p == n else cache.get(key))
+        if acc is None:
+            if p < 0:
+                acc = -act(pres.affine_of(pres.gen_power(i, p)), part)
+            else:
+                m = p // 2
+                acc = part + act(pres.affine_of(pres.gen_power(i, m)), part)
+                if p % 2:
+                    acc = acc + act(pres.affine_of(pres.gen_power(i, p - 1)),
+                                    val)
+            if len(cache) >= CROSSED_CACHE_SIZE:
+                cache.clear()
+            cache[key] = acc
     return acc
 
 
@@ -809,20 +821,36 @@ def _coboundary_matrix(pres, k: int, cls) -> List[List[Scalar]]:
     return M
 
 
-def _quotient_field_cohomology(pres, k: int, group) -> CohomologyReport:
-    """H^k of a quotient in the coordinates of its function class: the
-    K-invariant functions in degree 0, or H^k of a finite K."""
-    # refuse a K^(k+1) over the limit before any matrix is built
+def _quotient_invariants(pres, group) -> CohomologyReport:
+    """H^0 of a quotient: the K-invariant functions of its class."""
+    cls = pres.function_class()
+    return _field_cohomology_from_matrices(
+        pres, 0, group, _coboundary_matrix(pres, 0, cls),
+        [[] for _ in range(cls.dimension)],
+        lambda c: _quotient_vector(c, cls),
+        lambda v: _quotient_from_vector(pres, 0, cls, v),
+        f"invariants of class (n={cls.n}, D={cls.max_degree})")
+
+
+def _finite_quotient_vanishing(pres, k: int, group) -> CohomologyReport:
+    """H^k of a finite K for k >= 1 is 0 with no matrix built: averaging a
+    cocycle f over K gives g with dg = +-f (`average.trivializing_homotopy`).
+    The oracle refuses a cochain of another presentation or degree, and a
+    non-cocycle, by scanning its coboundary's table."""
+    # refuse a K^(k+1) over the limit, as a tabulated H^k would
     _quotient_points(pres, k + 1)
     cls = pres.function_class()
-    B = (_coboundary_matrix(pres, k - 1, cls) if k
-         else [[] for _ in range(cls.dimension)])
-    note = (f"{'relative to' if k else 'invariants of'} class "
-            f"(n={cls.n}, D={cls.max_degree})")
-    return _field_cohomology_from_matrices(
-        pres, k, group, _coboundary_matrix(pres, k, cls), B,
-        lambda c: _quotient_vector(c, cls),
-        lambda v: _quotient_from_vector(pres, k, cls, v), note)
+
+    def oracle(c: Cochain):
+        if c.pres != pres or c.degree != k:
+            raise TagError(f"the class oracle of H^{k} takes degree-{k} "
+                           f"cochains on its presentation")
+        _require_cocycle(c)
+        return ()
+
+    return CohomologyReport(
+        pres, k, group, oracle=oracle,
+        note=f"relative to class (n={cls.n}, D={cls.max_degree})")
 
 
 def cohomology(pres, group: Group, k: int) -> CohomologyReport:
@@ -834,10 +862,14 @@ def cohomology(pres, group: Group, k: int) -> CohomologyReport:
             )
         _require_nerve_tag(group)
         return _integer_cohomology(pres, k, group)
+    if k < 0:
+        raise DegreeError(f"quotient cohomology has no degree {k}")
     if group.tag != "R(alpha)":
         raise ParseError("quotient cohomology uses the R model coefficients")
-    if k == 0 or pres.is_finite():
-        return _quotient_field_cohomology(pres, k, group)
+    if k == 0:
+        return _quotient_invariants(pres, group)
+    if pres.is_finite():
+        return _finite_quotient_vanishing(pres, k, group)
     if k == 1:
         from .grpcoh import h1_group
 
@@ -871,7 +903,7 @@ def h0_global_sections(pres, group: Group) -> CohomologyReport:
             invariant_factors=[m] * n if m else (), representatives=reps,
             oracle=oracle, note=f"{n} component(s)")
 
-    return _quotient_field_cohomology(pres, 0, group)
+    return _quotient_invariants(pres, group)
 
 
 def _require_nerve_tag(group: Group):

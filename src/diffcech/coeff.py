@@ -13,7 +13,6 @@ representatives (residues in [0,m) for Z/m, rationals in [0,1) for Q/Z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Sequence
@@ -746,18 +745,20 @@ class GroupElement:
 # short exact coefficient sequences
 
 
-@dataclass(frozen=True)
 class CoefficientSES:
     """0 -> A -> B -> C -> 0 with a deterministic lifting oracle C -> B."""
 
-    a: Group
-    b: Group
-    c: Group
-    injection: Callable
-    surjection: Callable
-    lift_fn: Callable
-    injection_preimage: Callable
-    name: str
+    def __init__(self, a: Group, b: Group, c: Group, injection: Callable,
+                 surjection: Callable, lift_fn: Callable,
+                 injection_preimage: Callable, name: str):
+        self.a = a
+        self.b = b
+        self.c = c
+        self.injection = injection
+        self.surjection = surjection
+        self.lift_fn = lift_fn
+        self.injection_preimage = injection_preimage
+        self.name = name
 
     def inject(self, x: GroupElement) -> GroupElement:
         if x.group != self.a:

@@ -343,10 +343,13 @@ class GroupQuotient:
                 phi = self.affine_of(self.gen_power(i, k[i])).compose(phi)
             cache[k] = phi
         else:
-            # g_i^(sign p) for the binary prefixes p of |n|, shortest first,
-            # in a loop, so that no exponent is too large for the stack.
-            # Each key is canonical: a torsion exponent is positive and
-            # below the order, and so is each prefix.
+            # g_i^(sign p) for the binary prefixes p of |n|: the longest one
+            # cached is looked up first, and the longer ones are built from
+            # it, shortest first, in loops, so that no exponent is too large
+            # for the stack and a walk that starts where an earlier one
+            # ended makes few lookups.  Each key is canonical: a torsion
+            # exponent is positive and below the order, and so is each
+            # prefix.
             i = used[0]
             head, n, tail = k[:i], k[i], k[i + 1:]
             sign = 1 if n > 0 else -1
@@ -355,16 +358,19 @@ class GroupQuotient:
             if step is None:
                 g = self.generators[i].affine
                 step = cache[key] = g if sign > 0 else g.inverse()
+            a = abs(n)
+            todo = [a >> shift for shift in range(a.bit_length() - 1)]
             phi = step
-            for shift in range(abs(n).bit_length() - 2, -1, -1):
-                p = abs(n) >> shift
-                key = head + (sign * p,) + tail
-                half, phi = phi, cache.get(key)
-                if phi is None:
-                    phi = half.compose(half)
-                    if p & 1:
-                        phi = step.compose(phi)
-                    cache[key] = phi
+            for j in range(1, len(todo)):
+                hit = cache.get(head + (sign * todo[j],) + tail)
+                if hit is not None:
+                    phi, todo = hit, todo[:j]
+                    break
+            for p in reversed(todo):
+                phi = phi.compose(phi)
+                if p & 1:
+                    phi = step.compose(phi)
+                cache[head + (sign * p,) + tail] = phi
         return phi
 
     def act_point(self, point, k):

@@ -8,20 +8,24 @@ from fractions import Fraction
 import pytest
 
 from diffcech import cech, gallery, linalg, reduce, serialize
+from diffcech.average import FiniteTranslationGroupoid, trivializing_homotopy
 from diffcech.cech import (
     CROSSED_CACHE_SIZE,
     MAX_MATRIX_SIDE,
     Cochain,
     GroupHom,
     _coboundary_matrix,
+    _crossed_single,
     _quotient_from_vector,
     _quotient_points,
     _quotient_vector,
+    MAX_K_TUPLES,
     boundary_matrix,
     classes_equal,
     coboundary,
     cohomology,
     connecting_map,
+    crossed_value,
     h0_global_sections,
     is_cocycle,
     pullback_cochain,
@@ -42,7 +46,7 @@ from diffcech.coeff import (
     sparse_apply,
 )
 from diffcech.errors import CocycleError, DegreeError, ParseError, TagError
-from diffcech.funclass import AffineMap
+from diffcech.funclass import AffineMap, act
 from diffcech.grpcoh import h1_group
 from diffcech.presentation import (
     FiniteNerve,
@@ -335,6 +339,41 @@ class TestQuotientCochains:
         # the loop adds more keys than the bound, so the cache was cleared
         assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
+    def test_crossed_value_takes_huge_exponents(self):
+        # S(n) is built in a loop over the bits of n, not a recursion
+        it = serialize.presentation_from_dict(serialize.presentation_to_dict(
+            gallery.get_presentation("irrational-torus")))
+        kappa = gallery.get("irrational-torus").cocycles["kappa"]
+        cls = it.function_class()
+        n = 2 ** 3000 + 1
+        assert crossed_value(it, kappa.payload, (0, n)) == cls.from_coordinates(
+            [ALPHA * n] + [Scalar.of(0)] * 3)
+
+    @pytest.mark.parametrize("cache_size", [CROSSED_CACHE_SIZE, 5])
+    def test_crossed_loop_matches_the_recursion(self, cache_size,
+                                                monkeypatch):
+        # the loop against the halving recursion on random functions, with
+        # the cache warm from earlier exponents and, at size 5, cleared in
+        # the middle of a walk
+        monkeypatch.setattr(cech, "CROSSED_CACHE_SIZE", cache_size)
+        rng = random.Random(f"crossed-loop:{cache_size}")
+        exponents = list(range(1, 301)) + [
+            2 ** j + s for j in range(1, 41) for s in (-1, 1)]
+        exponents += [-n for n in exponents]
+        for pres in (gallery.get_presentation("irrational-torus"),
+                     _z4_rotation()):
+            pres = serialize.presentation_from_dict(
+                serialize.presentation_to_dict(pres))
+            vals = [pres.function_class().random(rng) for _ in range(2)]
+            assert not any(v.is_zero() for v in vals)
+            rng.shuffle(exponents)
+            for n in exponents:
+                i = n % pres.rank
+                val = vals[n % 2]
+                want = _crossed_single_recursive(pres, val, i, n)
+                assert _crossed_single(pres, val, i, n) == want, (pres, n)
+                assert len(pres._crossed_cache) <= cache_size
+
     def test_coboundary_of_function_is_principal(self):
         it = gallery.get_presentation("irrational-torus")
         rng = random.Random(23)
@@ -392,6 +431,16 @@ class TestQuotientCohomology:
         z2 = gallery.get_presentation("z2-reflection")
         assert cohomology(z2, RAlphaGroup(), 1).dimension == 0
         assert cohomology(z2, RAlphaGroup(), 2).dimension == 0
+
+    @pytest.mark.parametrize("name", ["z2-reflection", "z4-rotation",
+                                      "irrational-torus"])
+    def test_negative_degree_refused(self, name):
+        pres = (_z4_rotation() if name == "z4-rotation"
+                else gallery.get_presentation(name))
+        for k in (-1, -2):
+            with pytest.raises(DegreeError,
+                               match=f"quotient cohomology has no degree {k}$"):
+                cohomology(pres, RAlphaGroup(), k)
 
 
 GALLERY_NERVES = [
@@ -463,10 +512,10 @@ def _builder_cases():
             yield pytest.param(build(size, False), id=f"{space}{size}-full")
 
 
-def _z4_rotation():
+def _z4_rotation(d=1):
     rotation = AffineMap([[0, -1], [1, 0]], [0, 0])
     return GroupQuotient(2, [Generator(4, rotation)], free=False,
-                         function_class_degree=1, name="z4-rotation")
+                         function_class_degree=d, name="z4-rotation")
 
 
 def _lattice2():
@@ -486,6 +535,37 @@ def _unit_cochain_matrix(pres, k, cls):
         dc = coboundary(_quotient_from_vector(pres, k, cls, unit))
         cols.append(_quotient_vector(dc, cls))
     return [list(row) for row in zip(*cols)]
+
+
+def _crossed_single_recursive(pres, val, i, n):
+    """S(n) = sum_{0 <= j < n} val.g_i^j by S(2m) = S(m) + g_i^m.S(m),
+    S(m+1) = S(m) + g_i^m.val and S(-n) = -g_i^(-n).S(n), recursively and
+    uncached."""
+    if n == 1:
+        return val
+    if n < 0:
+        pos = _crossed_single_recursive(pres, val, i, -n)
+        return -act(pres.affine_of(pres.gen_power(i, n)), pos)
+    m = n // 2
+    half = _crossed_single_recursive(pres, val, i, m)
+    acc = half + act(pres.affine_of(pres.gen_power(i, m)), half)
+    if n % 2:
+        acc = acc + act(pres.affine_of(pres.gen_power(i, n - 1)), val)
+    return acc
+
+
+def _z2_reflection(d):
+    return GroupQuotient(1, [Generator(2, AffineMap([[-1]], [0]))],
+                         free=False, function_class_degree=d,
+                         name=f"z2-reflection-D{d}")
+
+
+def _klein_four(d):
+    """Z/2 x Z/2 as the two commuting coordinate reflections of R^2."""
+    flips = (AffineMap([[-1, 0], [0, 1]], [0, 0]),
+             AffineMap([[1, 0], [0, -1]], [0, 0]))
+    return GroupQuotient(2, [Generator(2, f) for f in flips], free=False,
+                         function_class_degree=d, name=f"klein-four-D{d}")
 
 
 def _count_snf_calls(monkeypatch):
@@ -765,6 +845,46 @@ class TestIndependentRoutes:
             table = cohomology(pres, RAlphaGroup(), 1)
             assert table.note.startswith("relative to class")
             assert table.dimension == h1_group(pres).dimension == 0
+
+    @pytest.mark.parametrize("build, d", [
+        (_z2_reflection, 1), (_z2_reflection, 2), (_z2_reflection, 3),
+        (_z4_rotation, 1), (_z4_rotation, 2), (_klein_four, 1),
+        (_klein_four, 2)])
+    def test_finite_vanishing_is_the_rank_count(self, build, d):
+        # H^k of a finite K is reported as 0 with no matrix built; the ranks
+        # of the tabulated d_k and d_(k-1) give the same dimension, and
+        # averaging over K trivializes every cocycle
+        pres = build(d)
+        cls = pres.function_class()
+        R = RAlphaGroup()
+        groupoid = FiniteTranslationGroupoid(pres)
+        rng = random.Random(f"finite-vanishing:{pres.name}:{d}")
+        for k in (1, 2, 3):
+            assert pres.k_order() ** (k + 1) <= MAX_K_TUPLES
+            rep = cohomology(pres, R, k)
+            n = len(_quotient_points(pres, k)) * cls.dimension
+            ranks = [linalg.rank(_coboundary_matrix(pres, j, cls))
+                     for j in (k, k - 1)]
+            assert rep.dimension == n - sum(ranks), k
+            assert rep.group_description() == "0" and not rep.representatives
+            assert rep.note == (
+                f"relative to class (n={cls.n}, D={cls.max_degree})")
+            f = random_cocycle(pres, k, R, rng)
+            assert f.payload_kind == "table" and not f.is_zero()
+            assert rep.class_coordinates(f) == ()
+            assert rep.is_zero_class(f)
+            g = trivializing_homotopy(groupoid, f)
+            assert coboundary(g) == f.scale_int((-1) ** k)
+            table = dict(f.payload)
+            kt = rng.choice(sorted(table))
+            table[kt] = table[kt] + cls.random(rng)
+            with pytest.raises(CocycleError):
+                rep.class_coordinates(Cochain.table(pres, k, table))
+            for other in (zero_cochain(pres, k - 1, R),
+                          zero_cochain(pres, k + 1, R),
+                          random_cocycle(build(d + 1), k, R, rng)):
+                with pytest.raises(TagError):
+                    rep.class_coordinates(other)
 
 
 class TestClassesEqual:

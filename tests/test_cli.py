@@ -12,6 +12,8 @@ import pytest
 from diffcech import gallery, serialize
 from diffcech.cech import MAX_MATRIX_SIDE
 from diffcech.cli import run
+from diffcech.funclass import AffineMap
+from diffcech.presentation import Generator, GroupQuotient
 
 from test_reduce import _projective_planes
 
@@ -54,6 +56,20 @@ class TestCohomology:
                             str(p)])
         assert code == 0
         assert any("Z/2" in ln for ln in lines)
+
+
+    def test_negative_degree_on_quotients(self, tmp_path):
+        # refused with the degree asked for, on finite and infinite K
+        z4 = GroupQuotient(2, [Generator(4, AffineMap([[0, -1], [1, 0]],
+                                                      [0, 0]))], free=False)
+        p = tmp_path / "z4-rotation.json"
+        p.write_text(serialize.dumps(serialize.presentation_to_dict(z4)))
+        for source in ("gallery:z2-reflection", "gallery:irrational-torus",
+                       str(p)):
+            code, lines = _run(["cohomology", "--degree", "-1", "--coeff",
+                                "R(alpha)", source])
+            assert code == 2, source
+            assert lines[2:] == ["error: quotient cohomology has no degree -1"]
 
 
 class TestCheckCocycle:

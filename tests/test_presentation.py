@@ -248,6 +248,29 @@ class TestGroupQuotient:
         assert v == cls.from_coordinates(
             [-10**6 * ALPHA] + [0] * (cls.dimension - 1))
 
+    def test_crossed_value_looks_up_each_prefix_a_few_times(self):
+        # the crossed sum asks for g^m at each binary prefix m of n, one
+        # prefix longer each time; each walk stops at the longest cached
+        # prefix, so the cache lookups grow with the bits of n, not with
+        # their square (about 200 per bit at 2^400 with shortest-first walks)
+        class Counting(dict):
+            gets = 0
+
+            def get(self, key, default=None):
+                self.gets += 1
+                return super().get(key, default)
+
+        gens = gallery.get_presentation("irrational-torus").generators
+        for n in (2**400 + 1, -2**400 - 1, 3**250):
+            it = GroupQuotient(1, gens, free=True, function_class_degree=1)
+            it._affine_cache = Counting()
+            cls = it.function_class()
+            kappa = Cochain.crossed(it, {0: cls.zero(), 1: cls.from_coordinates(
+                [ALPHA] + [0] * (cls.dimension - 1))})
+            assert kappa.q_value(((0, n),)) == cls.from_coordinates(
+                [n * ALPHA] + [0] * (cls.dimension - 1))
+            assert it._affine_cache.gets <= 5 * n.bit_length(), n
+
     def test_canonical_torsion_reduction(self):
         z2 = gallery.get_presentation("z2-reflection")
         assert z2.k_canonical((5,)) == (1,)
