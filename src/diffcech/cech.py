@@ -766,69 +766,53 @@ def _field_cohomology_from_matrices(pres, k: int, group, A, B,
                             representatives=reps, oracle=oracle, note=note)
 
 
-def _quotient_vector(c: Cochain, cls) -> list:
-    """Coordinates in cls of a quotient cochain's values at its points."""
-    points = _quotient_points(c.pres, c.degree)
-    if points is None:
-        raise DegreeError("infinite-group quotient cochains have coordinates "
-                          "only as degree-1 crossed data")
-    return [x for kt in points for x in c.q_value(kt).in_class(cls).coordinates()]
-
-
-def _quotient_from_vector(pres, k: int, cls, vec) -> Cochain:
-    d = cls.dimension
-    values = {kt: cls.from_coordinates(vec[j * d : (j + 1) * d])
-              for j, kt in enumerate(_quotient_points(pres, k))}
-    return _quotient_cochain(pres, k, values.__getitem__)
-
-
 def _add_into(row, j, x):
     """row[j] += x, with the first contribution to a ZERO cell written as is."""
     v = row[j]
     row[j] = x if v is ZERO else v + x
 
 
-def _coboundary_matrix(pres, k: int, cls) -> List[List[Scalar]]:
-    """Rows of d: C^k -> C^{k+1} of a quotient, in the coordinates of cls.
+def _generator_rows(pres, cls) -> List[List[Scalar]]:
+    """Matrix of alpha |-> (alpha.g_i - alpha)_i in the coordinates of cls,
+    one row block per generator g_i, read off its monomial images.
 
-    The row block of kt = (k1, ...) holds the monomial images of k1's action
-    in the column block of the shifted tuple (kj - k1)_j, and (-1)^i on the
-    diagonal of the block of its i-th face, as in ``coboundary``.
-    """
-    cols = _quotient_points(pres, k)
-    rows = _quotient_points(pres, k + 1)
-    if rows is None:
-        raise DegreeError("infinite-group quotient cochains have coordinates "
-                          "only as degree-1 crossed data")
+    Its kernel is the K-invariant part of cls, and on its column space
+    crossed data is fixed by its generator values, so this is d_0 wherever
+    degree 0 is concerned."""
     basis = cls.basis
     d = len(basis)
-    where = {e: i for i, e in enumerate(basis)}
-    start = {p: j * d for j, p in enumerate(cols)}
-    M = [[ZERO] * (len(cols) * d) for _ in range(len(rows) * d)]
-    for r, kt in enumerate(rows):
-        block = M[r * d:(r + 1) * d]
-        k1 = kt[0]
-        c = start[tuple(pres.k_add(kj, pres.k_neg(k1)) for kj in kt[1:])]
-        phi = pres.affine_of(k1)
+    where = {e: t for t, e in enumerate(basis)}
+    M = []
+    for g in pres.generators:
+        block = [[ZERO] * d for _ in range(d)]
         for j, e in enumerate(basis):
-            for e_out, x in phi.monomial_image(e).items():
-                _add_into(block[where[e_out]], c + j, x)
-        for i in range(1, k + 2):
-            c = start[kt[:i - 1] + kt[i:]]
-            sign = -ONE if i % 2 else ONE
-            for j in range(d):
-                _add_into(block[j], c + j, sign)
+            for e_out, x in g.affine.monomial_image(e).items():
+                block[where[e_out]][j] = x
+        for j in range(d):
+            _add_into(block[j], j, -ONE)
+        M += block
     return M
 
 
+def _generator_vector(c: Cochain, cls) -> list:
+    """Coordinates in cls of a degree-1 quotient cochain at the generators,
+    in the row order of `_generator_rows`."""
+    pres = c.pres
+    return [x for i in range(pres.rank) for x in
+            c.q_value((pres.gen_power(i),)).in_class(cls).coordinates()]
+
+
 def _quotient_invariants(pres, group) -> CohomologyReport:
-    """H^0 of a quotient: the K-invariant functions of its class."""
+    """H^0 of a quotient: the K-invariant functions of its class, the
+    kernel of the generator rows."""
     cls = pres.function_class()
+    # with no generator there is no row to read the width off: one zero row
+    # keeps every function invariant
+    A = _generator_rows(pres, cls) or [[ZERO] * cls.dimension]
     return _field_cohomology_from_matrices(
-        pres, 0, group, _coboundary_matrix(pres, 0, cls),
-        [[] for _ in range(cls.dimension)],
-        lambda c: _quotient_vector(c, cls),
-        lambda v: _quotient_from_vector(pres, 0, cls, v),
+        pres, 0, group, A, [[] for _ in range(cls.dimension)],
+        lambda c: c.q_value(()).in_class(cls).coordinates(),
+        lambda v: Cochain.function(pres, cls.from_coordinates(v)),
         f"invariants of class (n={cls.n}, D={cls.max_degree})")
 
 
@@ -1016,23 +1000,33 @@ def classes_equal(f1: Cochain, f2: Cochain) -> ClassComparison:
 
 
 def _quotient_classes_equal(pres, k: int, diff: Cochain) -> ClassComparison:
+    """Degree 1 solves d(alpha) = diff on the generator rows, one degree up:
+    crossed data is fixed by its generator values.  Above degree 1 over a
+    finite K, averaging gives alpha with d(alpha) = (-1)^k diff."""
     if k == 0:
         if diff.is_zero():
             return ClassComparison(True, None, "equal functions")
         return ClassComparison(False, None, "functions differ")
-    if k > 1 and not pres.is_finite():
-        raise DegreeError("class comparison above degree 1 needs a finite group")
-    # unknown (k-1)-cochain alpha with entries in the widened class
+    if k > 1:
+        if not pres.is_finite():
+            raise DegreeError(
+                "class comparison above degree 1 needs a finite group")
+        from .average import FiniteTranslationGroupoid, trivializing_homotopy
+
+        g = trivializing_homotopy(FiniteTranslationGroupoid(pres), diff)
+        return ClassComparison(True, g.scale_int((-1) ** k), "witness found")
+    # unknown degree-0 alpha in the widened class
     wide = pres.function_class().widen(1)
-    sol = linalg.solve(_coboundary_matrix(pres, k - 1, wide),
-                       _quotient_vector(diff, wide))
+    sol = linalg.solve(_generator_rows(pres, wide),
+                       _generator_vector(diff, wide))
     if sol is None:
         return ClassComparison(
             False, None,
             f"no witness in class (n={wide.n}, D={wide.max_degree})",
         )
-    return ClassComparison(True, _quotient_from_vector(pres, k - 1, wide, sol),
-                           "witness found")
+    return ClassComparison(
+        True, Cochain.function(pres, wide.from_coordinates(sol)),
+        "witness found")
 
 
 # ---------------------------------------------------------------------------

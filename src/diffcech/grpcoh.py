@@ -16,6 +16,8 @@ from .cech import (
     CohomologyReport,
     _add_into,
     _field_cohomology_from_matrices,
+    _generator_rows,
+    _generator_vector,
     _require_cocycle,
     crossed_relations,
     crossed_value,
@@ -91,8 +93,9 @@ def h1_group(pres) -> CohomologyReport:
     """H1(K, C(M)) within the function class: crossed modulo principal.
 
     Cocycles are degree-D crossed data; principality is tested one degree up
-    (witness potentials live in the widened class).  Both matrices are read
-    off unit vectors in wide coordinates, one block per generator.
+    (witness potentials live in the widened class).  Both matrices have one
+    row block per generator in wide coordinates: the crossed relations are
+    read off unit vectors, and the principal block off the generator rows.
     """
     if pres.kind != "quotient":
         raise ParseError("h1_group needs a quotient presentation")
@@ -101,10 +104,6 @@ def h1_group(pres) -> CohomologyReport:
     dim = wide.dimension
     r = pres.rank
     top = [t for t, e in enumerate(wide.basis) if sum(e) > cls.max_degree]
-
-    def to_vector(values):
-        return [x for i in range(r)
-                for x in values[i].in_class(wide).coordinates()]
 
     # cocycles: every crossed relation holds and the data lies in class D
     monomials = [wide.monomial(e) for e in wide.basis]
@@ -120,16 +119,16 @@ def h1_group(pres) -> CohomologyReport:
 
     # coboundaries: principal crossed data of wide potentials whose
     # degree-(D+1) part cancels
-    P_cols = [to_vector(principal_crossed(pres, m).values) for m in monomials]
-    combos = linalg.nullspace([[col[i * dim + t] for col in P_cols]
+    P = _generator_rows(pres, wide)
+    combos = linalg.nullspace([P[i * dim + t]
                                for i in range(r) for t in top])
-    B = [[ZERO] * len(combos) for _ in range(r * dim)]
-    P_nonzero = [[(u, x) for u, x in enumerate(col) if x] for col in P_cols]
-    for j, combo in enumerate(combos):
-        for nonzero, c in zip(P_nonzero, combo):
-            if c:
-                for u, x in nonzero:
-                    _add_into(B[u], j, x * c)
+    B = [[ZERO] * len(combos) for _ in P]
+    for row, out in zip(P, B):
+        for c, x in enumerate(row):
+            if x:
+                for j, combo in enumerate(combos):
+                    if combo[c]:
+                        _add_into(out, j, x * combo[c])
 
     def from_vector(v):
         return Cochain.crossed(pres, {
@@ -137,11 +136,8 @@ def h1_group(pres) -> CohomologyReport:
             for i in range(r)
         })
 
-    def cochain_vector(c: Cochain):
-        return to_vector({i: c.q_value((pres.gen_power(i),))
-                          for i in range(r)})
-
     note = (f"crossed mod principal; class (n={cls.n}, D={cls.max_degree}), "
             f"witnesses at D={wide.max_degree}")
-    return _field_cohomology_from_matrices(pres, 1, RAlphaGroup(), A_s, B,
-                                           cochain_vector, from_vector, note)
+    return _field_cohomology_from_matrices(
+        pres, 1, RAlphaGroup(), A_s, B,
+        lambda c: _generator_vector(c, wide), from_vector, note)

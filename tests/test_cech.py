@@ -14,11 +14,9 @@ from diffcech.cech import (
     MAX_MATRIX_SIDE,
     Cochain,
     GroupHom,
-    _coboundary_matrix,
     _crossed_single,
-    _quotient_from_vector,
+    _generator_rows,
     _quotient_points,
-    _quotient_vector,
     MAX_K_TUPLES,
     boundary_matrix,
     classes_equal,
@@ -36,6 +34,8 @@ from diffcech.cech import (
 )
 from diffcech.coeff import (
     ALPHA,
+    ONE,
+    ZERO,
     RAlphaGroup,
     Scalar,
     ZGroup,
@@ -47,7 +47,7 @@ from diffcech.coeff import (
 )
 from diffcech.errors import CocycleError, DegreeError, ParseError, TagError
 from diffcech.funclass import AffineMap, act
-from diffcech.grpcoh import h1_group
+from diffcech.grpcoh import h1_group, principal_crossed
 from diffcech.presentation import (
     FiniteNerve,
     Generator,
@@ -525,6 +525,59 @@ def _lattice2():
         "lattice2")
 
 
+def _quotient_vector(c, cls):
+    """Coordinates in cls of a quotient cochain's values at its points."""
+    points = _quotient_points(c.pres, c.degree)
+    return [x for kt in points for x in c.q_value(kt).in_class(cls).coordinates()]
+
+
+def _quotient_from_vector(pres, k, cls, vec):
+    d = cls.dimension
+    values = {kt: cls.from_coordinates(vec[j * d : (j + 1) * d])
+              for j, kt in enumerate(_quotient_points(pres, k))}
+    return cech._quotient_cochain(pres, k, values.__getitem__)
+
+
+def _coboundary_matrix(pres, k, cls):
+    """Rows of d: C^k -> C^{k+1} of a quotient, in the coordinates of cls,
+    tabulated on all of K^(k+1) for a finite K (the generators in degree 1
+    otherwise).
+
+    The row block of kt = (k1, ...) holds the monomial images of k1's action
+    in the column block of the shifted tuple (kj - k1)_j, and (-1)^i on the
+    diagonal of the block of its i-th face, as in ``coboundary``.
+    """
+    cols = _quotient_points(pres, k)
+    rows = _quotient_points(pres, k + 1)
+    if rows is None:
+        raise DegreeError("infinite-group quotient cochains have coordinates "
+                          "only as degree-1 crossed data")
+    basis = cls.basis
+    d = len(basis)
+    where = {e: i for i, e in enumerate(basis)}
+    start = {p: j * d for j, p in enumerate(cols)}
+    M = [[ZERO] * (len(cols) * d) for _ in range(len(rows) * d)]
+
+    def add_into(row, j, x):
+        v = row[j]
+        row[j] = x if v is ZERO else v + x
+
+    for r, kt in enumerate(rows):
+        block = M[r * d:(r + 1) * d]
+        k1 = kt[0]
+        c = start[tuple(pres.k_add(kj, pres.k_neg(k1)) for kj in kt[1:])]
+        phi = pres.affine_of(k1)
+        for j, e in enumerate(basis):
+            for e_out, x in phi.monomial_image(e).items():
+                add_into(block[where[e_out]], c + j, x)
+        for i in range(1, k + 2):
+            c = start[kt[:i - 1] + kt[i:]]
+            sign = -ONE if i % 2 else ONE
+            for j in range(d):
+                add_into(block[j], c + j, sign)
+    return M
+
+
 def _unit_cochain_matrix(pres, k, cls):
     """Rows of d: C^k -> C^{k+1}: the full coboundary of each unit cochain,
     read back in the coordinates of cls."""
@@ -834,6 +887,63 @@ class TestIndependentRoutes:
                 assert ([[type(x) for x in row] for row in got]
                         == [[type(x) for x in row] for row in want])
 
+    @pytest.mark.parametrize("pres", [
+        *(gallery.get_presentation(name) for name in GALLERY_QUOTIENTS),
+        _z4_rotation(), _lattice2()],
+        ids=GALLERY_QUOTIENTS + ["z4-rotation", "lattice2"])
+    def test_generator_rows_are_d0_at_the_generators(self, pres):
+        # the generator rows against the rows of the unit-cochain d_0 at the
+        # generator points, and against the principal crossed data of each
+        # basis monomial, entry by entry and type by type
+        points = _quotient_points(pres, 1)
+        for cls in (pres.function_class(), pres.function_class().widen(1)):
+            d = cls.dimension
+            got = _generator_rows(pres, cls)
+            assert len(got) == pres.rank * d
+            table = _unit_cochain_matrix(pres, 0, cls)
+            at_gens = []
+            for i in range(pres.rank):
+                r = points.index((pres.k_canonical(pres.gen_power(i)),))
+                at_gens += table[r * d:(r + 1) * d]
+            assert got == at_gens, cls
+            cols = [[x for i in range(pres.rank) for x in principal_crossed(
+                         pres, cls.monomial(e)).values[i]
+                     .in_class(cls).coordinates()]
+                    for e in cls.basis]
+            assert got == [list(row) for row in zip(*cols)], cls
+            for want in (at_gens, zip(*cols)):
+                assert ([[type(x) for x in row] for row in got]
+                        == [[type(x) for x in row] for row in want])
+
+    @pytest.mark.parametrize("pres", [
+        *(gallery.get_presentation(name) for name in GALLERY_QUOTIENTS),
+        _z4_rotation(), _z4_rotation(2), _lattice2()],
+        ids=GALLERY_QUOTIENTS + ["z4-rotation", "z4-rotation-D2", "lattice2"])
+    def test_h0_is_the_kernel_of_the_tabulated_d0(self, pres):
+        # H^0 is read off the generator rows; the tabulated d_0 on all of K
+        # has the same kernel, and RREF is unique, so the representatives
+        # and the oracle's coordinates are the same bytes
+        cls = pres.function_class()
+        rep = cohomology(pres, RAlphaGroup(), 0)
+        kernel = linalg.nullspace(_coboundary_matrix(pres, 0, cls))
+        assert rep.dimension == len(kernel)
+        assert ([json.dumps(r.to_dict()) for r in rep.representatives]
+                == [json.dumps(_quotient_from_vector(pres, 0, cls, v).to_dict())
+                    for v in kernel])
+        assert ([_quotient_vector(r, cls) for r in rep.representatives]
+                == [[Scalar.of(x) for x in v] for v in kernel])
+        if not pres.generators:
+            assert rep.group_description() == f"R^{cls.dimension}"
+        rng = random.Random(f"h0:{pres.name}")
+        columns = [list(row) for row in zip(*kernel)]
+        for _ in range(4):
+            c = zero_cochain(pres, 0, RAlphaGroup())
+            for r in rep.representatives:
+                c = c + r.scale_int(rng.randrange(-3, 4))
+            want = linalg.solve(columns, _quotient_vector(c, cls))
+            assert (json.dumps(rep.class_coordinates(c), default=str)
+                    == json.dumps(want, default=str))
+
     def test_torsion_vanishes_over_the_field(self):
         rp2 = gallery.get_presentation("rp2")
         assert cohomology(rp2, ZGroup(), 2).group_description() == "Z/2"
@@ -908,6 +1018,48 @@ class TestClassesEqual:
         assert not res.equal
         assert "no witness" in res.certificate
 
+
+    def test_quotient_witness_one_degree_up(self):
+        # d(x0^(D+1)) on the irrational torus lies in class D; its only
+        # witnesses, up to constants, lie one degree up
+        it = gallery.get_presentation("irrational-torus")
+        wide = it.function_class().widen(1)
+        top = Cochain.function(it, wide.monomial((wide.max_degree,)))
+        diff = coboundary(top)
+        assert all(v.in_class(it.function_class()) == v
+                   for v in diff.payload.values())
+        res = classes_equal(zero_cochain(it, 1, RAlphaGroup()), diff)
+        assert res.equal and coboundary(res.witness) == diff
+        assert res.witness.payload == top.payload
+
+    @pytest.mark.parametrize("build, d", [
+        (_z2_reflection, 1), (_z2_reflection, 2), (_z2_reflection, 3),
+        (_z4_rotation, 1), (_z4_rotation, 2), (_klein_four, 1),
+        (_klein_four, 2)])
+    def test_finite_witnesses_in_degrees_1_to_3(self, build, d):
+        # d(witness) is the difference in every degree; above degree 1 the
+        # witness is averaged and stays in class D, and in degree 1 it is
+        # the solution of the system tabulated on all of K, byte for byte
+        pres = build(d)
+        cls, wide = pres.function_class(), pres.function_class().widen(1)
+        R = RAlphaGroup()
+        rng = random.Random(f"finite-witness:{pres.name}")
+        for k in (1, 2, 3):
+            f1 = random_cocycle(pres, k, R, rng)
+            f2 = f1 + coboundary(random_cochain(pres, k - 1, R, rng))
+            res = classes_equal(f1, f2)
+            assert res.equal and res.certificate == "witness found", k
+            assert coboundary(res.witness) == f2 - f1, k
+            if k == 1:
+                sol = linalg.solve(_coboundary_matrix(pres, 0, wide),
+                                   _quotient_vector(f2 - f1, wide))
+                table = _quotient_from_vector(pres, 0, wide, sol)
+                assert (json.dumps(res.witness.to_dict())
+                        == json.dumps(table.to_dict()))
+            else:
+                assert res.witness.payload_kind == "table"
+                for v in res.witness.payload.values():
+                    assert v.in_class(cls) == v
 
     def test_nerve_degree_zero(self):
         c3 = gallery.get_presentation("circle3")

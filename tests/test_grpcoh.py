@@ -1,10 +1,11 @@
 """Crossed homomorphisms and the group-cohomology dictionary."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from diffcech import gallery
+from diffcech import gallery, grpcoh, linalg
 from diffcech.cech import (
     Cochain,
     classes_equal,
@@ -14,7 +15,7 @@ from diffcech.cech import (
     random_cocycle,
     zero_cochain,
 )
-from diffcech.coeff import ALPHA, RAlphaGroup
+from diffcech.coeff import ALPHA, ZERO, RAlphaGroup
 from diffcech.errors import FreenessError
 from diffcech.funclass import AffineMap
 from diffcech.presentation import Generator, GroupQuotient
@@ -57,6 +58,15 @@ def _mixed():
 def _z4_rotation():
     rotation = AffineMap([[0, -1], [1, 0]], [0, 0])
     return GroupQuotient(2, [Generator(4, rotation)], False, 1, "z4-rotation")
+
+
+def _scaled_swap(b, torsion):
+    """(x, y) |-> (2y + b, x/2): of order 2 when b = 0.  Its degree-2
+    potentials cancel at top degree only in x^2/4 + y^2, so the principal
+    block mixes columns with a coefficient other than 1."""
+    swap = AffineMap([[0, 2], [Fraction(1, 2), 0]], [b, 0])
+    return GroupQuotient(2, [Generator(torsion, swap)], False, 1,
+                         f"scaled-swap-{b}")
 
 
 class TestCrossedHom:
@@ -185,9 +195,10 @@ class TestH1Group:
              "z2-reflection", "z4-rotation"])
     def test_zero_class_is_a_witness(self, pres):
         # on an infinite K, cohomology(pres, R, 1) is h1_group itself; the
-        # witness search of classes_equal solves d(alpha) = c in the
-        # widened class and reads neither crossed relations nor principal
-        # potentials
+        # witness search of classes_equal solves d(alpha) = c on the
+        # generator rows of the widened class and reads no crossed relation
+        # and no top-degree cancellation (the rows themselves are checked
+        # against two routes in test_cech)
         rep = h1_group(pres)
         zero = zero_cochain(pres, 1, R)
         rng = random.Random(19)
@@ -197,6 +208,41 @@ class TestH1Group:
                      for _ in range(4)]
         for c in cocycles:
             assert rep.is_zero_class(c) == classes_equal(c, zero).equal
+
+    @pytest.mark.parametrize("pres", [
+        *(gallery.get_presentation(name) for name in
+          ("circle-rz", "irrational-torus", "line", "z2-reflection")),
+        _itorus_degree(2), _lattice2(), _mixed(), _z4_rotation(),
+        _scaled_swap(0, 2), _scaled_swap(1, 0)],
+        ids=["circle-rz", "irrational-torus", "line", "z2-reflection",
+             "irrational-torus-D2", "lattice2", "mixed", "z4-rotation",
+             "scaled-swap", "scaled-swap-shifted"])
+    def test_principal_block_is_the_principal_crossed_route(
+            self, pres, monkeypatch):
+        # B, as h1_group hands it on, against the principal crossed data of
+        # each wide monomial combined by the top-degree cancellations
+        seen = []
+        original = grpcoh._field_cohomology_from_matrices
+
+        def spy(pres, k, group, A, B, *rest):
+            seen.append(B)
+            return original(pres, k, group, A, B, *rest)
+
+        monkeypatch.setattr(grpcoh, "_field_cohomology_from_matrices", spy)
+        h1_group(pres)
+        cls = pres.function_class()
+        wide = cls.widen(1)
+        dim, r = wide.dimension, pres.rank
+        top = [t for t, e in enumerate(wide.basis) if sum(e) > cls.max_degree]
+        cols = [[x for i in range(r) for x in principal_crossed(
+                     pres, wide.monomial(e)).values[i]
+                 .in_class(wide).coordinates()]
+                for e in wide.basis]
+        combos = linalg.nullspace([[col[i * dim + t] for col in cols]
+                                   for i in range(r) for t in top])
+        want = [[sum((col[u] * c for col, c in zip(cols, combo) if c), ZERO)
+                 for combo in combos] for u in range(r * dim)]
+        assert seen == [want]
 
     def test_representative_is_a_cocycle(self):
         rep = h1_group(_itorus())

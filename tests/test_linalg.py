@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from diffcech import gallery, linalg
-from diffcech.cech import _coboundary_matrix
+from diffcech.cech import _generator_rows
 from diffcech.coeff import ALPHA, Scalar
 from diffcech.presentation import GroupQuotient
 
@@ -140,13 +140,13 @@ def _mixed(rng):
 
 
 def _itorus_matrices():
-    """d: C^0 -> C^1 of the irrational torus at D = 3 and 4, in its class
-    and in the widened class, with the transposes."""
+    """d: C^0 -> C^1 of the irrational torus (its generator rows) at D = 3
+    and 4, in its class and in the widened class, with the transposes."""
     gens = gallery.get_presentation("irrational-torus").generators
     for d in (3, 4):
         pres = GroupQuotient(1, gens, free=True, function_class_degree=d)
         for cls in (pres.function_class(), pres.function_class().widen(1)):
-            M = _coboundary_matrix(pres, 0, cls)
+            M = _generator_rows(pres, cls)
             yield M
             yield [list(col) for col in zip(*M)]
 
