@@ -774,11 +774,9 @@ def _add_into(row, j, x):
 
 def _generator_rows(pres, cls) -> List[List[Scalar]]:
     """Matrix of alpha |-> (alpha.g_i - alpha)_i in the coordinates of cls,
-    one row block per generator g_i, read off its monomial images.
-
-    Its kernel is the K-invariant part of cls, and on its column space
-    crossed data is fixed by its generator values, so this is d_0 wherever
-    degree 0 is concerned."""
+    one row block per generator g_i, read off its monomial images.  It
+    stands for d_0 on all of K: its kernel is the K-invariant part of cls,
+    and a crossed cochain is fixed by its generator values."""
     basis = cls.basis
     d = len(basis)
     where = {e: t for t, e in enumerate(basis)}

@@ -14,6 +14,7 @@ from diffcech.cech import (
     MAX_MATRIX_SIDE,
     Cochain,
     GroupHom,
+    _add_into,
     _crossed_single,
     _generator_rows,
     _quotient_points,
@@ -527,8 +528,8 @@ def _lattice2():
 
 def _quotient_vector(c, cls):
     """Coordinates in cls of a quotient cochain's values at its points."""
-    points = _quotient_points(c.pres, c.degree)
-    return [x for kt in points for x in c.q_value(kt).in_class(cls).coordinates()]
+    return [x for kt in _quotient_points(c.pres, c.degree)
+            for x in c.q_value(kt).in_class(cls).coordinates()]
 
 
 def _quotient_from_vector(pres, k, cls, vec):
@@ -557,11 +558,6 @@ def _coboundary_matrix(pres, k, cls):
     where = {e: i for i, e in enumerate(basis)}
     start = {p: j * d for j, p in enumerate(cols)}
     M = [[ZERO] * (len(cols) * d) for _ in range(len(rows) * d)]
-
-    def add_into(row, j, x):
-        v = row[j]
-        row[j] = x if v is ZERO else v + x
-
     for r, kt in enumerate(rows):
         block = M[r * d:(r + 1) * d]
         k1 = kt[0]
@@ -569,12 +565,12 @@ def _coboundary_matrix(pres, k, cls):
         phi = pres.affine_of(k1)
         for j, e in enumerate(basis):
             for e_out, x in phi.monomial_image(e).items():
-                add_into(block[where[e_out]], c + j, x)
+                _add_into(block[where[e_out]], c + j, x)
         for i in range(1, k + 2):
             c = start[kt[:i - 1] + kt[i:]]
             sign = -ONE if i % 2 else ONE
             for j in range(d):
-                add_into(block[j], c + j, sign)
+                _add_into(block[j], c + j, sign)
     return M
 
 
@@ -927,9 +923,9 @@ class TestIndependentRoutes:
         rep = cohomology(pres, RAlphaGroup(), 0)
         kernel = linalg.nullspace(_coboundary_matrix(pres, 0, cls))
         assert rep.dimension == len(kernel)
+        tabulated = [_quotient_from_vector(pres, 0, cls, v) for v in kernel]
         assert ([json.dumps(r.to_dict()) for r in rep.representatives]
-                == [json.dumps(_quotient_from_vector(pres, 0, cls, v).to_dict())
-                    for v in kernel])
+                == [json.dumps(r.to_dict()) for r in tabulated])
         assert ([_quotient_vector(r, cls) for r in rep.representatives]
                 == [[Scalar.of(x) for x in v] for v in kernel])
         if not pres.generators:

@@ -62,8 +62,8 @@ def _z4_rotation():
 
 def _scaled_swap(b, torsion):
     """(x, y) |-> (2y + b, x/2): of order 2 when b = 0.  Its degree-2
-    potentials cancel at top degree only in x^2/4 + y^2, so the principal
-    block mixes columns with a coefficient other than 1."""
+    potentials cancel at top degree in xy and in x^2/4 + y^2, so the
+    principal block mixes columns with a coefficient other than 1."""
     swap = AffineMap([[0, 2], [Fraction(1, 2), 0]], [b, 0])
     return GroupQuotient(2, [Generator(torsion, swap)], False, 1,
                          f"scaled-swap-{b}")
