@@ -99,7 +99,9 @@ class Cochain:
         self.group = group
         self.payload_kind = payload_kind
         self.payload = payload
+        # a cochain is a value: q_value and is_cocycle keep what they find
         self._memo = {}
+        self._checks = {}
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -441,7 +443,8 @@ def crossed_value(pres, values: Dict[int, FunctionElement], k) -> FunctionElemen
         if n == 0:
             continue
         part = _crossed_single(pres, values[i], i, n)
-        acc = acc + (act(pres.affine_of(prefix), part) if any(prefix) else part)
+        acc = acc + (act(pres.affine_of(prefix), part)
+                     if part.terms and any(prefix) else part)
         prefix = pres.k_add(prefix, pres.gen_power(i, n))
     return acc
 
@@ -452,9 +455,9 @@ def _crossed_single(pres, val: FunctionElement, i: int, n: int) -> FunctionEleme
 
     S is built over the binary prefixes p of |n|, shortest first, in a loop,
     so that no exponent is too large for the stack; each S(p) is cached under
-    (val, i, p).  n itself is looked up first.
+    (val, i, p).  n itself is looked up first; S(n) of a zero val is val.
     """
-    if n == 1:
+    if n == 1 or not val.terms:
         return val
     cache = getattr(pres, "_crossed_cache", None)
     if cache is None:
@@ -560,7 +563,15 @@ class CocycleCheck:
 
 def is_cocycle(c: Cochain, seed: int = DEFAULT_SEED) -> CocycleCheck:
     """Scan d(c) at every point it is stored at, or probe it at random group
-    tuples where it is lazy (crossed data over an infinite K and above)."""
+    tuples where it is lazy (crossed data over an infinite K and above).
+    The outcome is kept on c under the seed."""
+    chk = c._checks.get(seed)
+    if chk is None:
+        chk = c._checks[seed] = _cocycle_check(c, seed)
+    return chk
+
+
+def _cocycle_check(c: Cochain, seed: int) -> CocycleCheck:
     pres = c.pres
     if pres.kind == "nerve":
         if c.degree >= pres.k_max:
@@ -740,7 +751,8 @@ def _field_cohomology_from_matrices(pres, k: int, group, A, B,
     d_{k-1} (n x 0 in degree 0) of a quotient's function-class system,
     reduced by `linalg`.  The representatives are the kernel vectors that
     leave the span of B, chosen greedily in order; the oracle's coordinates
-    solve [B | chosen] and are Scalars."""
+    solve [B | chosen] and are Scalars.  It refuses a cochain of another
+    presentation or degree."""
     kernel = linalg.nullspace(A)
     width = len(B[0]) if B else 0
 
@@ -756,6 +768,7 @@ def _field_cohomology_from_matrices(pres, k: int, group, A, B,
     B_chosen = beside_B(chosen)
 
     def oracle(c: Cochain):
+        _require_degree(c, pres, k)
         coords = linalg.solve(B_chosen, to_vector(c))
         if coords is None:
             raise CocycleError("class oracle applied to a non-cocycle")
@@ -824,9 +837,7 @@ def _finite_quotient_vanishing(pres, k: int, group) -> CohomologyReport:
     cls = pres.function_class()
 
     def oracle(c: Cochain):
-        if c.pres != pres or c.degree != k:
-            raise TagError(f"the class oracle of H^{k} takes degree-{k} "
-                           f"cochains on its presentation")
+        _require_degree(c, pres, k)
         _require_cocycle(c)
         return ()
 
@@ -893,6 +904,12 @@ def _require_nerve_tag(group: Group):
     if tag not in ("Z", "R(alpha)") and not tag.startswith("Z/"):
         raise ParseError(f"unsupported coefficient tag {tag!r} "
                          "for nerve cohomology")
+
+
+def _require_degree(c: Cochain, pres, k: int):
+    if c.pres != pres or c.degree != k:
+        raise TagError(f"the class oracle of H^{k} takes degree-{k} "
+                       f"cochains on its presentation")
 
 
 def _require_cocycle(c: Cochain):

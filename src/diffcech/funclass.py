@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Dict, Sequence, Tuple
 
-from .coeff import RAlphaGroup, Scalar
+from .coeff import ZERO, RAlphaGroup, Scalar
 from .errors import ClassError
 from .exprs import (add_terms, format_poly_terms, mul_terms, neg_terms,
                     parse_poly_terms, scale_terms)
@@ -64,21 +64,16 @@ class AffineMap:
         )
 
     def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other: x |-> self(other(x))."""
-        n = self.dim
-        a = [
-            [
-                sum((self.a[i][k] * other.a[k][j] for k in range(n)), Scalar.of(0))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        b = [
-            sum((self.a[i][k] * other.b[k] for k in range(n)), Scalar.of(0))
-            + self.b[i]
-            for i in range(n)
-        ]
-        return AffineMap(a, b)
+        """self after other: x |-> self(other(x)), each entry a dot product
+        of canonical rows that skips zero factors."""
+        cols = [*zip(*other.a), other.b]
+        a, b = [], []
+        for row, bi in zip(self.a, self.b):
+            out = [_dot(row, col) for col in cols]
+            last = out.pop()
+            a.append(tuple(out))
+            b.append(last + bi if last else bi)
+        return _affine(tuple(a), tuple(b))
 
     def power(self, n: int) -> "AffineMap":
         """self composed with itself n times (powers of the inverse for
@@ -139,6 +134,23 @@ class AffineMap:
 
     def __repr__(self):
         return f"AffineMap(a={self.a}, b={self.b})"
+
+
+def _dot(u, v) -> Scalar:
+    acc = None
+    for x, y in zip(u, v):
+        if x and y:
+            acc = x * y if acc is None else acc + x * y
+    return ZERO if acc is None else acc
+
+
+def _affine(a, b) -> AffineMap:
+    """An affine map from tuples of canonical Scalars; nothing is checked."""
+    phi = _new(AffineMap)
+    phi.a, phi.b = a, b
+    n = len(b)
+    phi._images = {(0,) * n: {(0,) * n: _ONE}}
+    return phi
 
 
 def monomial_basis(n: int, max_degree: int):

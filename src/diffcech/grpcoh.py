@@ -15,6 +15,7 @@ from .cech import (
     Cochain,
     CohomologyReport,
     _add_into,
+    _crossed_single,
     _field_cohomology_from_matrices,
     _generator_rows,
     _generator_vector,
@@ -94,8 +95,10 @@ def h1_group(pres) -> CohomologyReport:
 
     Cocycles are degree-D crossed data; principality is tested one degree up
     (witness potentials live in the widened class).  Both matrices have one
-    row block per generator in wide coordinates: the crossed relations are
-    read off unit vectors, and the principal block off the generator rows.
+    column block per generator in wide coordinates.  The relation of
+    (g_i, g_j) is -P_j on block i plus P_i on block j for the generator rows
+    P_i of alpha |-> alpha.g_i - alpha, a torsion generator adds its orbit
+    sum, and the principal block is read off P.
     """
     if pres.kind != "quotient":
         raise ParseError("h1_group needs a quotient presentation")
@@ -104,22 +107,29 @@ def h1_group(pres) -> CohomologyReport:
     dim = wide.dimension
     r = pres.rank
     top = [t for t, e in enumerate(wide.basis) if sum(e) > cls.max_degree]
+    P = _generator_rows(pres, wide)
 
     # cocycles: every crossed relation holds and the data lies in class D
-    monomials = [wide.monomial(e) for e in wide.basis]
-    rel_cols = []
-    for i in range(r):
-        for m in monomials:
-            unit = {j: m if j == i else wide.zero() for j in range(r)}
-            rel_cols.append([x for _, res in crossed_relations(pres, unit)
-                             for x in res.in_class(wide).coordinates()])
-    A_s = [list(row) for row in zip(*rel_cols)]
+    def placed(blocks):
+        row = [ZERO] * (r * dim)
+        for i, block in blocks:
+            row[i * dim : (i + 1) * dim] = block
+        return row
+
+    A_s = []
+    for i, gi in enumerate(pres.generators):
+        for j in range(i + 1, r):
+            A_s += [placed([(i, [-x if x else ZERO for x in P[j * dim + t]]),
+                            (j, P[i * dim + t])]) for t in range(dim)]
+        if gi.torsion:
+            cols = [_crossed_single(pres, wide.monomial(e), i, gi.torsion)
+                    .in_class(wide).coordinates() for e in wide.basis]
+            A_s += [placed([(i, row)]) for row in zip(*cols)]
     A_s += [[int(u == i * dim + t) for u in range(r * dim)]
             for i in range(r) for t in top]
 
     # coboundaries: principal crossed data of wide potentials whose
     # degree-(D+1) part cancels
-    P = _generator_rows(pres, wide)
     combos = linalg.nullspace([P[i * dim + t]
                                for i in range(r) for t in top])
     B = [[ZERO] * len(combos) for _ in P]

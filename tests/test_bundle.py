@@ -187,3 +187,44 @@ class TestClassification:
         assert not is_trivializable(b).equal
         pulled = pullback_bundle(gallery.line_to_irrational_torus(), b)
         assert is_trivializable(pulled).equal
+
+
+def _count_coboundaries(monkeypatch):
+    """The payload kind of each cochain whose coboundary cech takes; the
+    cocycle check takes one per scan of a nerve or crossed cochain."""
+    from diffcech import cech
+
+    kinds = []
+    original = cech.coboundary
+
+    def counting(c):
+        kinds.append(c.payload_kind)
+        return original(c)
+
+    monkeypatch.setattr(cech, "coboundary", counting)
+    return kinds
+
+
+class TestCocycleChecksAreKept:
+    def test_trivializable_probes_each_cocycle_once(self, monkeypatch):
+        # the bundle checks kappa when it is built; is_trivializable reuses
+        # that check and probes only the zero cocycle it compares against
+        gens = gallery.get_presentation("irrational-torus").generators
+        pres = GroupQuotient(1, gens, True, 2, "irrational-torus-D2")
+        cls = pres.function_class()
+        kappa = Cochain.crossed(pres, {1: cls.from_coordinates(
+            [ALPHA * 2] + [0] * (cls.dimension - 1))})
+        kinds = _count_coboundaries(monkeypatch)
+        res = is_trivializable(bundle_from_cocycle(pres, kappa))
+        assert not res.equal
+        assert kinds == ["crossed", "crossed"]
+
+    def test_isomorphic_scans_each_cocycle_once(self, monkeypatch):
+        t9 = gallery.get_presentation("torus9")
+        rng = random.Random(17)
+        f1, f2 = (coboundary(random_cochain(t9, 0, ZGroup(), rng))
+                  for _ in range(2))
+        kinds = _count_coboundaries(monkeypatch)
+        assert isomorphic(bundle_from_cocycle(t9, f1),
+                          bundle_from_cocycle(t9, f2)).equal
+        assert kinds == ["values", "values"]

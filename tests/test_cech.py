@@ -123,6 +123,29 @@ def _lazy_cochain(pres, degree, seed):
 
 
 class TestCochains:
+    def test_cocycle_check_is_kept_per_seed(self):
+        # a cochain is a value: its check is computed once per seed, and a
+        # failing check stays failing
+        it = gallery.get_presentation("irrational-torus")
+        t9 = gallery.get_presentation("torus9")
+        rng = random.Random(23)
+        f = random_cocycle(it, 1, RAlphaGroup(), rng)
+        chk = is_cocycle(f)
+        assert chk and is_cocycle(f) is chk
+        other = is_cocycle(f, seed=5)
+        assert other and other is not chk and is_cocycle(f, seed=5) is other
+        vals = {t: 0 for t in t9.tuples(1)}
+        vals[t9.tuples(1)[0]] = 1
+        bad = Cochain.nerve(t9, 1, ZGroup(), vals)
+        chk = is_cocycle(bad)
+        assert not chk and is_cocycle(bad) is chk
+        assert not is_cocycle(bad, seed=5)
+        with pytest.raises(CocycleError):
+            classes_equal(bad, bad)
+        lazy = _lazy_cochain(it, 2, 3)
+        chk = is_cocycle(lazy)
+        assert not chk and is_cocycle(lazy) is chk
+
     @staticmethod
     def _points(c, rng):
         """The points c stores values at, plus random group tuples where K
@@ -427,6 +450,22 @@ class TestQuotientCohomology:
             z2, cls.parse("3*x0^2 - 1"))) == (Scalar.of(-1), Scalar.of(3))
         with pytest.raises(CocycleError):
             h0.class_coordinates(Cochain.function(z2, cls.parse("x0")))
+
+    @pytest.mark.parametrize("name,k,other,other_k", [
+        ("irrational-torus", 1, "z2-reflection", 1),
+        ("z2-reflection", 0, "z2-reflection", 1),
+        ("irrational-torus", 0, "irrational-torus", 1)])
+    def test_oracle_refuses_other_tags(self, name, k, other, other_k):
+        # H^0 and h1_group read a cochain's values at the generators; a
+        # cochain of another presentation or degree is refused before that
+        # (the first case once read (0,), the others KeyError and IndexError)
+        R = RAlphaGroup()
+        rep = cohomology(gallery.get_presentation(name), R, k)
+        c = random_cocycle(gallery.get_presentation(other), other_k, R,
+                           random.Random(f"tags:{name}:{k}"))
+        assert is_cocycle(c)
+        with pytest.raises(TagError):
+            rep.class_coordinates(c)
 
     def test_finite_quotient_vanishing(self):
         z2 = gallery.get_presentation("z2-reflection")

@@ -28,6 +28,17 @@ def _random_affine(rng, n):
     return AffineMap(a, b)
 
 
+def _compose_by_sums(phi, psi):
+    """phi after psi, each entry a generic sum started at Scalar.of(0) and
+    every map built by the checking constructor."""
+    n = phi.dim
+    a = [[sum((phi.a[i][k] * psi.a[k][j] for k in range(n)), Scalar.of(0))
+          for j in range(n)] for i in range(n)]
+    b = [sum((phi.a[i][k] * psi.b[k] for k in range(n)), Scalar.of(0))
+         + phi.b[i] for i in range(n)]
+    return AffineMap(a, b)
+
+
 def _random_point(rng, n):
     return [Scalar.of(Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)))
             for _ in range(n)]
@@ -46,6 +57,27 @@ class TestAffineMap:
             phi, psi = _random_affine(rng, n), _random_affine(rng, n)
             p = _random_point(rng, n)
             assert phi.compose(psi).apply(p) == phi.apply(psi.apply(p))
+
+    def test_compose_is_the_generic_sum(self):
+        # zero entries, rational and Q(a) entries and denominators that are
+        # not constant in a; the entries, their hash and the monomial images
+        # must be those of the sums built through the checking constructor
+        rng = random.Random(18)
+        pool = [0, 0, 0, 1, -1, 2, Fraction(-2, 3), ALPHA, ALPHA * 3 - 1,
+                Scalar.of(1) / (ALPHA + 1),
+                (ALPHA - 2) / (ALPHA * ALPHA + 3)]
+        for _ in range(60):
+            n = rng.randrange(1, 4)
+            phi, psi = (AffineMap(
+                [[rng.choice(pool) for _ in range(n)] for _ in range(n)],
+                [rng.choice(pool) for _ in range(n)]) for _ in range(2))
+            got, want = phi.compose(psi), _compose_by_sums(phi, psi)
+            assert got.a == want.a and got.b == want.b
+            assert all(type(row) is tuple for row in (got.a, got.b, *got.a))
+            assert all(type(x) is Scalar for x in (*got.b, *sum(got.a, ())))
+            assert got == want and hash(got) == hash(want)
+            for e in FunctionClass(n, 3).basis:
+                assert got.monomial_image(e) == want.monomial_image(e)
 
     def test_power_matches_repeated_compose(self):
         rng = random.Random(14)

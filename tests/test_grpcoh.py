@@ -8,6 +8,7 @@ import pytest
 from diffcech import gallery, grpcoh, linalg
 from diffcech.cech import (
     Cochain,
+    crossed_relations,
     classes_equal,
     coboundary,
     cohomology,
@@ -40,11 +41,11 @@ def _itorus_degree(d):
     return GroupQuotient(1, gens, True, d, f"irrational-torus-D{d}")
 
 
-def _lattice2():
+def _lattice2(order=(0, 1, 2, 3)):
     shifts = [[1, 0], [0, 1], [ALPHA, 0], [0, ALPHA]]
     return GroupQuotient(
-        2, [Generator(0, AffineMap.translation(b)) for b in shifts], True, 1,
-        "lattice2")
+        2, [Generator(0, AffineMap.translation(shifts[i])) for i in order],
+        True, 1, "lattice2")
 
 
 def _mixed():
@@ -67,6 +68,41 @@ def _scaled_swap(b, torsion):
     swap = AffineMap([[0, 2], [Fraction(1, 2), 0]], [b, 0])
     return GroupQuotient(2, [Generator(torsion, swap)], False, 1,
                          f"scaled-swap-{b}")
+
+
+def _matrices_handed_on(pres, monkeypatch):
+    """A and B as h1_group hands them to the field cohomology engine."""
+    seen = []
+    original = grpcoh._field_cohomology_from_matrices
+
+    def spy(pres, k, group, A, B, *rest):
+        seen.append((A, B))
+        return original(pres, k, group, A, B, *rest)
+
+    monkeypatch.setattr(grpcoh, "_field_cohomology_from_matrices", spy)
+    h1_group(pres)
+    (matrices,) = seen
+    return matrices
+
+
+def _unit_vector_relations(pres):
+    """The crossed relations of h1_group, one column per wide monomial in
+    each generator slot: the residuals of crossed_relations on that unit
+    data, in wide coordinates; then a unit row per top-degree coordinate."""
+    cls = pres.function_class()
+    wide = cls.widen(1)
+    dim, r = wide.dimension, pres.rank
+    top = [t for t, e in enumerate(wide.basis) if sum(e) > cls.max_degree]
+    rel_cols = []
+    for i in range(r):
+        for e in wide.basis:
+            unit = {j: wide.monomial(e) if j == i else wide.zero()
+                    for j in range(r)}
+            rel_cols.append([x for _, res in crossed_relations(pres, unit)
+                             for x in res.in_class(wide).coordinates()])
+    A = [list(row) for row in zip(*rel_cols)]
+    return A + [[int(u == i * dim + t) for u in range(r * dim)]
+                for i in range(r) for t in top]
 
 
 class TestCrossedHom:
@@ -221,15 +257,7 @@ class TestH1Group:
             self, pres, monkeypatch):
         # B, as h1_group hands it on, against the principal crossed data of
         # each wide monomial combined by the top-degree cancellations
-        seen = []
-        original = grpcoh._field_cohomology_from_matrices
-
-        def spy(pres, k, group, A, B, *rest):
-            seen.append(B)
-            return original(pres, k, group, A, B, *rest)
-
-        monkeypatch.setattr(grpcoh, "_field_cohomology_from_matrices", spy)
-        h1_group(pres)
+        _, B = _matrices_handed_on(pres, monkeypatch)
         cls = pres.function_class()
         wide = cls.widen(1)
         dim, r = wide.dimension, pres.rank
@@ -242,7 +270,21 @@ class TestH1Group:
                                    for i in range(r) for t in top])
         want = [[sum((col[u] * c for col, c in zip(cols, combo) if c), ZERO)
                  for combo in combos] for u in range(r * dim)]
-        assert seen == [want]
+        assert B == want
+
+    @pytest.mark.parametrize("pres", [
+        *(gallery.get_presentation(name) for name in
+          ("circle-rz", "irrational-torus", "line", "z2-reflection")),
+        _itorus_degree(2), _lattice2(), _lattice2((2, 0, 3, 1)), _mixed(),
+        _z4_rotation(), _scaled_swap(0, 2), _scaled_swap(1, 0)],
+        ids=["circle-rz", "irrational-torus", "line", "z2-reflection",
+             "irrational-torus-D2", "lattice2", "lattice2-reordered", "mixed",
+             "z4-rotation", "scaled-swap", "scaled-swap-shifted"])
+    def test_relation_rows_are_the_unit_vector_route(self, pres, monkeypatch):
+        # A, read off the generator rows, against the residuals of
+        # crossed_relations on unit data: entry by entry, row by row
+        A, _ = _matrices_handed_on(pres, monkeypatch)
+        assert A == _unit_vector_relations(pres)
 
     def test_representative_is_a_cocycle(self):
         rep = h1_group(_itorus())
