@@ -8,10 +8,10 @@ import pytest
 from diffcech import gallery, grpcoh, linalg
 from diffcech.cech import (
     Cochain,
-    crossed_relations,
     classes_equal,
     coboundary,
     cohomology,
+    crossed_relations,
     random_cochain,
     random_cocycle,
     zero_cochain,
