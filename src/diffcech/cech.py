@@ -42,7 +42,6 @@ from .reduce import Reduction
 
 DEFAULT_SEED = 1729
 PROBES = 200
-CROSSED_PROBES = 8
 # entries a presentation's crossed-sum cache holds before it is cleared; its
 # keys hold the crossed value itself, so fresh cocycles add keys that
 # nothing reads again
@@ -562,9 +561,9 @@ class CocycleCheck:
 
 
 def is_cocycle(c: Cochain, seed: int = DEFAULT_SEED) -> CocycleCheck:
-    """Scan d(c) at every point it is stored at, or probe it at random group
-    tuples where it is lazy (crossed data over an infinite K and above).
-    The outcome is kept on c under the seed."""
+    """Decide crossed data by its generator relations; scan d(c) where it is
+    stored, or probe it at random group tuples where it is lazy (degree >= 2
+    over an infinite K).  The outcome is kept on c under the seed."""
     chk = c._checks.get(seed)
     if chk is None:
         chk = c._checks[seed] = _cocycle_check(c, seed)
@@ -584,21 +583,20 @@ def _cocycle_check(c: Cochain, seed: int) -> CocycleCheck:
             if not diff.is_zero():
                 return CocycleCheck(False, f"g{i + 1}", str(diff))
         return CocycleCheck(True)
-    else:
-        zero = pres.function_class().zero()
-    crossed = c.payload_kind == "crossed"
-    if crossed:
+    elif c.payload_kind == "crossed":
+        # crossed exactly when the Fox derivatives of the relators vanish:
+        # the commuting pairs and torsion orbit sums (Brown, ch. IV)
         for location, residual in crossed_relations(pres, c.payload):
             if not residual.is_zero():
                 return CocycleCheck(False, location, str(residual))
+        return CocycleCheck(True)
+    else:
+        zero = pres.function_class().zero()
     d = coboundary(c)
     if d.payload_kind == "lazy":
-        # on crossed data the generator identities above already force
-        # d(c) = 0 on all of K; a few probes guard the extension code itself
-        probes = CROSSED_PROBES if crossed else PROBES
         rng = random.Random(seed)
         points = (tuple(pres.random_k(rng) for _ in range(d.degree))
-                  for _ in range(probes))
+                  for _ in range(PROBES))
         values = ((kt, d.q_value(kt)) for kt in points)
     else:
         values = d.payload.items()

@@ -205,19 +205,40 @@ def _count_coboundaries(monkeypatch):
     return kinds
 
 
+def _count_relation_scans(monkeypatch):
+    """The generator values of each crossed cochain whose relations cech
+    scans; the cocycle check makes one scan per crossed cochain."""
+    from diffcech import cech
+
+    scanned = []
+    original = cech.crossed_relations
+
+    def counting(pres, values):
+        scanned.append(values)
+        return original(pres, values)
+
+    monkeypatch.setattr(cech, "crossed_relations", counting)
+    return scanned
+
+
 class TestCocycleChecksAreKept:
-    def test_trivializable_probes_each_cocycle_once(self, monkeypatch):
-        # the bundle checks kappa when it is built; is_trivializable reuses
-        # that check and probes only the zero cocycle it compares against
+    def test_trivializable_scans_each_crossed_cocycle_once(self, monkeypatch):
+        # the bundle checks kappa's relations when it is built;
+        # is_trivializable reuses that check and scans only the zero cocycle
+        # it compares against, and neither check takes a coboundary
         gens = gallery.get_presentation("irrational-torus").generators
         pres = GroupQuotient(1, gens, True, 2, "irrational-torus-D2")
         cls = pres.function_class()
         kappa = Cochain.crossed(pres, {1: cls.from_coordinates(
             [ALPHA * 2] + [0] * (cls.dimension - 1))})
         kinds = _count_coboundaries(monkeypatch)
+        scanned = _count_relation_scans(monkeypatch)
         res = is_trivializable(bundle_from_cocycle(pres, kappa))
         assert not res.equal
-        assert kinds == ["crossed", "crossed"]
+        assert len(scanned) == 2
+        assert scanned[0] is kappa.payload
+        assert all(v.is_zero() for v in scanned[1].values())
+        assert "crossed" not in kinds
 
     def test_isomorphic_scans_each_cocycle_once(self, monkeypatch):
         t9 = gallery.get_presentation("torus9")

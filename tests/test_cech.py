@@ -58,6 +58,7 @@ from diffcech.presentation import (
 )
 
 from test_golden import CASES as GOLDEN_CASES, GOLDEN
+from test_grpcoh import _mixed
 
 GALLERY_QUOTIENTS = [
     name for name in gallery.names()
@@ -351,13 +352,16 @@ class TestQuotientCochains:
 
     def test_crossed_cache_stays_bounded(self):
         # the cache keys hold the crossed value, so every fresh cocycle adds
-        # keys (about 19 per check here) that nothing reads again
+        # keys (about 18 per value here) that nothing reads again
         it = serialize.presentation_from_dict(serialize.presentation_to_dict(
             gallery.get_presentation("irrational-torus")))
         rng = random.Random(5)
         sizes = []
         for _ in range(200):
-            assert is_cocycle(random_cocycle(it, 1, RAlphaGroup(), rng))
+            c = random_cocycle(it, 1, RAlphaGroup(), rng)
+            k = tuple(rng.choice((-1, 1)) * rng.randrange(2 ** 8, 2 ** 10)
+                      for _ in range(it.rank))
+            crossed_value(it, c.payload, k)
             sizes.append(len(it._crossed_cache))
         assert max(sizes) <= CROSSED_CACHE_SIZE
         # the loop adds more keys than the bound, so the cache was cleared
@@ -674,6 +678,52 @@ def _loop_sum(c):
 
 class TestIndependentRoutes:
     """Two unrelated computations of one answer must agree."""
+
+    @pytest.mark.parametrize("pres", [
+        *(pytest.param(gallery.get_presentation(n), id=n)
+          for n in GALLERY_QUOTIENTS
+          if not gallery.get_presentation(n).is_finite()),
+        pytest.param(_lattice2(), id="lattice2"),
+        pytest.param(_mixed(), id="mixed")])
+    def test_crossed_extension_is_a_cocycle_everywhere(self, pres):
+        # is_cocycle decides crossed data by its generator relations alone;
+        # d of random crossed cocycles (principal plus every H^1
+        # representative) must then vanish at seeded pairs of group elements
+        # with exponents +-1, +-2^j +- 1 and about 2^300
+        pres = serialize.presentation_from_dict(
+            serialize.presentation_to_dict(pres))
+        rng = random.Random(f"crossed-extension:{pres.name}")
+        reps = h1_group(pres).representatives
+        exps = [0, 1, -1, 2 ** 300 + 1, -2 ** 300 + 1] + [
+            s * 2 ** j + t for j in range(1, 9) for s in (-1, 1)
+            for t in (-1, 1)]
+        for c in [random_cocycle(pres, 1, RAlphaGroup(), rng, reps)
+                  for _ in range(2)]:
+            assert c.payload_kind == "crossed" and is_cocycle(c)
+            d = coboundary(c)
+            points = [tuple(tuple(rng.choice(exps) for _ in range(pres.rank))
+                            for _ in range(2)) for _ in range(25)]
+            assert any(abs(n) > 2 ** 299 for kt in points for k in kt
+                       for n in k)
+            for kt in points:
+                assert d.q_value(kt).is_zero(), kt
+            # the crossed law walked one generator step at a time, in a
+            # random order, from the identity
+            for _ in range(10):
+                k = [rng.randrange(-6, 7) for _ in range(pres.rank)]
+                steps = [(i, 1 if n > 0 else -1)
+                         for i, n in enumerate(k) for _ in range(abs(n))]
+                rng.shuffle(steps)
+                acc = pres.function_class().zero()
+                prefix = pres.k_identity()
+                for i, s in steps:
+                    if s < 0:
+                        prefix = pres.k_add(prefix, pres.gen_power(i, -1))
+                    part = act(pres.affine_of(prefix), c.payload[i])
+                    acc = acc + (part if s > 0 else -part)
+                    if s > 0:
+                        prefix = pres.k_add(prefix, pres.gen_power(i))
+                assert crossed_value(pres, c.payload, k) == acc, k
 
     @pytest.mark.parametrize("tag", ["Z", "Z/2", "Z/3", "Z/4", "Z/6"])
     def test_circle_class_is_the_loop_sum(self, tag):
