@@ -561,9 +561,9 @@ class CocycleCheck:
 
 
 def is_cocycle(c: Cochain, seed: int = DEFAULT_SEED) -> CocycleCheck:
-    """Decide crossed data by its generator relations; scan d(c) where it is
-    stored, or probe it at random group tuples where it is lazy (degree >= 2
-    over an infinite K).  The outcome is kept on c under the seed."""
+    """Decide crossed data by its generator relations; otherwise scan d(c)
+    where it is stored, or probe it at random group tuples where it is lazy
+    (over an infinite K).  The outcome is kept on c under the seed."""
     chk = c._checks.get(seed)
     if chk is None:
         chk = c._checks[seed] = _cocycle_check(c, seed)
