@@ -8,7 +8,6 @@ returns the unique group element translating one fiber point to another.
 
 from __future__ import annotations
 
-import random
 from math import lcm
 from typing import Optional
 
@@ -77,20 +76,6 @@ class BundlePresentation:
             return self.cocycle.value_at((y1, y2))
         k = _arrow(self.base, y1, y2)
         return self.cocycle.q_value((k,)).evaluate(y1)
-
-    def same_fiber(self, p1: BundlePoint, p2: BundlePoint) -> bool:
-        try:
-            self.f_value(p1.y, p2.y)
-            return True
-        except FiberError:
-            return False
-
-    def points_equal(self, p1: BundlePoint, p2: BundlePoint) -> bool:
-        """Orbit equality: [y1,g1] = [y2,g2] iff g1 = f(y1,y2) + g2."""
-        f = self.f_value(p1.y, p2.y)
-        return self.group.canonical(p1.g) == self.group.add(
-            self.group.canonical(f), self.group.canonical(p2.g)
-        )
 
     def __eq__(self, other):
         return (isinstance(other, BundlePresentation)
@@ -196,18 +181,3 @@ def pullback_bundle(m, b: BundlePresentation) -> BundlePresentation:
     return BundlePresentation(m.source, b.group,
                               pullback_cochain(m, b.cocycle),
                               name=f"pullback({b.name or 'P'})")
-
-
-def random_fiber_pair(b: BundlePresentation, rng: random.Random):
-    """Two random points in one fiber, for probing division axioms."""
-    if b.base.kind == "nerve":
-        pairs = [t for t in b.base.tuples(1)] + \
-            [(i,) * 2 for i in range(len(b.base.charts))]
-        y1, y2 = pairs[rng.randrange(len(pairs))]
-        return (BundlePoint(y1, b.group.random(rng)),
-                BundlePoint(y2, b.group.random(rng)))
-    pres = b.base
-    y = pres.random_point(rng)
-    k = pres.random_k(rng)
-    return (BundlePoint(y, b.group.random(rng)),
-            BundlePoint(pres.act_point(y, k), b.group.random(rng)))

@@ -986,9 +986,12 @@ def classes_equal(f1: Cochain, f2: Cochain) -> ClassComparison:
     """Solve d(alpha) = f2 - f1 exactly; witness alpha or distinct."""
     if f1.pres != f2.pres or f1.degree != f2.degree or f1.group != f2.group:
         raise TagError("cochains live on different presentations or degrees")
+    pres, k = f1.pres, f1.degree
+    if pres.kind == "quotient" and k > 1 and not pres.is_finite():
+        raise DegreeError(
+            "class comparison above degree 1 needs a finite group")
     _require_cocycle(f1)
     _require_cocycle(f2)
-    pres, k = f1.pres, f1.degree
     diff = f2 - f1
     if pres.kind == "nerve":
         if k == 0:
@@ -1021,12 +1024,10 @@ def _quotient_classes_equal(pres, k: int, diff: Cochain) -> ClassComparison:
             return ClassComparison(True, None, "equal functions")
         return ClassComparison(False, None, "functions differ")
     if k > 1:
-        if not pres.is_finite():
-            raise DegreeError(
-                "class comparison above degree 1 needs a finite group")
-        from .average import FiniteTranslationGroupoid, trivializing_homotopy
+        from .average import _homotopy
 
-        g = trivializing_homotopy(FiniteTranslationGroupoid(pres), diff)
+        # f1 and f2 are checked cocycles, so diff is one
+        g = _homotopy(pres, diff)
         return ClassComparison(True, g.scale_int((-1) ** k), "witness found")
     # unknown degree-0 alpha in the widened class
     wide = pres.function_class().widen(1)

@@ -345,9 +345,6 @@ class Scalar:
             raise ClassError(f"scalar {self} is not rational")
         return Fraction(self.znum[0], self.zden[0]) if self.znum else Fraction(0)
 
-    def is_integer(self) -> bool:
-        return len(self.znum) <= 1 and self.zden == _Z_ONE
-
     def as_int(self) -> int:
         f = self.as_fraction()
         if f.denominator != 1:
@@ -503,12 +500,10 @@ class ZmodGroup(Group):
         return (n * x) % self.m
 
     def div_int(self, n, x):
-        import math
-
         n %= self.m
         if n == 0:
             return 0 if x % self.m == 0 else None
-        d = math.gcd(n, self.m)
+        d = gcd(n, self.m)
         if x % d != 0:
             return None
         mm = self.m // d
@@ -759,27 +754,6 @@ class CoefficientSES:
         self.lift_fn = lift_fn
         self.injection_preimage = injection_preimage
         self.name = name
-
-    def inject(self, x: GroupElement) -> GroupElement:
-        if x.group != self.a:
-            raise TagError(f"expected {self.a.tag} element")
-        return GroupElement(self.b, self.injection(x.value))
-
-    def surject(self, x: GroupElement) -> GroupElement:
-        if x.group != self.b:
-            raise TagError(f"expected {self.b.tag} element")
-        return GroupElement(self.c, self.surjection(x.value))
-
-    def lift(self, x: GroupElement) -> GroupElement:
-        if x.group != self.c:
-            raise TagError(f"expected {self.c.tag} element")
-        return GroupElement(self.b, self.lift_fn(x.value))
-
-    def preimage_a(self, x: GroupElement) -> GroupElement:
-        """The unique a with injection(a) = x; raises if x is not in the image."""
-        if x.group != self.b:
-            raise TagError(f"expected {self.b.tag} element")
-        return GroupElement(self.a, self.injection_preimage(x.value))
 
 
 def ses_mod(m: int) -> CoefficientSES:

@@ -11,7 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bundle import BundlePresentation
-from .cech import Cochain, coboundary, is_cocycle, random_cochain
+from .cech import (
+    DEFAULT_SEED,
+    Cochain,
+    coboundary,
+    is_cocycle,
+    random_cochain,
+)
 from .coeff import ALPHA, RAlphaGroup, Scalar, ZGroup
 from .errors import ParseError
 from .funclass import AffineMap
@@ -245,7 +251,7 @@ def line_to_irrational_torus() -> PresentationMorphism:
     )
 
 
-def verify_entry(name: str, seed: int = 1729):
+def verify_entry(name: str, seed: int = DEFAULT_SEED):
     """Self-test of one entry: validation, coboundary law, advertised data."""
     import random
 

@@ -20,12 +20,11 @@ from .cech import (
     _generator_rows,
     _generator_vector,
     _require_cocycle,
-    crossed_relations,
     crossed_value,
 )
 from .coeff import ZERO, RAlphaGroup
 from .errors import FreenessError, ParseError
-from .funclass import FunctionElement, act
+from .funclass import FunctionElement
 from . import linalg
 
 
@@ -42,11 +41,6 @@ class CrossedHom:
     def value(self, k) -> FunctionElement:
         """kappa(k) for an arbitrary group element, via the crossed law."""
         return crossed_value(self.pres, self.values, k)
-
-    def is_valid(self) -> bool:
-        """Generator compatibility and torsion consistency, symbolically."""
-        return all(residual.is_zero() for _, residual
-                   in crossed_relations(self.pres, self.values))
 
     def __eq__(self, other):
         return (isinstance(other, CrossedHom) and self.pres == other.pres
@@ -80,14 +74,6 @@ def cocycle_from_crossed(beta: CrossedHom) -> Cochain:
             "the inverse dictionary needs a free action (arrow map undefined)"
         )
     return Cochain.crossed(pres, beta.values)
-
-
-def principal_crossed(pres, alpha: FunctionElement) -> CrossedHom:
-    """kappa(k) = alpha.k - alpha."""
-    return CrossedHom(pres, {
-        i: act(g.affine, alpha) - alpha
-        for i, g in enumerate(pres.generators)
-    })
 
 
 def h1_group(pres) -> CohomologyReport:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coeff import Scalar
 from .errors import CompatibilityError, DegreeError, ParseError
 from .funclass import AffineMap, FunctionClass
 
@@ -95,9 +94,6 @@ class FiniteNerve:
             faces.add(frozenset([i]))
         return FiniteNerve(list(range(nchart)), faces, k_max, alternating, name)
 
-    def is_alive(self, tup) -> bool:
-        return frozenset(tup) in self.faces
-
     def tuples(self, k: int) -> List[Tuple[int, ...]]:
         """Alive (k+1)-tuples in lexicographic order.
 
@@ -144,12 +140,6 @@ class FiniteNerve:
         if k not in self._index_cache:
             self._index_cache[k] = {t: j for j, t in enumerate(self.tuples(k))}
         return self._index_cache[k]
-
-    def degeneracy(self, k: int, i: int, tup: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Drop the i-th factor of an alive (k+1)-tuple."""
-        if not (0 <= i <= k):
-            raise DegreeError(f"degeneracy index {i} out of range for degree {k}")
-        return tup[:i] + tup[i + 1 :]
 
     def components(self) -> List[List[int]]:
         """Connected components of the chart intersection graph."""
@@ -379,15 +369,6 @@ class GroupQuotient:
     def function_class(self) -> FunctionClass:
         return self._function_class
 
-    def random_point(self, rng):
-        from .coeff import ALPHA
-
-        return tuple(
-            Scalar.of(rng.randrange(-5, 6))
-            + ALPHA * rng.randrange(-2, 3)
-            for _ in range(self.dim)
-        )
-
     def random_k(self, rng):
         return self.k_canonical(
             tuple(
@@ -395,20 +376,6 @@ class GroupQuotient:
                 for g in self.generators
             )
         )
-
-    # -- simplicial structure -----------------------------------------
-    def degeneracy_point(self, k: int, i: int, point):
-        """Degeneracy on a point (y; kappa_1..kappa_k) of the k-fold product."""
-        y, ks = point
-        if not (0 <= i <= k) or len(ks) != k:
-            raise DegreeError(f"degeneracy index {i} out of range for degree {k}")
-        if i == 0:
-            if k == 0:
-                raise DegreeError("no degeneracies on degree 0")
-            k1 = ks[0]
-            return (self.act_point(y, k1),
-                    tuple(self.k_add(kj, self.k_neg(k1)) for kj in ks[1:]))
-        return (y, ks[: i - 1] + ks[i:])
 
     def __eq__(self, other):
         return (

@@ -150,6 +150,8 @@ def resolve_presentation(spec):
 
 
 def cochain_document_to_dict(c: Cochain) -> dict:
+    """The cochain document that ``cochain_document_from_dict`` reads, and
+    the CLI takes as a cochain file."""
     return {
         "presentation": presentation_to_dict(c.pres),
         "group": c.group.tag,

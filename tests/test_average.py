@@ -10,9 +10,12 @@ from diffcech.average import (
     haar_average,
     trivializing_homotopy,
 )
-from diffcech.cech import Cochain, coboundary, random_cocycle
-from diffcech.coeff import RAlphaGroup, Scalar
+from diffcech.cech import MAX_K_TUPLES, Cochain, coboundary, random_cocycle
+from diffcech.coeff import GroupElement, RAlphaGroup, Scalar
 from diffcech.errors import ParseError
+
+from test_cech import _klein_four, _z4_rotation
+from test_presentation import random_point
 
 
 def _z2():
@@ -33,20 +36,22 @@ class TestHaarAverage:
     def test_average_kills_odd_functions(self):
         pres = _z2()
         gpd = FiniteTranslationGroupoid(pres)
-        cls = pres.function_class()
+        h = pres.function_class().parse("x0")
         # (1/2)(h(u) + h(-u)) = 0 for h = x0
-        avg = haar_average(gpd, (Scalar.of(3),), cls.parse("x0"))
-        assert avg.is_zero()
-        from diffcech.average import haar_average_function
-        assert haar_average_function(gpd, cls.parse("x0")).is_zero()
+        assert haar_average(gpd, (Scalar.of(3),), h).is_zero()
+        rng = random.Random(11)
+        for _ in range(10):
+            assert haar_average(gpd, random_point(pres, rng), h).is_zero()
 
     def test_average_fixes_invariants(self):
         pres = _z2()
         gpd = FiniteTranslationGroupoid(pres)
-        cls = pres.function_class()
-        h = cls.parse("x0^2 + 3")
-        from diffcech.average import haar_average_function
-        assert haar_average_function(gpd, h) == h
+        h = pres.function_class().parse("x0^2 + 3")
+        rng = random.Random(13)
+        for _ in range(10):
+            u = random_point(pres, rng)
+            assert haar_average(gpd, u, h) == GroupElement(RAlphaGroup(),
+                                                           h.evaluate(u))
 
 
 class TestTrivializingHomotopy:
@@ -77,15 +82,21 @@ class TestTrivializingHomotopy:
         assert (dg + f).is_zero()
 
     def test_random_cocycles(self):
-        pres = _z2()
-        gpd = FiniteTranslationGroupoid(pres)
+        # the averaging identity d(g) = (-1)^k f, which trivializing_homotopy
+        # does not re-check, in degrees 1-3: the cocycle check of degree 3
+        # tabulates K^4, at most MAX_K_TUPLES points for |K| <= 4
         rng = random.Random(5)
-        for k in (1, 2):
-            for _ in range(10):
-                f = random_cocycle(pres, k, RAlphaGroup(), rng)
-                g = trivializing_homotopy(gpd, f)
-                sign = 1 if k % 2 == 0 else -1
-                assert (coboundary(g) - f.scale_int(sign)).is_zero()
+        for pres in (_z2(), _z4_rotation(1), _z4_rotation(2), _klein_four(1)):
+            gpd = FiniteTranslationGroupoid(pres)
+            assert gpd.order ** 4 <= MAX_K_TUPLES
+            for k in (1, 2, 3):
+                for _ in range(10):
+                    f = random_cocycle(pres, k, RAlphaGroup(), rng)
+                    g = trivializing_homotopy(gpd, f)
+                    assert g.degree == k - 1
+                    sign = (-1) ** k
+                    assert (coboundary(g) - f.scale_int(sign)).is_zero(), (
+                        pres.name, k)
 
     def test_cohomology_vanishes(self):
         from diffcech.cech import cohomology

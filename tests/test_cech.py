@@ -48,7 +48,7 @@ from diffcech.coeff import (
 )
 from diffcech.errors import CocycleError, DegreeError, ParseError, TagError
 from diffcech.funclass import AffineMap, act
-from diffcech.grpcoh import h1_group, principal_crossed
+from diffcech.grpcoh import h1_group
 from diffcech.presentation import (
     FiniteNerve,
     Generator,
@@ -58,7 +58,7 @@ from diffcech.presentation import (
 )
 
 from test_golden import CASES as GOLDEN_CASES, GOLDEN
-from test_grpcoh import _mixed
+from test_grpcoh import _mixed, principal_crossed
 
 GALLERY_QUOTIENTS = [
     name for name in gallery.names()
@@ -1103,6 +1103,26 @@ class TestClassesEqual:
         assert not res.equal
         assert "no witness" in res.certificate
 
+    def test_infinite_quotient_above_degree_one_is_refused_first(
+            self, monkeypatch):
+        # the degree is refused before either cochain is checked: no lazy
+        # coboundary is probed, and a non-cocycle gets the same refusal
+        it = gallery.get_presentation("irrational-torus")
+        R = RAlphaGroup()
+        rng = random.Random(43)
+        f1, f2 = random_cocycle(it, 2, R, rng), random_cocycle(it, 2, R, rng)
+        bad = random_cochain(it, 2, R, rng)
+        assert f1.payload_kind == bad.payload_kind == "lazy"
+
+        def no_coboundary(c):
+            raise AssertionError("a coboundary was taken")
+
+        monkeypatch.setattr(cech, "coboundary", no_coboundary)
+        for a, b in ((f1, f2), (f1, bad), (bad, f1)):
+            with pytest.raises(DegreeError, match="needs a finite group"):
+                classes_equal(a, b)
+        monkeypatch.undo()
+        assert not is_cocycle(bad)
 
     def test_quotient_witness_one_degree_up(self):
         # d(x0^(D+1)) on the irrational torus lies in class D; its only

@@ -517,7 +517,6 @@ class TestDeterminism:
         # the parser is built once per process; successive calls through it,
         # after --help and usage errors too, print what a fresh process does
         monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.delenv("DIFFCECH_SEED", raising=False)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src}
         argvs = [
@@ -548,11 +547,3 @@ class TestDeterminism:
             ["gallery", "show", "rp2"],
         ):
             assert _run(argv) == _run(argv)
-
-    def test_seed_env_override(self, monkeypatch):
-        monkeypatch.setenv("DIFFCECH_SEED", "42")
-        _, lines = _run(["gallery", "list"])
-        assert lines[1] == "seed: 42"
-        monkeypatch.setenv("DIFFCECH_SEED", "not-a-number")
-        code, _ = _run(["gallery", "list"])
-        assert code == 2

@@ -1,5 +1,5 @@
-"""The package contract: the standard library only, no floating point, and
-a light start-up."""
+"""The package contract: the standard library only, no floating point, a
+light start-up, and no code under src/ that nothing calls."""
 
 import ast
 import os
@@ -66,3 +66,95 @@ def test_import_pulls_in_no_introspection_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# functions and methods under src/ that nothing in src/ calls and __init__.py
+# does not export, each with the reason it stays
+UNCALLED = {
+    "bundle.BundlePresentation.tau0":
+        "the canonical trivialization y |-> [y, 0] that cocycle_from_bundle "
+        "is stated against",
+    "bundle.BundlePresentation.point":
+        "builds the fiber point [y, g] that division and act take",
+    "bundle.BundlePresentation.act":
+        "the right G-action [y, h].g = [y, h + g] of the principal bundle",
+    "cech.GroupHom.reduction":
+        "the reduction Z -> Z/m that push_coefficients is given",
+    "cech.CohomologyReport.is_zero_class":
+        "the class test of a report, beside class_coordinates",
+    "cech.random_cocycle":
+        "draws the cocycles of the benchmark workloads",
+    "gallery.full_variant":
+        "gallery example: the repeats-allowed twin of a nerve",
+    "gallery.circle_double_cover":
+        "gallery example: the morphism of the pullback acceptance criterion",
+    "gallery.circle_refinement":
+        "gallery example: a common refinement of two circle covers",
+    "gallery.line_to_irrational_torus":
+        "gallery example: the cover R -> T_alpha that bundles pull back along",
+    "serialize.cochain_document_to_dict":
+        "writes the cochain document that cochain_document_from_dict reads",
+}
+
+
+def _defs():
+    """(module.qualname, node, is_method) of every module-level function and
+    method under src/, with the parsed modules."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), str(p))
+             for p in MODULES}
+    defs = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((f"{mod}.{node.name}", node, False))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(f"{mod}.{node.name}.{sub.name}", sub, True)
+                         for sub in node.body
+                         if isinstance(sub, ast.FunctionDef)]
+    return trees, defs
+
+
+def _references(trees):
+    """Each attribute ("attr") and plain ("name") reference in src/, keyed by
+    kind and name, as the list of the sets of defs it sits in."""
+    refs = {}
+
+    def visit(n, inside):
+        if isinstance(n, ast.Attribute):
+            refs.setdefault(("attr", n.attr), []).append(inside)
+        elif isinstance(n, ast.Name):
+            refs.setdefault(("name", n.id), []).append(inside)
+        if isinstance(n, ast.FunctionDef):
+            inside = inside | {n}
+        for child in ast.iter_child_nodes(n):
+            visit(child, inside)
+
+    for tree in trees.values():
+        visit(tree, frozenset())
+    return refs
+
+
+def test_every_function_has_a_caller():
+    trees, defs = _defs()
+    exported = {f"{n.module}.{a.name}" for n in trees["__init__"].body
+                if isinstance(n, ast.ImportFrom) for a in n.names}
+    names = {name for name, _, _ in defs}
+    assert set(UNCALLED) <= names, set(UNCALLED) - names
+    refs = _references(trees)
+
+    def called(node, is_method):
+        # outside its own def: an attribute reference, or for a function
+        # also a plain name
+        kinds = ("attr",) if is_method else ("attr", "name")
+        return any(node not in inside for kind in kinds
+                   for inside in refs.get((kind, node.name), ()))
+
+    uncalled = {name for name, node, is_method in defs
+                if not (node.name.startswith("__")
+                        and node.name.endswith("__"))
+                and name not in exported and not called(node, is_method)}
+    assert uncalled - set(UNCALLED) == set(), (
+        "no caller in src/: delete these, move them into the tests that use "
+        "them, or list them in UNCALLED with the reason they stay")
+    assert set(UNCALLED) - uncalled == set(), (
+        "these have a caller now: take them off UNCALLED")

@@ -18,18 +18,29 @@ from diffcech.cech import (
 )
 from diffcech.coeff import ALPHA, ZERO, RAlphaGroup
 from diffcech.errors import FreenessError
-from diffcech.funclass import AffineMap
+from diffcech.funclass import AffineMap, act
 from diffcech.presentation import Generator, GroupQuotient
 from diffcech.grpcoh import (
     CrossedHom,
     cocycle_from_crossed,
     crossed_from_cocycle,
     h1_group,
-    principal_crossed,
 )
 
 
 R = RAlphaGroup()
+
+
+def principal_crossed(pres, alpha):
+    """kappa(k) = alpha.k - alpha: the crossed data of d(alpha)."""
+    return CrossedHom(pres, {i: act(g.affine, alpha) - alpha
+                             for i, g in enumerate(pres.generators)})
+
+
+def _is_valid(kappa):
+    """Generator compatibility and torsion consistency, symbolically."""
+    return all(residual.is_zero() for _, residual
+               in crossed_relations(kappa.pres, kappa.values))
 
 
 def _itorus():
@@ -110,7 +121,6 @@ class TestCrossedHom:
         # kappa(k + k') = kappa(k) + kappa(k').k on random pairs
         pres = _itorus()
         rng = random.Random(3)
-        from diffcech.funclass import act
         for _ in range(10):
             f = random_cocycle(pres, 1, RAlphaGroup(), rng)
             beta = crossed_from_cocycle(f)
@@ -129,7 +139,6 @@ class TestCrossedHom:
     def test_crossed_sum_agrees_with_term_by_term_sum(self):
         # S(n) = sum_{j<n} val.g^j against the plain loop, both signs
         from diffcech.cech import _crossed_single
-        from diffcech.funclass import act
         pres = _itorus()
         val = pres.function_class().parse("x0^2 - a*x0 + 1")
         for i in range(pres.rank):
@@ -148,15 +157,15 @@ class TestCrossedHom:
         cls = z2.function_class()
         # kappa(g) = 1 is not crossed: kappa(g) + kappa(g).g = 2 != 0
         bad = CrossedHom(z2, {0: cls.parse("1")})
-        assert not bad.is_valid()
+        assert not _is_valid(bad)
         good = CrossedHom(z2, {0: cls.parse("x0")})
-        assert good.is_valid()
+        assert _is_valid(good)
 
     def test_principal_is_valid(self):
         pres = _itorus()
         rng = random.Random(5)
         alpha = pres.function_class().random(rng)
-        assert principal_crossed(pres, alpha).is_valid()
+        assert _is_valid(principal_crossed(pres, alpha))
 
     def test_principal_matches_coboundary(self):
         pres = _itorus()

@@ -25,6 +25,12 @@ from diffcech.presentation import (
 )
 
 
+def random_point(pres, rng):
+    """A random point of a quotient's nebula, with entries in Z + aZ."""
+    return tuple(Scalar.of(rng.randrange(-5, 6)) + ALPHA * rng.randrange(-2, 3)
+                 for _ in range(pres.dim))
+
+
 class TestFiniteNerve:
     def test_face_closure_required(self):
         with pytest.raises(ParseError, match="not face-closed"):
@@ -102,18 +108,6 @@ class TestFiniteNerve:
     def test_components(self):
         n = FiniteNerve.from_facets(4, [(0, 1), (2, 3)], k_max=4)
         assert n.components() == [[0, 1], [2, 3]]
-
-    def test_simplicial_identity(self):
-        # d_i d_j = d_{j-1} d_i for i < j on every alive tuple
-        n = gallery.get_presentation("rp2")
-        for k in (1, 2):
-            for t in n.tuples(k + 1):
-                for j in range(1, k + 2):
-                    for i in range(j):
-                        left = n.degeneracy(k, i, n.degeneracy(k + 1, j, t))
-                        right = n.degeneracy(k, j - 1,
-                                             n.degeneracy(k + 1, i, t))
-                        assert left == right
 
 
 class TestGroupQuotient:
@@ -319,7 +313,7 @@ class TestGroupQuotient:
         rng = random.Random(3)
         for _ in range(20):
             k1, k2 = it.random_k(rng), it.random_k(rng)
-            y = it.random_point(rng)
+            y = random_point(it, rng)
             both = it.act_point(it.act_point(y, k1), k2)
             assert both == it.act_point(y, it.k_add(k1, k2))
 
@@ -327,22 +321,6 @@ class TestGroupQuotient:
         it = gallery.get_presentation("irrational-torus")
         y = (Scalar.of(0),)
         assert it.act_point(y, (2, 3)) == (Scalar.of(2) + ALPHA * 3,)
-
-    def test_simplicial_identity_on_points(self):
-        rng = random.Random(5)
-        for name in ("irrational-torus", "z2-reflection"):
-            pres = gallery.get_presentation(name)
-            for k in (1, 2):
-                for _ in range(10):
-                    pt = (pres.random_point(rng),
-                          tuple(pres.random_k(rng) for _ in range(k + 1)))
-                    for j in range(1, k + 2):
-                        for i in range(j):
-                            left = pres.degeneracy_point(
-                                k, i, pres.degeneracy_point(k + 1, j, pt))
-                            right = pres.degeneracy_point(
-                                k, j - 1, pres.degeneracy_point(k + 1, i, pt))
-                            assert left == right
 
     def test_finite_enumeration(self):
         z2 = gallery.get_presentation("z2-reflection")
@@ -403,8 +381,8 @@ class TestCircleNerves:
         assert len(s.charts) == 12
         # both refinement maps send alive tuples to alive tuples
         for t in s.tuples(1):
-            assert mq.target.is_alive(sorted(set(mq.map_tuple(t))))
-            assert mr.target.is_alive(sorted(set(mr.map_tuple(t))))
+            assert frozenset(mq.map_tuple(t)) in mq.target.faces
+            assert frozenset(mr.map_tuple(t)) in mr.target.faces
 
     def test_distinct_nerves_need_joint_data(self):
         c3 = gallery.get_presentation("circle3")
