@@ -748,32 +748,33 @@ def _field_cohomology_from_matrices(pres, k: int, group, A, B,
     """H^k = ker A / im B over Q(a) for the row matrices A of d_k and B of
     d_{k-1} (n x 0 in degree 0) of a quotient's function-class system,
     reduced by `linalg`.  The representatives are the kernel vectors that
-    leave the span of B, chosen greedily in order; the oracle's coordinates
-    solve [B | chosen] and are Scalars.  It refuses a cochain of another
-    presentation or degree."""
-    kernel = linalg.nullspace(A)
+    leave the span of B, chosen greedily in order: the kernel pivots of
+    [B | kernel].  Restricted to the kernel's free coordinates, a vector of
+    ker A loses nothing, each kernel vector is a unit vector there, and the
+    columns of B are coboundaries in ker A; so [B | kernel] has the pivots
+    of [B_free | I], whose unit column j is a pivot unless some vector of
+    the span of B_free ends at j (`linalg.trailing_pivots`).  The oracle
+    refuses a cochain of another presentation or degree, and a v off ker A;
+    its coordinates solve [B_free | chosen] on the free entries of v and
+    are Scalars."""
+    kernel, free = linalg.nullspace(A)
+    B_free = [B[j] for j in free]
+    ends = set(linalg.trailing_pivots([list(col) for col in zip(*B_free)]))
+    picked = [i for i in range(len(free)) if i not in ends]
+    B_chosen = [row + [int(i == p) for p in picked]
+                for i, row in enumerate(B_free)]
     width = len(B[0]) if B else 0
-
-    def beside_B(vectors):
-        return [row + [v[i] for v in vectors] for i, row in enumerate(B)]
-
-    chosen = []
-    if kernel:
-        # a column of [B | ker] is a pivot exactly when it leaves the span of
-        # the columns before it, so these pivots are the greedy choice
-        _, pivots = linalg.rref(beside_B(kernel))
-        chosen = [kernel[p - width] for p in pivots if p >= width]
-    B_chosen = beside_B(chosen)
 
     def oracle(c: Cochain):
         _require_degree(c, pres, k)
-        coords = linalg.solve(B_chosen, to_vector(c))
-        if coords is None:
+        v = to_vector(c)
+        if any(sum([a * x for a, x in zip(row, v) if a and x], ZERO)
+               for row in A):
             raise CocycleError("class oracle applied to a non-cocycle")
-        return tuple(coords[width:])
+        return tuple(linalg.solve(B_chosen, [v[j] for j in free])[width:])
 
-    reps = [from_vector(v) for v in chosen]
-    return CohomologyReport(pres, k, group, free_rank=len(chosen),
+    reps = [from_vector(kernel[i]) for i in picked]
+    return CohomologyReport(pres, k, group, free_rank=len(picked),
                             representatives=reps, oracle=oracle, note=note)
 
 

@@ -116,8 +116,8 @@ def h1_group(pres) -> CohomologyReport:
 
     # coboundaries: principal crossed data of wide potentials whose
     # degree-(D+1) part cancels
-    combos = linalg.nullspace([P[i * dim + t]
-                               for i in range(r) for t in top])
+    combos, _ = linalg.nullspace([P[i * dim + t]
+                                  for i in range(r) for t in top])
     B = [[ZERO] * len(combos) for _ in P]
     for row, out in zip(P, B):
         for c, x in enumerate(row):

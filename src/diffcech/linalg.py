@@ -200,23 +200,35 @@ def rank(M) -> int:
     return len(rref(M)[1])
 
 
-def nullspace(M) -> List[list]:
-    """Basis of the kernel, one vector per free column, deterministic order."""
+def nullspace(M) -> Tuple[List[list], List[int]]:
+    """Basis of the kernel, one vector per free column in ascending order,
+    and those free columns.  Each vector is the identity at the free
+    columns, so a kernel vector is fixed by its entries there; the free
+    column of a vector is its last nonzero entry."""
     n = len(M[0]) if M else 0
     if n == 0:
-        return []
+        return [], []
     R, pivots = rref(M)
     pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
     basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
+    for j in free:
         v = [0] * n
-        v[free] = 1
+        v[j] = 1
         for r, col in enumerate(pivots):
-            v[col] = -R[r][free]
+            v[col] = -R[r][j]
         basis.append(v)
-    return basis
+    return basis, free
+
+
+def trailing_pivots(M) -> List[int]:
+    """The columns, ascending, at which some vector of the row space of M
+    has its last nonzero entry: the pivots of M with its columns reversed.
+    With no row there is none, and no reduction."""
+    if not M:
+        return []
+    n = len(M[0])
+    return sorted(n - 1 - p for p in rref([row[::-1] for row in M])[1])
 
 
 def solve(M, b) -> Optional[list]:

@@ -1010,7 +1010,7 @@ class TestIndependentRoutes:
         # and the oracle's coordinates are the same bytes
         cls = pres.function_class()
         rep = cohomology(pres, RAlphaGroup(), 0)
-        kernel = linalg.nullspace(_coboundary_matrix(pres, 0, cls))
+        kernel, _ = linalg.nullspace(_coboundary_matrix(pres, 0, cls))
         assert rep.dimension == len(kernel)
         tabulated = [_quotient_from_vector(pres, 0, cls, v) for v in kernel]
         assert ([json.dumps(r.to_dict()) for r in rep.representatives]

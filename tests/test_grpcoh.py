@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffcech import gallery, grpcoh, linalg
+from diffcech import cech, gallery, grpcoh, linalg
 from diffcech.cech import (
     Cochain,
     classes_equal,
@@ -16,8 +16,8 @@ from diffcech.cech import (
     random_cocycle,
     zero_cochain,
 )
-from diffcech.coeff import ALPHA, ZERO, RAlphaGroup
-from diffcech.errors import FreenessError
+from diffcech.coeff import ALPHA, ZERO, RAlphaGroup, Scalar
+from diffcech.errors import CocycleError, FreenessError, TagError
 from diffcech.funclass import AffineMap, act
 from diffcech.presentation import Generator, GroupQuotient
 from diffcech.grpcoh import (
@@ -52,11 +52,11 @@ def _itorus_degree(d):
     return GroupQuotient(1, gens, True, d, f"irrational-torus-D{d}")
 
 
-def _lattice2(order=(0, 1, 2, 3)):
+def _lattice2(order=(0, 1, 2, 3), d=1):
     shifts = [[1, 0], [0, 1], [ALPHA, 0], [0, ALPHA]]
     return GroupQuotient(
         2, [Generator(0, AffineMap.translation(shifts[i])) for i in order],
-        True, 1, "lattice2")
+        True, d, "lattice2")
 
 
 def _mixed():
@@ -67,9 +67,9 @@ def _mixed():
             [0, 1]))], False, 1, "mixed")
 
 
-def _z4_rotation():
+def _z4_rotation(d=1):
     rotation = AffineMap([[0, -1], [1, 0]], [0, 0])
-    return GroupQuotient(2, [Generator(4, rotation)], False, 1, "z4-rotation")
+    return GroupQuotient(2, [Generator(4, rotation)], False, d, "z4-rotation")
 
 
 def _scaled_swap(b, torsion):
@@ -275,8 +275,8 @@ class TestH1Group:
                      pres, wide.monomial(e)).values[i]
                  .in_class(wide).coordinates()]
                 for e in wide.basis]
-        combos = linalg.nullspace([[col[i * dim + t] for col in cols]
-                                   for i in range(r) for t in top])
+        combos, _ = linalg.nullspace([[col[i * dim + t] for col in cols]
+                                      for i in range(r) for t in top])
         want = [[sum((col[u] * c for col, c in zip(cols, combo) if c), ZERO)
                  for combo in combos] for u in range(r * dim)]
         assert B == want
@@ -299,3 +299,141 @@ class TestH1Group:
         rep = h1_group(_itorus())
         from diffcech.cech import is_cocycle
         assert all(bool(is_cocycle(r)) for r in rep.representatives)
+
+
+GALLERY_QUOTIENTS = [
+    name for name in gallery.names()
+    if gallery.get(name).kind == "presentation"
+    and gallery.get_presentation(name).kind == "quotient"
+]
+FIELD_CASES = [
+    *(pytest.param(gallery.get_presentation(name), id=name)
+      for name in GALLERY_QUOTIENTS),
+    *(pytest.param(_z4_rotation(d), id=f"z4-rotation-D{d}") for d in (1, 2)),
+    *(pytest.param(_lattice2(order, d), id=f"lattice2-{''.join(map(str, order))}-D{d}")
+      for order in ((0, 1, 2, 3), (2, 0, 3, 1)) for d in (1, 2)),
+    *(pytest.param(_itorus_degree(d), id=f"irrational-torus-D{d}")
+      for d in range(1, 9)),
+]
+
+
+def _engine_inputs(pres, k, monkeypatch):
+    """H^0, or h1_group in degree 1, with the arguments that it handed to
+    the field cohomology engine: (pres, k, group, A, B, to_vector,
+    from_vector, note)."""
+    seen = []
+    original = cech._field_cohomology_from_matrices
+
+    def spy(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cech, "_field_cohomology_from_matrices", spy)
+    monkeypatch.setattr(grpcoh, "_field_cohomology_from_matrices", spy)
+    rep = h1_group(pres) if k else cohomology(pres, R, 0)
+    (args,) = seen
+    return rep, args
+
+
+def _greedy_route(A, B):
+    """ker A / im B chosen on whole vectors: the kernel vectors that are
+    pivots of rref([B | kernel]), which leave the span of B and of the
+    kernel vectors before them; and class coordinates that solve
+    [B | chosen] for the whole vector, None when it is off that span."""
+    kernel, _ = linalg.nullspace(A)
+    width = len(B[0]) if B else 0
+
+    def beside_B(vectors):
+        return [row + [v[i] for v in vectors] for i, row in enumerate(B)]
+
+    pivots = linalg.rref(beside_B(kernel))[1] if kernel else []
+    chosen = [kernel[p - width] for p in pivots if p >= width]
+    B_chosen = beside_B(chosen)
+
+    def coordinates(vec):
+        x = linalg.solve(B_chosen, vec)
+        return None if x is None else tuple(x[width:])
+
+    return chosen, coordinates
+
+
+class TestFreeCoordinateChoice:
+    """The field engine picks its representatives in the kernel's free
+    coordinates; the greedy choice on whole vectors is the other route."""
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("pres", FIELD_CASES)
+    def test_same_representatives_and_coordinates(self, pres, k,
+                                                  monkeypatch):
+        rep, (_, _, _, A, B, to_vector, from_vector, _) = _engine_inputs(
+            pres, k, monkeypatch)
+        chosen, coordinates = _greedy_route(A, B)
+        assert [to_vector(r) for r in rep.representatives] == chosen
+        assert ([r.to_dict() for r in rep.representatives]
+                == [from_vector(v).to_dict() for v in chosen])
+        rng = random.Random(f"free-coordinates:{pres.name}:{k}")
+        third = (ALPHA + 1) / 3
+
+        def generic():
+            return (Scalar.of(rng.randrange(-4, 5))
+                    + ALPHA * rng.randrange(-4, 5)) * third
+
+        width = len(B[0]) if B else 0
+        for _ in range(5):
+            xs = tuple(generic() for _ in chosen)
+            ys = [generic() for _ in range(width)]
+            vec = [sum((b * y for b, y in zip(row, ys)), ZERO)
+                   + sum((x * v[u] for x, v in zip(xs, chosen)), ZERO)
+                   for u, row in enumerate(B)]
+            c = from_vector(vec)
+            assert rep.class_coordinates(c) == coordinates(to_vector(c)) == xs
+        # off the cocycles: a multiple of a unit vector that A does not
+        # kill (with no generator, A kills every vector in degree 0)
+        moved = [j for j in range(len(vec)) if any(row[j] for row in A)]
+        assert moved or not pres.generators
+        for j in moved[:1] + moved[-1:]:
+            c = from_vector([x + third * (u == j) for u, x in enumerate(vec)])
+            assert coordinates(to_vector(c)) is None
+            with pytest.raises(CocycleError):
+                rep.class_coordinates(c)
+        other = _itorus_degree(9) if pres.name != "line" else _lattice2()
+        for foreign in (zero_cochain(other, k, R), zero_cochain(pres, 1 - k, R)):
+            with pytest.raises(TagError):
+                rep.class_coordinates(foreign)
+
+    @pytest.mark.parametrize("pres", FIELD_CASES)
+    def test_row_reductions(self, pres, monkeypatch):
+        # H^0 reduces only the generator rows, in its nullspace call; H^1
+        # reduces the top-degree rows and A in its two nullspace calls, and
+        # then B restricted to the free coordinates, transposed (with no
+        # generator, H^1 has no row to reduce)
+        shapes = []
+        original = linalg.rref
+
+        def counting(M):
+            shapes.append((len(M), len(M[0]) if M else 0))
+            return original(M)
+
+        rep0 = cohomology(pres, R, 0)
+        _, (_, _, _, A, B, _, _, _) = _engine_inputs(pres, 1, monkeypatch)
+        monkeypatch.setattr(linalg, "rref", counting)
+        cohomology(pres, R, 0)
+        assert len(shapes) == 1
+        shapes.clear()
+        h1_group(pres)
+        if pres.generators:
+            free = len(A[0]) - len(original(A)[1])
+            assert len(shapes) == 3 and shapes[2] == (len(B[0]), free)
+        else:
+            assert not shapes
+        # a function that K moves is refused before any reduction
+        shapes.clear()
+        cls = pres.function_class()
+        for h in map(cls.monomial, cls.basis):
+            if any(act(g.affine, h) != h for g in pres.generators):
+                with pytest.raises(CocycleError):
+                    rep0.class_coordinates(Cochain.function(pres, h))
+        assert not shapes
+        for r in rep0.representatives:
+            assert rep0.class_coordinates(r) == tuple(
+                int(s is r) for s in rep0.representatives)

@@ -208,7 +208,7 @@ class TestFractionFree:
                  _mixed(rng)]
         for M in cases:
             _assert_rref_is_the_dense_rref(M)
-            for v in linalg.nullspace(M):
+            for v in linalg.nullspace(M)[0]:
                 assert all(type(x) in (int, Scalar) for x in v)
         assert linalg.rref([]) == ([], [])
         assert linalg.rref([[], []]) == ([[], []], [])
@@ -242,7 +242,7 @@ class TestRref:
         for M in _matrices(5):
             R, _ = linalg.rref(M)
             results = [x for row in R for x in row]
-            results += [x for v in linalg.nullspace(M) for x in v]
+            results += [x for v in linalg.nullspace(M)[0] for x in v]
             sol = linalg.solve(M, [sum(row) for row in M])
             results += sol
             assert all(_exact(x) for x in results), results
@@ -259,7 +259,7 @@ class TestRref:
     def test_nullspace(self):
         for M in _matrices(7):
             n = len(M[0])
-            basis = linalg.nullspace(M)
+            basis, _ = linalg.nullspace(M)
             assert len(basis) == n - linalg.rank(M)
             for v in basis:
                 assert all(sum(a * x for a, x in zip(row, v)) == 0
@@ -310,3 +310,62 @@ class TestSolve:
         assert linalg.solve([[], []], [0, ALPHA]) is None
         assert linalg.solve([[1], [1]], [ALPHA, ALPHA]) == [ALPHA]
         assert linalg.solve([[1], [1]], [ALPHA, 1]) is None
+
+
+def _q_alpha_matrices(seed, count=40):
+    """Seeded Q(a) matrices: products of rank at most r, so rank-deficient
+    when r < min(m, n), next to all-zero ones and ones of width 0."""
+    rng = random.Random(seed)
+
+    def entry():
+        return rng.choice([
+            0, rng.randrange(-3, 4),
+            Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)),
+            _poly(rng, 2) / rng.choice([1, ALPHA, ALPHA + 1])])
+
+    yield from ([[], []], [[0] * 4 for _ in range(3)], [[Scalar.of(0)] * 5])
+    for _ in range(count):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+        r = rng.randrange(0, min(m, n) + 1)
+        P = [[entry() for _ in range(r)] for _ in range(m)]
+        Q = [[entry() for _ in range(n)] for _ in range(r)]
+        yield [[sum((P[i][t] * Q[t][j] for t in range(r)), Scalar.of(0))
+                for j in range(n)] for i in range(m)]
+
+
+class TestFreeCoordinates:
+    def test_free_columns_are_the_greedy_non_pivots(self):
+        # a column is free when it lies in the span of the columns before
+        # it; each basis vector is the identity there, ends at its own free
+        # column and is killed by M
+        for M in _q_alpha_matrices(53):
+            n = len(M[0])
+            basis, free = linalg.nullspace(M)
+            pivots = _dense_rref(M)[1]
+            assert free == [j for j in range(n) if j not in pivots]
+            assert len(basis) == len(free)
+            for v, f in zip(basis, free):
+                assert [v[j] for j in free] == [int(j == f) for j in free]
+                assert max(j for j, x in enumerate(v) if x) == f
+                assert not any(sum((a * x for a, x in zip(row, v)),
+                                   Scalar.of(0)) for row in M)
+        assert linalg.nullspace([]) == ([], [])
+
+    def test_trailing_pivots_are_the_greedy_complement(self):
+        # greedily over [M^T | I]: a unit column e_j is passed over exactly
+        # when some vector of the row space of M ends at j; and j ends one
+        # exactly when the columns from j on have more rank than those after j
+        for M in _q_alpha_matrices(59):
+            m, n = len(M), len(M[0])
+            ends = linalg.trailing_pivots(M)
+            MT_I = [list(col) + [int(i == j) for j in range(n)]
+                    for i, col in enumerate(zip(*M))]
+            pivots = _dense_rref(MT_I)[1]
+            assert ends == [j for j in range(n) if m + j not in pivots]
+            ranks = [len(_dense_rref([row[j:] for row in M])[1])
+                     for j in range(n + 1)]
+            assert ends == [j for j in range(n) if ranks[j] > ranks[j + 1]]
+            assert len(ends) == linalg.rank(M)
+        assert linalg.trailing_pivots([]) == []
+        assert linalg.trailing_pivots([[0, ALPHA, 1]]) == [2]
+        assert linalg.trailing_pivots([[0, ALPHA, 1], [0, 1, 0]]) == [1, 2]
