@@ -58,13 +58,7 @@ from diffcech.presentation import (
 )
 
 from test_golden import CASES as GOLDEN_CASES, GOLDEN
-from test_grpcoh import _mixed, principal_crossed
-
-GALLERY_QUOTIENTS = [
-    name for name in gallery.names()
-    if gallery.get(name).kind == "presentation"
-    and gallery.get_presentation(name).kind == "quotient"
-]
+from test_grpcoh import GALLERY_QUOTIENTS, _mixed, principal_crossed
 
 
 class TestNerveCochains:

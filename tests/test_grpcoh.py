@@ -310,7 +310,8 @@ FIELD_CASES = [
     *(pytest.param(gallery.get_presentation(name), id=name)
       for name in GALLERY_QUOTIENTS),
     *(pytest.param(_z4_rotation(d), id=f"z4-rotation-D{d}") for d in (1, 2)),
-    *(pytest.param(_lattice2(order, d), id=f"lattice2-{''.join(map(str, order))}-D{d}")
+    *(pytest.param(_lattice2(order, d),
+                   id=f"lattice2-{''.join(map(str, order))}-D{d}")
       for order in ((0, 1, 2, 3), (2, 0, 3, 1)) for d in (1, 2)),
     *(pytest.param(_itorus_degree(d), id=f"irrational-torus-D{d}")
       for d in range(1, 9)),
@@ -397,7 +398,8 @@ class TestFreeCoordinateChoice:
             with pytest.raises(CocycleError):
                 rep.class_coordinates(c)
         other = _itorus_degree(9) if pres.name != "line" else _lattice2()
-        for foreign in (zero_cochain(other, k, R), zero_cochain(pres, 1 - k, R)):
+        for foreign in (zero_cochain(other, k, R),
+                        zero_cochain(pres, 1 - k, R)):
             with pytest.raises(TagError):
                 rep.class_coordinates(foreign)
 
