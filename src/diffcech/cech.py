@@ -753,11 +753,13 @@ def _field_cohomology_from_matrices(pres, k: int, group, A, B,
     ker A loses nothing, each kernel vector is a unit vector there, and the
     columns of B are coboundaries in ker A; so [B | kernel] has the pivots
     of [B_free | I], whose unit column j is a pivot unless some vector of
-    the span of B_free ends at j (`linalg.trailing_pivots`).  The oracle
-    refuses a cochain of another presentation or degree, and a v off ker A;
-    its coordinates solve [B_free | chosen] on the free entries of v and
-    are Scalars."""
-    kernel, free = linalg.nullspace(A)
+    the span of B_free ends at j (`linalg.trailing_pivots`).  The forward
+    pass on A gives the free columns, and only the picked kernel vectors
+    are back-solved: each is fixed by its free entries, whichever others
+    are built.  The oracle refuses a cochain of another presentation or
+    degree, and a v off ker A; its coordinates solve [B_free | chosen] on
+    the free entries of v and are Scalars."""
+    free, kernel = linalg.kernel(A)
     B_free = [B[j] for j in free]
     ends = set(linalg.trailing_pivots([list(col) for col in zip(*B_free)]))
     picked = [i for i in range(len(free)) if i not in ends]
@@ -773,7 +775,7 @@ def _field_cohomology_from_matrices(pres, k: int, group, A, B,
             raise CocycleError("class oracle applied to a non-cocycle")
         return tuple(linalg.solve(B_chosen, [v[j] for j in free])[width:])
 
-    reps = [from_vector(kernel[i]) for i in picked]
+    reps = list(map(from_vector, kernel([free[i] for i in picked])))
     return CohomologyReport(pres, k, group, free_rank=len(picked),
                             representatives=reps, oracle=oracle, note=note)
 

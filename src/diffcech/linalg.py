@@ -11,10 +11,19 @@ and this module does its arithmetic with ``coeff``'s private helpers
 p * row - f * pivot row, with p and f divided by their gcd, on nonzero
 entries only, and is then divided by its integer content.  Each output entry
 is one quotient, made canonical at the end.  The reduced row echelon form is
-unique, so the pivot rows may be chosen for small multipliers.  Used for the
-function-class linear systems of quotient presentations; nerve cohomology
-needs none of it, since its integer matrices go through the Smith normal
-form of ``coeff``.
+unique, so the pivot rows may be chosen for small multipliers.
+
+The reduction runs in two steps: a forward pass, which fixes the pivots, and
+a back substitution of the columns asked for, which carries no other
+column.  Each entry of the reduced form is fixed by its own column and the
+pivot columns, so it comes out the same whichever other columns are
+reduced.  ``rank`` and ``trailing_pivots`` read pivots
+alone and run the forward pass only; ``solve`` back-substitutes only the
+right-hand side; ``kernel`` only the free columns whose vectors are asked
+for; ``rref`` and ``nullspace`` every column.  Used for the function-class
+linear systems of quotient presentations; nerve cohomology needs none of
+it, since its integer matrices go through the Smith normal form of
+``coeff``.
 """
 
 from __future__ import annotations
@@ -143,11 +152,11 @@ def apply_integer_map(fn, vec):
     return out
 
 
-def rref(M) -> Tuple[List[list], List[int]]:
-    """Reduced row echelon form, its entries canonical Scalars, and the
-    pivot column indices."""
-    m = len(M)
-    n = len(M[0]) if m else 0
+def _forward(M):
+    """The forward pass of the reduction of M: its pivot columns ascending,
+    their pivot rows, primitive over Z[a] when poly and over Z otherwise and
+    each with no entry before its pivot, and poly."""
+    n = len(M[0]) if M else 0
     # the zero Scalar is mostly the one ZERO, passed over without a call
     rows = [{j: x for j, x in enumerate(row) if x is not ZERO and x}
             for row in M]
@@ -175,70 +184,125 @@ def rref(M) -> Tuple[List[list], List[int]]:
         pivots.append(col)
         if not active:
             break
-    # back substitution from the last pivot row up, so that every row used
-    # is already reduced and brings in no pivot column but its own
-    for k in range(len(done) - 2, -1, -1):
-        row = done[k]
-        for col, piv in zip(pivots[:k:-1], done[:k:-1]):
-            if col in row:
-                row = eliminate(row, piv, col)
-        done[k] = row
+    return pivots, done, poly
 
-    R = []
-    for col, row in zip(pivots, done):
+
+def _back(pivots, done, poly, cols):
+    """The columns cols of the reduced row echelon form, from the forward
+    pass (pivots, done, poly): one {column: nonzero canonical Scalar} per
+    pivot row, its pivot left out.  A row operation acts on each column
+    alone, with multipliers read at pivot columns, and the reduced form is
+    unique; so each row carries only its pivot and the non-pivot columns of
+    cols.  Under the key -1 it carries the factor s that its row operations
+    have multiplied it by: its entry at a later pivot column c is s times
+    the forward row's, read off as c is eliminated."""
+    keep = set(cols).difference(pivots)
+    eliminate, mul, one = ((_poly_eliminate, _zmul, _Z_ONE) if poly
+                           else (_int_eliminate, int.__mul__, 1))
+    rows = []
+    # from the last pivot row up, so that every row used is already reduced
+    # and brings in no pivot column but its own
+    for k in range(len(done) - 1, -1, -1):
+        old = done[k]
+        row = {j: x for j, x in old.items() if j in keep}
+        row[pivots[k]] = old[pivots[k]]
+        row[-1] = one
+        for col, piv in zip(pivots[:k:-1], rows):
+            if col in old:
+                row[col] = mul(row[-1], old[col])
+                row = eliminate(row, piv, col)
+        del row[-1]
+        rows.append(row)
+    out = []
+    for col, row in zip(pivots, reversed(rows)):
         d = row.pop(col)
+        out.append({j: _quotient(x, d) if poly else _quotient((x,), (d,))
+                    for j, x in row.items()})
+    return out
+
+
+def rref(M) -> Tuple[List[list], List[int]]:
+    """Reduced row echelon form, its entries canonical Scalars, and the
+    pivot column indices: the forward pass and the back substitution of
+    every column."""
+    m = len(M)
+    n = len(M[0]) if m else 0
+    pivots, done, poly = _forward(M)
+    R = []
+    for col, row in zip(pivots, _back(pivots, done, poly, range(n))):
         out = [ZERO] * n
         out[col] = ONE
         for j, x in row.items():
-            out[j] = _quotient(x, d) if poly else _quotient((x,), (d,))
+            out[j] = x
         R.append(out)
     R += [[ZERO] * n for _ in range(m - len(pivots))]
     return R, pivots
 
 
 def rank(M) -> int:
-    return len(rref(M)[1])
+    """The number of pivots of M, from the forward pass alone."""
+    return len(_forward(M)[0])
+
+
+def kernel(M):
+    """The free columns of M, ascending, from the forward pass alone, and a
+    function that back-solves the kernel vectors of the free columns given:
+    one vector per column, the identity at the free columns (int 1 at its
+    own, int 0 at the others) and a Scalar at each pivot column.  Only the
+    columns asked for are back-substituted; each vector is fixed by its
+    entries at the free columns, so it does not depend on which others
+    are.  With no column there is none, and no reduction."""
+    n = len(M[0]) if M else 0
+    pivots, done, poly = _forward(M) if n else ([], [], False)
+    pivot_set = set(pivots)
+
+    def vectors(cols):
+        rows = _back(pivots, done, poly, cols)
+        basis = []
+        for j in cols:
+            v = [0] * n
+            v[j] = 1
+            for col, row in zip(pivots, rows):
+                v[col] = -row.get(j, ZERO)
+            basis.append(v)
+        return basis
+
+    return [j for j in range(n) if j not in pivot_set], vectors
 
 
 def nullspace(M) -> Tuple[List[list], List[int]]:
     """Basis of the kernel, one vector per free column in ascending order,
-    and those free columns.  Each vector is the identity at the free
+    and those free columns (``kernel``, with every free column
+    back-solved in one pass).  Each vector is the identity at the free
     columns, so a kernel vector is fixed by its entries there; the free
     column of a vector is its last nonzero entry."""
-    n = len(M[0]) if M else 0
-    if n == 0:
-        return [], []
-    R, pivots = rref(M)
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [0] * n
-        v[j] = 1
-        for r, col in enumerate(pivots):
-            v[col] = -R[r][j]
-        basis.append(v)
-    return basis, free
+    free, vectors = kernel(M)
+    return vectors(free), free
 
 
 def trailing_pivots(M) -> List[int]:
     """The columns, ascending, at which some vector of the row space of M
-    has its last nonzero entry: the pivots of M with its columns reversed.
-    With no row there is none, and no reduction."""
+    has its last nonzero entry: the pivots of M with its columns reversed,
+    from the forward pass alone.  With no row there is none, and no
+    reduction."""
     if not M:
         return []
     n = len(M[0])
-    return sorted(n - 1 - p for p in rref([row[::-1] for row in M])[1])
+    return sorted(n - 1 - p for p in _forward([row[::-1] for row in M])[0])
 
 
 def solve(M, b) -> Optional[list]:
-    """One exact solution of M x = b, free unknowns 0, or None when
-    inconsistent (the augmented column is a pivot)."""
+    """One exact solution of M x = b, free unknowns int 0, or None when
+    inconsistent (the augmented column is a pivot).  The forward pass runs
+    on [M | b] and only the b column is back-substituted: with the free
+    unknowns 0, x at each pivot column is that column's entry in the
+    reduced form, a Scalar, which the other columns do not change."""
     n = len(M[0]) if M else 0
-    R, pivots = rref([list(row) + [bv] for row, bv in zip(M, b)])
+    pivots, done, poly = _forward([list(row) + [bv]
+                                   for row, bv in zip(M, b)])
     if pivots and pivots[-1] == n:
         return None
     x = [0] * n
-    for r, col in enumerate(pivots):
-        x[col] = R[r][n]
+    for col, row in zip(pivots, _back(pivots, done, poly, [n])):
+        x[col] = row.get(n, ZERO)
     return x

@@ -27,6 +27,8 @@ from diffcech.grpcoh import (
     h1_group,
 )
 
+from test_linalg import _rref_solve
+
 
 R = RAlphaGroup()
 
@@ -340,7 +342,8 @@ def _greedy_route(A, B):
     """ker A / im B chosen on whole vectors: the kernel vectors that are
     pivots of rref([B | kernel]), which leave the span of B and of the
     kernel vectors before them; and class coordinates that solve
-    [B | chosen] for the whole vector, None when it is off that span."""
+    [B | chosen] for the whole vector through its full rref, None when it
+    is off that span."""
     kernel, _ = linalg.nullspace(A)
     width = len(B[0]) if B else 0
 
@@ -352,7 +355,7 @@ def _greedy_route(A, B):
     B_chosen = beside_B(chosen)
 
     def coordinates(vec):
-        x = linalg.solve(B_chosen, vec)
+        x = _rref_solve(B_chosen, vec)
         return None if x is None else tuple(x[width:])
 
     return chosen, coordinates
@@ -405,37 +408,65 @@ class TestFreeCoordinateChoice:
 
     @pytest.mark.parametrize("pres", FIELD_CASES)
     def test_row_reductions(self, pres, monkeypatch):
-        # H^0 reduces only the generator rows, in its nullspace call; H^1
-        # reduces the top-degree rows and A in its two nullspace calls, and
-        # then B restricted to the free coordinates, transposed (with no
-        # generator, H^1 has no row to reduce)
-        shapes = []
-        original = linalg.rref
+        # H^0 runs one forward pass, on the generator rows, in its kernel
+        # call; H^1 runs three, on the top-degree rows and A in its two
+        # kernel calls and then on B restricted to the free coordinates,
+        # transposed (with no generator, H^1 has no row to reduce).  No full
+        # rref runs, and the back solve on A (the generator rows for H^0)
+        # builds one kernel vector per representative, at the free column
+        # where it ends
+        forward, back, rrefs = [], [], []
+        original = linalg._forward, linalg._back, linalg.rref
 
-        def counting(M):
-            shapes.append((len(M), len(M[0]) if M else 0))
-            return original(M)
+        def counting_forward(M):
+            out = original[0](M)
+            forward.append(((len(M), len(M[0]) if M else 0), out[1]))
+            return out
 
-        rep0 = cohomology(pres, R, 0)
-        _, (_, _, _, A, B, _, _, _) = _engine_inputs(pres, 1, monkeypatch)
-        monkeypatch.setattr(linalg, "rref", counting)
-        cohomology(pres, R, 0)
-        assert len(shapes) == 1
-        shapes.clear()
+        def counting_back(pivots, done, poly, cols):
+            back.append((done, list(cols)))
+            return original[1](pivots, done, poly, cols)
+
+        def counting_rref(M):
+            rrefs.append(M)
+            return original[2](M)
+
+        def ends(rep, to_vector):
+            return [max(j for j, x in enumerate(to_vector(r)) if x)
+                    for r in rep.representatives]
+
+        rep0, (_, _, _, _, _, to_vector0, _, _) = _engine_inputs(
+            pres, 0, monkeypatch)
+        rep1, (_, _, _, A, B, to_vector1, _, _) = _engine_inputs(
+            pres, 1, monkeypatch)
+        free = len(A[0]) - len(original[2](A)[1]) if A else 0
+        monkeypatch.setattr(linalg, "_forward", counting_forward)
+        monkeypatch.setattr(linalg, "_back", counting_back)
+        monkeypatch.setattr(linalg, "rref", counting_rref)
+        rep = cohomology(pres, R, 0)
+        assert len(forward) == 1
+        assert back == [(forward[0][1], ends(rep0, to_vector0))]
+        assert len(rep.representatives) == len(rep0.representatives)
+        forward.clear()
+        back.clear()
         h1_group(pres)
         if pres.generators:
-            free = len(A[0]) - len(original(A)[1])
-            assert len(shapes) == 3 and shapes[2] == (len(B[0]), free)
+            assert len(forward) == 3 and forward[2][0] == (len(B[0]), free)
+            on_A = [cols for done, cols in back if done is forward[1][1]]
+            assert on_A == [ends(rep1, to_vector1)]
+            assert all(done is forward[0][1] for done, _ in back
+                       if done is not forward[1][1])
         else:
-            assert not shapes
+            assert not forward and not any(cols for _, cols in back)
+        assert not rrefs
         # a function that K moves is refused before any reduction
-        shapes.clear()
+        forward.clear()
         cls = pres.function_class()
         for h in map(cls.monomial, cls.basis):
             if any(act(g.affine, h) != h for g in pres.generators):
                 with pytest.raises(CocycleError):
                     rep0.class_coordinates(Cochain.function(pres, h))
-        assert not shapes
+        assert not forward
         for r in rep0.representatives:
             assert rep0.class_coordinates(r) == tuple(
                 int(s is r) for s in rep0.representatives)

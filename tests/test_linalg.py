@@ -8,7 +8,7 @@ import pytest
 
 from diffcech import gallery, linalg
 from diffcech.cech import _generator_rows
-from diffcech.coeff import ALPHA, Scalar
+from diffcech.coeff import ALPHA, ZERO, Scalar
 from diffcech.presentation import GroupQuotient
 
 
@@ -369,3 +369,120 @@ class TestFreeCoordinates:
         assert linalg.trailing_pivots([]) == []
         assert linalg.trailing_pivots([[0, ALPHA, 1]]) == [2]
         assert linalg.trailing_pivots([[0, ALPHA, 1], [0, 1, 0]]) == [1, 2]
+
+
+def _rref_solve(M, b):
+    """The solve route through the full rref of [M | b]: x at each pivot
+    column read off the b column, free unknowns int 0, None when the b
+    column is a pivot."""
+    n = len(M[0]) if M else 0
+    R, pivots = linalg.rref([list(row) + [bv] for row, bv in zip(M, b)])
+    if pivots and pivots[-1] == n:
+        return None
+    x = [0] * n
+    for r, col in enumerate(pivots):
+        x[col] = R[r][n]
+    return x
+
+
+def _rref_nullspace(M):
+    """One kernel vector per free column, read off the full rref."""
+    n = len(M[0])
+    R, pivots = linalg.rref(M)
+    basis = []
+    for j in (j for j in range(n) if j not in pivots):
+        v = [0] * n
+        v[j] = 1
+        for r, col in enumerate(pivots):
+            v[col] = -R[r][j]
+        basis.append(v)
+    return basis
+
+
+def _typed(v):
+    # Scalar(0) == 0, so the type of each entry is compared too
+    return None if v is None else [(type(x), x) for x in v]
+
+
+def _route_matrices():
+    """Seeded Z and Q(a) matrices: rank-deficient products, all-zero ones,
+    ones of width 0 and ones of one row."""
+    rng = random.Random(61)
+    yield from _matrices(67)
+    yield from _q_alpha_matrices(71)
+    for _ in range(10):
+        yield _random_matrix(rng, 1, rng.randrange(1, 7), rng.randrange(2))
+    yield from ([[0, ALPHA, 0, 1]], [[Fraction(1, 2), 0, ALPHA * ALPHA]],
+                [[]], [[0] * 3])
+
+
+class TestBackSolveRoutes:
+    """The forward pass and the back solve of the columns read, against the
+    full rref as the oracle."""
+
+    def test_each_back_solved_column_is_the_rref_column(self):
+        # the full rref shares the back substitution, so it is checked
+        # against the dense field rref first
+        for M in _route_matrices():
+            _assert_rref_is_the_dense_rref(M)
+            R, pivots = linalg.rref(M)
+            forward = linalg._forward(M)
+            assert forward[0] == pivots
+            for j in range(len(M[0])):
+                out = linalg._back(*forward, [j])
+                # each row leaves out its pivot, the 1 of the reduced form
+                column = [Scalar.of(1) if col == j else row.get(j, ZERO)
+                          for col, row in zip(pivots, out)]
+                assert set().union(*out) <= {j}
+                assert _canonical_pairs([column]) == _canonical_pairs(
+                    [[row[j] for row in R[:len(pivots)]]])
+
+    def test_kernel_vectors_of_any_free_columns(self):
+        # a kernel vector is fixed by its free entries, so it comes out the
+        # same whichever other free columns are back-solved with it
+        rng = random.Random(73)
+        for M in _route_matrices():
+            basis = _rref_nullspace(M)
+            free, vectors = linalg.kernel(M)
+            assert linalg.nullspace(M) == (basis, free)
+            assert list(map(_typed, linalg.nullspace(M)[0])) == list(
+                map(_typed, basis))
+            for _ in range(3):
+                picked = sorted(rng.sample(range(len(free)),
+                                           rng.randrange(len(free) + 1)))
+                out = vectors([free[i] for i in picked])
+                assert list(map(_typed, out)) == [_typed(basis[i])
+                                                  for i in picked]
+                for v in out:
+                    # the identity in int at the free columns, a Scalar at
+                    # each pivot column, zero ones included
+                    assert all(type(v[j]) is int for j in free)
+                    assert all(type(x) is Scalar for j, x in enumerate(v)
+                               if j not in free)
+
+    def test_solve_is_the_rref_solve(self):
+        rng = random.Random(79)
+        for M in _route_matrices():
+            m, n = len(M), len(M[0])
+            x0 = [rng.choice([0, 1, -2, ALPHA, Fraction(1, 3)])
+                  for _ in range(n)]
+            image = [sum((a * x for a, x in zip(row, x0)), Scalar.of(0))
+                     for row in M]
+            moved = [rng.randrange(-2, 3) for _ in range(m)]
+            for b in (image, [0] * m, moved,
+                      [y + z for y, z in zip(image, moved)]):
+                x = linalg.solve(M, b)
+                assert _typed(x) == _typed(_rref_solve(M, b)), (M, b)
+                if x is not None:
+                    pivots = linalg.rref(M)[1]
+                    assert all(type(v) is (Scalar if j in pivots else int)
+                               for j, v in enumerate(x))
+        assert any(linalg.solve(M, [1] + [0] * (len(M) - 1)) is None
+                   for M in _route_matrices())
+
+    def test_rank_and_trailing_pivots_are_the_rref_pivots(self):
+        for M in _route_matrices():
+            n = len(M[0])
+            assert linalg.rank(M) == len(linalg.rref(M)[1])
+            assert linalg.trailing_pivots(M) == sorted(
+                n - 1 - p for p in linalg.rref([r[::-1] for r in M])[1])
