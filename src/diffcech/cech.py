@@ -26,7 +26,6 @@ from .coeff import (
     ZERO,
     ZGroup,
     ZmodGroup,
-    _snf,
 )
 from . import linalg
 from .errors import (
@@ -705,41 +704,91 @@ def _nerve_vector(c: Cochain) -> list:
 
 
 def _nerve_from_vector(pres, degree, group, vec) -> Cochain:
+    zero = group.zero()
     return Cochain.nerve(pres, degree, group, {
-        t: vec.get(j, 0) for j, t in enumerate(pres.tuples(degree))})
+        t: vec.get(j, zero) for j, t in enumerate(pres.tuples(degree))})
+
+
+def _reduction(pres, k: int) -> Reduction:
+    """d_{k-1} and d_k of a nerve with their unit pivots eliminated; there
+    is no d_k at the top degree, where every cochain counts as a cocycle."""
+    red = Reduction(boundary_matrix(pres, k - 1), len(pres.tuples(k - 1)),
+                    boundary_matrix(pres, k) if k < pres.k_max else [],
+                    len(pres.tuples(k)))
+    _within_side(f"the complex for H^{k} left by the unit pivots",
+                 *map(len, red.cells))
+    return red
+
+
+def _within_values(k: int, gens: int, n: int):
+    # each generator is printed with n values
+    if gens * n > MAX_MATRIX_SIDE ** 2:
+        raise DegreeError(
+            f"{gens} critical {k}-cells by {n} {k}-cells exceed the limit of "
+            f"{MAX_MATRIX_SIDE ** 2} generator values "
+            f"(diffcech.cech.MAX_MATRIX_SIDE squared)")
 
 
 def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
-    """H^k of a nerve over Z, Z/m or R(alpha), from the complex of d_{k-1}
-    and d_k with its unit pivots eliminated (`reduce.Reduction`).  Over
-    R(alpha) the class oracle maps the integer numerators of a cochain,
-    power by power of a."""
-    n = len(pres.tuples(k))
-    # in degree 0, d_{k-1} is the map from the zero group: n empty rows
-    red = Reduction(boundary_matrix(pres, k - 1) if k else [{}] * n,
-                    len(pres.tuples(k - 1)) if k else 0,
-                    boundary_matrix(pres, k), n)
-    _within_side(f"the complex for H^{k} left by the unit pivots",
-                 *map(len, red.cells))
-    # each critical k-cell can be a generator, printed with n values
-    if len(red.cells[1]) * n > MAX_MATRIX_SIDE ** 2:
-        raise DegreeError(
-            f"{len(red.cells[1])} critical {k}-cells by {n} {k}-cells exceed "
-            f"the limit of {MAX_MATRIX_SIDE ** 2} generator values "
-            f"(diffcech.cech.MAX_MATRIX_SIDE squared)")
+    """H^k (k >= 1) of a nerve over Z, Z/m or R(alpha), from the complex of
+    d_{k-1} and d_k with its unit pivots eliminated (`reduce.Reduction`).
+    Over R(alpha) the class oracle maps the integer numerators of a
+    cochain, power by power of a.  A repeats-allowed nerve is computed on
+    its alternating twin: the representatives are the alternating
+    extensions of the twin's, and the oracle checks the cocycle law on the
+    ordered complex and reads the restriction to increasing tuples."""
+    alt = pres
+    if not pres.alternating:
+        pres.count(k + 1)
+        alt = pres.twin()
+    red = _reduction(alt, k)
+    tuples = pres.tuples(k)
+    _within_values(k, len(red.cells[1]), len(tuples))
     field = group.tag == "R(alpha)"
     free, factors, reps, coords = red.cohomology(
-        lambda: boundary_matrix(pres, k), getattr(group, "m", 0), field)
+        lambda: boundary_matrix(alt, k), getattr(group, "m", 0), field)
+    reps = [_nerve_from_vector(alt, k, group, z) for z in reps]
+    if alt is not pres:
+        reps = [Cochain.nerve(pres, k, group, {t: r.value_at(t) for t in tuples})
+                for r in reps]
 
     def oracle(c: Cochain):
-        vec = _nerve_vector(c)
+        _require_degree(c, pres, k, group)
+        if alt is not pres:
+            _require_cocycle(c)
+        vec = [c.payload[t] for t in alt.tuples(k)]
         return tuple(linalg.apply_integer_map(coords, vec) if field
                      else coords(vec))
 
     return CohomologyReport(
         pres, k, group, free_rank=free, invariant_factors=factors,
-        representatives=[_nerve_from_vector(pres, k, group, z) for z in reps],
-        oracle=oracle)
+        representatives=reps, oracle=oracle)
+
+
+def _components(pres, group: Group) -> CohomologyReport:
+    """H^0 of a nerve: the locally constant data, one free generator per
+    connected component (of order m over Z/m), which is 1 on it and 0
+    elsewhere; its coordinate is the value at the component's first chart.
+    The edges that d_0 would list are counted, and refused, first."""
+    pres.count(1)
+    comps, n = pres.components(), len(pres.tuples(0))
+    _within_side("the complex for H^0 left by the unit pivots",
+                 0, len(comps), 0)
+    _within_values(0, len(comps), n)
+    reps = [Cochain.nerve(pres, 0, group, {
+        (i,): group.canonical(int(i in comp)) for i in range(n)})
+        for comp in map(set, comps)]
+
+    def oracle(c):
+        _require_degree(c, pres, 0, group)
+        _require_cocycle(c)
+        return tuple(c.payload[(comp[0],)] for comp in comps)
+
+    m = getattr(group, "m", 0)
+    return CohomologyReport(
+        pres, 0, group, free_rank=0 if m else len(comps),
+        invariant_factors=[m] * len(comps) if m else (),
+        representatives=reps, oracle=oracle)
 
 
 def _field_cohomology_from_matrices(pres, k: int, group, A, B,
@@ -768,7 +817,7 @@ def _field_cohomology_from_matrices(pres, k: int, group, A, B,
     width = len(B[0]) if B else 0
 
     def oracle(c: Cochain):
-        _require_degree(c, pres, k)
+        _require_degree(c, pres, k, group)
         v = to_vector(c)
         if any(sum([a * x for a, x in zip(row, v) if a and x], ZERO)
                for row in A):
@@ -838,7 +887,7 @@ def _finite_quotient_vanishing(pres, k: int, group) -> CohomologyReport:
     cls = pres.function_class()
 
     def oracle(c: Cochain):
-        _require_degree(c, pres, k)
+        _require_degree(c, pres, k, group)
         _require_cocycle(c)
         return ()
 
@@ -855,6 +904,8 @@ def cohomology(pres, group: Group, k: int) -> CohomologyReport:
                 f"degree {k} not supported with k_max={pres.k_max}"
             )
         _require_nerve_tag(group)
+        if not k:
+            return _components(pres, group)
         return _integer_cohomology(pres, k, group)
     if k < 0:
         raise DegreeError(f"quotient cohomology has no degree {k}")
@@ -878,25 +929,9 @@ def h0_global_sections(pres, group: Group) -> CohomologyReport:
     or the K-invariant functions of a quotient."""
     if pres.kind == "nerve":
         _require_nerve_tag(group)
-        comps = pres.components()
-        reps = [
-            Cochain.nerve(pres, 0, group, {
-                (i,): group.canonical(int(i in comp))
-                for i in range(len(pres.charts))
-            })
-            for comp in comps
-        ]
-
-        def oracle(c):
-            _require_cocycle(c)
-            return tuple(c.payload[(comp[0],)] for comp in comps)
-
-        n, m = len(comps), getattr(group, "m", 0)
-        return CohomologyReport(
-            pres, 0, group, free_rank=0 if m else n,
-            invariant_factors=[m] * n if m else (), representatives=reps,
-            oracle=oracle, note=f"{n} component(s)")
-
+        rep = _components(pres, group)
+        rep.note = f"{len(rep.representatives)} component(s)"
+        return rep
     return _quotient_invariants(pres, group)
 
 
@@ -907,10 +942,10 @@ def _require_nerve_tag(group: Group):
                          "for nerve cohomology")
 
 
-def _require_degree(c: Cochain, pres, k: int):
-    if c.pres != pres or c.degree != k:
+def _require_degree(c: Cochain, pres, k: int, group: Group):
+    if c.pres != pres or c.degree != k or c.group != group:
         raise TagError(f"the class oracle of H^{k} takes degree-{k} "
-                       f"cochains on its presentation")
+                       f"cochains on its presentation, over its group")
 
 
 def _require_cocycle(c: Cochain):
@@ -1003,17 +1038,14 @@ def classes_equal(f1: Cochain, f2: Cochain) -> ClassComparison:
                                        "equal as global sections")
             return ClassComparison(False, None,
                                    "degree-0 classes differ value-wise")
-        M, n = boundary_matrix(pres, k - 1), len(pres.tuples(k - 1))
-        _within_side(f"the degree-{k - 1} boundary matrix", len(M), n)
-        sol = _snf(M, n).solve_group(_nerve_vector(diff), f1.group)
+        sol = _reduction(pres, k).solve(_nerve_vector(diff), f1.group)
         if sol is None:
             return ClassComparison(
                 False, None,
                 f"no (k-1)-cochain alpha over {f1.group.tag} solves "
                 f"d(alpha) = difference",
             )
-        alpha = _nerve_from_vector(pres, k - 1, f1.group,
-                                   dict(enumerate(sol)))
+        alpha = _nerve_from_vector(pres, k - 1, f1.group, sol)
         return ClassComparison(True, alpha, "witness found")
     return _quotient_classes_equal(pres, k, diff)
 

@@ -10,7 +10,9 @@ refinements.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, product
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CompatibilityError, DegreeError, ParseError
@@ -26,13 +28,12 @@ MAX_TUPLES = 1 << 18
 MAX_CLASS_DIMENSION = 64
 
 
-def _within_limit(k, tuples):
-    """The alive tuples of degree k, refused when there are too many."""
-    if len(tuples) > MAX_TUPLES:
+def _within_limit(k, count):
+    """Refuse a count of alive tuples of degree k over the limit."""
+    if count > MAX_TUPLES:
         raise DegreeError(
             f"more than {MAX_TUPLES} alive tuples in degree {k} "
             f"(diffcech.presentation.MAX_TUPLES)")
-    return tuples
 
 
 class FiniteNerve:
@@ -109,8 +110,9 @@ class FiniteNerve:
             raise DegreeError(f"degree {k} exceeds k_max={self.k_max}")
         cache = self._tuple_cache
         if self.alternating and k not in cache:
-            cache[k] = _within_limit(k, sorted(
-                tuple(sorted(f)) for f in self.faces if len(f) == k + 1))
+            cache[k] = sorted(
+                tuple(sorted(f)) for f in self.faces if len(f) == k + 1)
+            _within_limit(k, len(cache[k]))
         if k not in cache:
             # nbrs[i]: the charts sharing an edge face with chart i, itself
             # included, increasing
@@ -131,9 +133,33 @@ class FiniteNerve:
                                    if v in base or base | {v} in self.faces)
                     else:
                         out.extend((v,) for v in range(len(self.charts)))
-                    _within_limit(j, out)
+                    _within_limit(j, len(out))
                 cache[j] = level = out
         return cache[k]
+
+    def count(self, k: int) -> int:
+        """len(tuples(k)), refused as tuples(k) is, with no tuple listed.
+        With repeats allowed, the tuples of length L on a face of s charts
+        are the s! S(L, s) maps of L positions onto it, and every degree up
+        to k is checked in turn, as tuples(k) lists them."""
+        sizes = Counter(map(len, self.faces))
+        if self.alternating:
+            _within_limit(k, sizes[k + 1])
+            return sizes[k + 1]
+        for j in range(k + 1):
+            total = sum(f * sum((-1) ** i * comb(s, i) * (s - i) ** (j + 1)
+                                for i in range(s + 1))
+                        for s, f in sizes.items())
+            _within_limit(j, total)
+        return total
+
+    def twin(self) -> "FiniteNerve":
+        """The alternating nerve of the same cover.  Its cochains are the
+        alternating cochains of this one, restricted to increasing tuples: a
+        subcomplex of the ordered complex with the same cohomology (Serre,
+        Ann. Math. 1955)."""
+        return FiniteNerve(self.charts, self.faces, self.k_max,
+                           name=self.name)
 
     def index(self, k: int) -> Dict[Tuple[int, ...], int]:
         """The position of each alive (k+1)-tuple in ``tuples(k)``."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from heapq import heapify, heappop, heappush
 
-from .coeff import _snf, sparse_apply, sparse_mix
+from .coeff import ZGroup, _snf, sparse_apply, sparse_mix
 from .errors import CocycleError
 
 
@@ -107,6 +107,7 @@ class Reduction:
 
     def __init__(self, A, n_prev, B, n):
         self._log_a, self._log_b = [], []
+        self._solver = None
         _eliminate(A, n_prev, self._log_a)
         gone = {r for r, *_ in self._log_a}
         _eliminate(B, n, self._log_b, gone)
@@ -120,15 +121,47 @@ class Reduction:
         self.A = [{pos_prev[j]: x for j, x in A[i].items()} for i in crit]
         self.B = [{pos[j]: x for j, x in B[i].items()} for i in nxt]
 
-    def project(self, z):
-        """The critical cocycle of a full integer k-cocycle z (a list)."""
-        z = list(z)
+    def project(self, z, group=None, taken=None):
+        """The critical cocycle of a full k-cocycle z, a list of values of
+        group (Z by default), with the value t = p z[b] that each A-pair's
+        column took appended to taken."""
+        group = group or ZGroup()
+        zero, z = group.zero(), list(z)
         for b, _, p, _, col in self._log_a:
-            t = z[b] * p
-            if t:
+            t = group.mul_int(p, z[b])
+            if taken is not None:
+                taken.append(t)
+            if t != zero:
                 for s, x in col.items():
-                    z[s] -= t * x
+                    z[s] = group.add(z[s], group.mul_int(-x, t))
         return [z[i] for i in self.cells[1]]
+
+    def solve(self, z, group):
+        """A (k-1)-cochain alpha, {cell: value}, with d(alpha) = z for a
+        k-cocycle z, a list of values of group, or None when there is none.
+        Each step of the reduction keeps the solutions: an A-pair (b, a, p)
+        solves its row b for alpha[a], which is the rank-1 update of the
+        other rows and the forward step of `project`; a B-pair's k-cell
+        drops out, since a cocycle that vanishes off it vanishes there (the
+        pivot of B is a unit).  So the leftover of d_{k-1} is solved on the
+        critical cells by its SNF, and alpha is lifted back through the
+        A-pairs in reverse: alpha[a] = t - p (row . alpha), with t what
+        `project` gave the pair."""
+        taken = []
+        z = self.project(z, group, taken)
+        if self._solver is None:
+            self._solver = _snf(self.A, len(self.cells[0]))
+        xs = self._solver.solve_group(z, group)
+        if xs is None:
+            return None
+        alpha = dict(zip(self.cells[0], xs))
+        for (_, a, p, row, _), t in zip(reversed(self._log_a),
+                                        reversed(taken)):
+            for j, x in row.items():
+                if j in alpha:
+                    t = group.add(t, group.mul_int(-p * x, alpha[j]))
+            alpha[a] = t
+        return alpha
 
     def lift(self, w, m=0):
         """The full k-cocycle, a sparse {cell: value} (mod m when m), of a

@@ -247,11 +247,32 @@ class TestNerveCohomology:
             cohomology(c3, ZGroup(), 4)
 
     def test_h0_matches_global_sections(self):
+        # both read the components; the route that reduces d_0 must find
+        # the same group and read the same generators as a basis
+        from test_reduce import _check_routes, _reduced_cohomology
+
+        rng = random.Random(29)
         for name in ("circle3", "torus9", "rp2", "point"):
             pres = gallery.get_presentation(name)
-            rep = cohomology(pres, ZGroup(), 0)
-            sec = h0_global_sections(pres, ZGroup())
-            assert rep.group_description() == sec.group_description()
+            for group in (ZGroup(), ZmodGroup(4), RAlphaGroup()):
+                rep = cohomology(pres, group, 0)
+                sec = h0_global_sections(pres, group)
+                assert rep.group_description() == sec.group_description()
+                _check_routes(rep, _reduced_cohomology(pres, 0, group), rng)
+
+    def test_oracles_refuse_foreign_cochains(self):
+        # a cochain of another presentation, degree or group is refused
+        # before any value is read
+        c3 = gallery.get_presentation("circle3")
+        w = gallery.get("circle3").cocycles["winding1"]
+        c6 = gallery.get_presentation("circle6")
+        refusals = [(cohomology(c6, ZGroup(), 1), w),
+                    (h0_global_sections(c3, ZGroup()), w),
+                    (cohomology(c3, ZmodGroup(2), 1), w),
+                    (cohomology(c3, RAlphaGroup(), 1), w)]
+        for rep, c in refusals:
+            with pytest.raises(TagError):
+                rep.class_coordinates(c)
 
     def test_sparse_relations_memory(self):
         # boundary and relation matrices are sparse rows end to end: on
@@ -655,12 +676,11 @@ def _klein_four(d):
 
 
 def _count_snf_calls(monkeypatch):
-    """The list that gets one entry per `_snf` call made by `cech` or by the
-    nerve engine in `reduce`."""
+    """The list that gets one entry per `_snf` call made by the nerve
+    engine in `reduce`, which runs every SNF of a nerve request."""
     calls = []
-    for module in (cech, reduce):
-        monkeypatch.setattr(module, "_snf", lambda *args, **kw: calls.append(
-            kw) or _snf(*args, **kw))
+    monkeypatch.setattr(reduce, "_snf", lambda *args, **kw: calls.append(
+        kw) or _snf(*args, **kw))
     return calls
 
 
@@ -849,27 +869,31 @@ class TestIndependentRoutes:
         ("torus4", True), ("torus4", False)])
     def test_report_and_oracle_snf_counts(self, name, alternating,
                                           monkeypatch):
-        # a report runs the SNF of what is left of d_k after its unit pivots
-        # and that of the relations without U; its oracle runs the
-        # relations once more for U, on its first call
+        # in degree k >= 1 a report runs the SNF of what is left of d_k after
+        # its unit pivots and that of the relations without U; its oracle
+        # runs the relations once more for U, on its first call.  With
+        # repeats allowed, these are the SNFs of the alternating twin.  H^0
+        # reads the components, and neither its report nor its oracle runs
+        # an SNF
         pres = _named_nerve(name)
         if not alternating:
             pres = gallery.full_variant(pres)
         calls = _count_snf_calls(monkeypatch)
         rng = random.Random(62)
         for k in range(pres.k_max):
+            report, oracle = (2, 3) if k else (0, 0)
             for tag in ("Z", "Z/2", "R(alpha)"):
                 group = group_from_tag(tag)
                 del calls[:]
                 rep = cohomology(pres, group, k)
-                assert len(calls) == 2, (k, tag)
+                assert len(calls) == report, (k, tag)
                 zero = zero_cochain(pres, k, group)
                 assert not any(rep.class_coordinates(zero))
-                assert len(calls) == 3, (k, tag)
+                assert len(calls) == oracle, (k, tag)
                 for c in rep.representatives + [random_cocycle(
                         pres, k, group, rng, rep.representatives)]:
                     rep.class_coordinates(c)
-                assert len(calls) == 3, (k, tag)
+                assert len(calls) == oracle, (k, tag)
 
     @pytest.mark.parametrize("name", [
         name for name in GOLDEN_CASES

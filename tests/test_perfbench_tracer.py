@@ -56,24 +56,26 @@ def test_install_and_uninstall_resolve_every_target():
 
     # the SNF span reads its first argument as rows times the length of the
     # first row, which for the sparse rows it gets counts that row's
-    # nonzeros: H^0 over Z factors what the unit pivots leave of the
-    # degree-0 boundary matrix, no row on the connected torus9 and one
-    # critical column, then the one relation row of the kernel generator,
-    # which is empty
-    t = tracer.Tracer()
-    t.install()
-    try:
-        assert cli.run(["cohomology", "--degree", "0", "--coeff", "Z",
-                        "gallery:torus9"], out=lines.append) == 0
-    finally:
-        t.uninstall()
+    # nonzeros: H^1 over Z of the alternating torus9 factors what the unit
+    # pivots leave of d_1, no row and two critical columns, then the two
+    # relation rows of the kernel generators, which are empty; H^0 reads
+    # the components and runs no SNF
     pres = gallery.get_presentation("torus9")
-    n = len(pres.tuples(0))
-    red = reduce.Reduction([{}] * n, 0, cech.boundary_matrix(pres, 0), n)
-    assert red.B == [] and len(red.cells[1]) == 1
-    snf = t.stats["coeff.snf"]
-    assert snf.calls == 2
-    assert snf.sizes == {"entries": 0, "max_dim": 1}
+    red = reduce.Reduction(cech.boundary_matrix(pres, 0), len(pres.tuples(0)),
+                           cech.boundary_matrix(pres, 1), len(pres.tuples(1)))
+    assert red.B == [] and red.A == [{}, {}]
+    for degree, calls, sizes in (("1", 2, {"entries": 0, "max_dim": 2}),
+                                 ("0", 0, {})):
+        t = tracer.Tracer()
+        t.install()
+        try:
+            assert cli.run(["cohomology", "--degree", degree, "--coeff", "Z",
+                            "gallery:torus9"], out=lines.append) == 0
+        finally:
+            t.uninstall()
+        snf = t.stats["coeff.snf"]
+        assert snf.calls == calls, degree
+        assert snf.sizes == sizes, degree
 
 
 def test_probed_caches_keep_their_keys():
