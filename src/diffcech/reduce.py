@@ -107,7 +107,6 @@ class Reduction:
 
     def __init__(self, A, n_prev, B, n):
         self._log_a, self._log_b = [], []
-        self._solver = None
         _eliminate(A, n_prev, self._log_a)
         gone = {r for r, *_ in self._log_a}
         _eliminate(B, n, self._log_b, gone)
@@ -149,9 +148,7 @@ class Reduction:
         `project` gave the pair."""
         taken = []
         z = self.project(z, group, taken)
-        if self._solver is None:
-            self._solver = _snf(self.A, len(self.cells[0]))
-        xs = self._solver.solve_group(z, group)
+        xs = _snf(self.A, len(self.cells[0])).solve_group(z, group)
         if xs is None:
             return None
         alpha = dict(zip(self.cells[0], xs))

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import pytest
 
-from diffcech import cech, gallery, linalg, reduce
+from diffcech import cech, gallery, linalg, presentation, reduce
 from diffcech.cech import (
     CohomologyReport,
     _nerve_from_vector,
@@ -562,3 +562,39 @@ def test_class_comparison_over_other_groups(name, tag):
                 if res.equal:
                     assert (coboundary(res.witness) - (f2 - f1)).is_zero()
             assert classes_equal(f1, pairs[0]).equal
+
+
+def test_h0_limits_are_counted_not_listed(monkeypatch):
+    # H^0 lists no edge, but refuses the nerves whose d_0 would list more
+    # than MAX_TUPLES of them, as when it did list them: on the complete
+    # graph K_n that is C(n, 2) edges, or n^2 ordered pairs with repeats
+    # allowed.  The generator-value cap (components times charts) guards
+    # h0_global_sections as well
+    monkeypatch.setattr(presentation, "MAX_TUPLES", 36)
+    Z = group_from_tag("Z")
+
+    def complete(n, alternating):
+        return FiniteNerve.from_facets(n, combinations(range(n), 2), 2,
+                                       alternating)
+
+    for n, alternating in ((9, True), (6, False)):
+        for h0 in (lambda p: cohomology(p, Z, 0), lambda p: h0_global_sections(
+                p, Z)):
+            pres = complete(n, alternating)
+            assert h0(pres).group_description() == "Z"
+            assert 1 not in pres._tuple_cache
+            pres = complete(n + 1, alternating)
+            with pytest.raises(DegreeError, match="alive tuples in degree 1"):
+                h0(pres)
+            assert 1 not in pres._tuple_cache
+    monkeypatch.setattr(cech, "MAX_MATRIX_SIDE", 13)
+    for h0 in (cohomology, lambda p, g, k: h0_global_sections(p, g)):
+        # 12 x 14 generator values are admitted, 13 x 14 are not, and 14
+        # components exceed the side of the complex left by the unit pivots
+        pres = FiniteNerve.from_facets(14, [(0, 1), (2, 3)], 2)
+        assert h0(pres, Z, 0).group_description() == "Z^12"
+        with pytest.raises(DegreeError, match="13 critical 0-cells by 14 "
+                                              "0-cells exceed the limit"):
+            h0(FiniteNerve.from_facets(14, [(0, 1)], 2), Z, 0)
+        with pytest.raises(DegreeError, match="0 x 14 x 0; a side exceeds"):
+            h0(FiniteNerve.from_facets(14, [], 2), Z, 0)
