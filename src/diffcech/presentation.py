@@ -11,6 +11,7 @@ refinements.
 from __future__ import annotations
 
 from collections import Counter
+from copy import copy
 from itertools import combinations, product
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -157,9 +158,12 @@ class FiniteNerve:
         """The alternating nerve of the same cover.  Its cochains are the
         alternating cochains of this one, restricted to increasing tuples: a
         subcomplex of the ordered complex with the same cohomology (Serre,
-        Ann. Math. 1955)."""
-        return FiniteNerve(self.charts, self.faces, self.k_max,
-                           name=self.name)
+        Ann. Math. 1955).  The faces were validated with this nerve, so the
+        twin is a copy with its own tuple caches."""
+        twin = copy(self)
+        twin.alternating = True
+        twin._tuple_cache, twin._index_cache = {}, {}
+        return twin
 
     def index(self, k: int) -> Dict[Tuple[int, ...], int]:
         """The position of each alive (k+1)-tuple in ``tuples(k)``."""
