@@ -572,14 +572,14 @@ def test_h0_limits_are_counted_not_listed(monkeypatch):
     # h0_global_sections as well
     monkeypatch.setattr(presentation, "MAX_TUPLES", 36)
     Z = group_from_tag("Z")
+    routes = (lambda p: cohomology(p, Z, 0), lambda p: h0_global_sections(p, Z))
 
     def complete(n, alternating):
         return FiniteNerve.from_facets(n, combinations(range(n), 2), 2,
                                        alternating)
 
     for n, alternating in ((9, True), (6, False)):
-        for h0 in (lambda p: cohomology(p, Z, 0), lambda p: h0_global_sections(
-                p, Z)):
+        for h0 in routes:
             pres = complete(n, alternating)
             assert h0(pres).group_description() == "Z"
             assert 1 not in pres._tuple_cache
@@ -588,13 +588,13 @@ def test_h0_limits_are_counted_not_listed(monkeypatch):
                 h0(pres)
             assert 1 not in pres._tuple_cache
     monkeypatch.setattr(cech, "MAX_MATRIX_SIDE", 13)
-    for h0 in (cohomology, lambda p, g, k: h0_global_sections(p, g)):
+    for h0 in routes:
         # 12 x 14 generator values are admitted, 13 x 14 are not, and 14
         # components exceed the side of the complex left by the unit pivots
         pres = FiniteNerve.from_facets(14, [(0, 1), (2, 3)], 2)
-        assert h0(pres, Z, 0).group_description() == "Z^12"
+        assert h0(pres).group_description() == "Z^12"
         with pytest.raises(DegreeError, match="13 critical 0-cells by 14 "
                                               "0-cells exceed the limit"):
-            h0(FiniteNerve.from_facets(14, [(0, 1)], 2), Z, 0)
+            h0(FiniteNerve.from_facets(14, [(0, 1)], 2))
         with pytest.raises(DegreeError, match="0 x 14 x 0; a side exceeds"):
-            h0(FiniteNerve.from_facets(14, [], 2), Z, 0)
+            h0(FiniteNerve.from_facets(14, [], 2))
