@@ -129,10 +129,9 @@ def _coeff(s: Scalar, p: int):
     return cs[p] if p < len(cs) else 0
 
 
-def bundle_from_cocycle(pres, f: Cochain,
-                        name: Optional[str] = None) -> BundlePresentation:
+def bundle_from_cocycle(pres, f: Cochain) -> BundlePresentation:
     """The groupoid-quotient bundle (N(Q) x G)/R with defining cocycle f."""
-    return BundlePresentation(pres, f.group, f, name)
+    return BundlePresentation(pres, f.group, f)
 
 
 def division(b: BundlePresentation, p1: BundlePoint,

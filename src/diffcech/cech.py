@@ -40,7 +40,6 @@ from .funclass import FunctionElement, act
 from .reduce import Reduction
 
 DEFAULT_SEED = 1729
-PROBES = 200
 # entries a presentation's crossed-sum cache holds before it is cleared; its
 # keys hold the crossed value itself, so fresh cocycles add keys that
 # nothing reads again
@@ -99,7 +98,7 @@ class Cochain:
         self.payload = payload
         # a cochain is a value: q_value and is_cocycle keep what they find
         self._memo = {}
-        self._checks = {}
+        self._check = None
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -559,17 +558,18 @@ class CocycleCheck:
         return f"CocycleCheck(counterexample at {self.location}: {self.detail})"
 
 
-def is_cocycle(c: Cochain, seed: int = DEFAULT_SEED) -> CocycleCheck:
-    """Decide crossed data by its generator relations; otherwise scan d(c)
-    where it is stored, or probe it at random group tuples where it is lazy
-    (over an infinite K).  The outcome is kept on c under the seed."""
-    chk = c._checks.get(seed)
-    if chk is None:
-        chk = c._checks[seed] = _cocycle_check(c, seed)
-    return chk
+def is_cocycle(c: Cochain) -> CocycleCheck:
+    """Decide crossed data by its generator relations, and any other stored
+    cochain by a scan of d(c).  A lazy cochain (computed, over an infinite K)
+    has no exact test and is refused.  The outcome is kept on c."""
+    if c.payload_kind == "lazy":
+        raise DegreeError("lazy cochains have no decidable cocycle test")
+    if c._check is None:
+        c._check = _cocycle_check(c)
+    return c._check
 
 
-def _cocycle_check(c: Cochain, seed: int) -> CocycleCheck:
+def _cocycle_check(c: Cochain) -> CocycleCheck:
     pres = c.pres
     if pres.kind == "nerve":
         if c.degree >= pres.k_max:
@@ -591,15 +591,7 @@ def _cocycle_check(c: Cochain, seed: int) -> CocycleCheck:
         return CocycleCheck(True)
     else:
         zero = pres.function_class().zero()
-    d = coboundary(c)
-    if d.payload_kind == "lazy":
-        rng = random.Random(seed)
-        points = (tuple(pres.random_k(rng) for _ in range(d.degree))
-                  for _ in range(PROBES))
-        values = ((kt, d.q_value(kt)) for kt in points)
-    else:
-        values = d.payload.items()
-    for p, v in values:
+    for p, v in coboundary(c).payload.items():
         if v != zero:
             return CocycleCheck(False, p, c.group.format_el(v))
     return CocycleCheck(True)
@@ -982,8 +974,7 @@ def push_coefficients(h: GroupHom, c: Cochain) -> Cochain:
     return Cochain.nerve(c.pres, c.degree, h.target, vals)
 
 
-def connecting_map(ses: CoefficientSES, c: Cochain,
-                   lift_fn: Optional[Callable] = None) -> Cochain:
+def connecting_map(ses: CoefficientSES, c: Cochain) -> Cochain:
     """The connecting homomorphism: lift value-wise, take d, pull back to A."""
     if c.group != ses.c:
         raise TagError(f"cochain group {c.group.tag} does not match the "
@@ -991,9 +982,8 @@ def connecting_map(ses: CoefficientSES, c: Cochain,
     if c.payload_kind != "values":
         raise ParseError("connecting map applies to nerve cochains")
     _require_cocycle(c)
-    lift = lift_fn or ses.lift_fn
     b = Cochain.nerve(c.pres, c.degree, ses.b,
-                      {t: lift(v) for t, v in c.payload.items()})
+                      {t: ses.lift_fn(v) for t, v in c.payload.items()})
     db = coboundary(b)
     vals = {t: ses.injection_preimage(v) for t, v in db.payload.items()}
     return Cochain.nerve(c.pres, c.degree + 1, ses.a, vals)

@@ -37,6 +37,7 @@ from diffcech.coeff import (
     ALPHA,
     ONE,
     ZERO,
+    CoefficientSES,
     RAlphaGroup,
     Scalar,
     ZGroup,
@@ -118,28 +119,24 @@ def _lazy_cochain(pres, degree, seed):
 
 
 class TestCochains:
-    def test_cocycle_check_is_kept_per_seed(self):
-        # a cochain is a value: its check is computed once per seed, and a
-        # failing check stays failing
+    def test_cocycle_check_is_kept_once(self):
+        # a cochain is a value: its check is computed once, and a failing
+        # check stays failing; a lazy cochain is refused
         it = gallery.get_presentation("irrational-torus")
         t9 = gallery.get_presentation("torus9")
         rng = random.Random(23)
         f = random_cocycle(it, 1, RAlphaGroup(), rng)
         chk = is_cocycle(f)
         assert chk and is_cocycle(f) is chk
-        other = is_cocycle(f, seed=5)
-        assert other and other is not chk and is_cocycle(f, seed=5) is other
         vals = {t: 0 for t in t9.tuples(1)}
         vals[t9.tuples(1)[0]] = 1
         bad = Cochain.nerve(t9, 1, ZGroup(), vals)
         chk = is_cocycle(bad)
         assert not chk and is_cocycle(bad) is chk
-        assert not is_cocycle(bad, seed=5)
         with pytest.raises(CocycleError):
             classes_equal(bad, bad)
-        lazy = _lazy_cochain(it, 2, 3)
-        chk = is_cocycle(lazy)
-        assert not chk and is_cocycle(lazy) is chk
+        with pytest.raises(DegreeError, match="no decidable cocycle test"):
+            is_cocycle(_lazy_cochain(it, 2, 3))
 
     @staticmethod
     def _points(c, rng):
@@ -340,23 +337,18 @@ class TestQuotientCochains:
         assert is_cocycle(Cochain.function(it, cls.parse("2")))
         assert not is_cocycle(Cochain.function(it, cls.parse("x0")))
 
-    def test_probe_and_table_counterexamples(self):
-        # d of crossed data is lazy and passes every probe; a random lazy
-        # 2-cochain fails the first probe; a finite K scans its table
+    def test_lazy_refusals_and_table_counterexamples(self):
+        # d of crossed data and a random 2-cochain over an infinite K are
+        # lazy and refused; a finite K scans its table
         it = gallery.get_presentation("irrational-torus")
         kappa = gallery.get("irrational-torus").cocycles["kappa"]
         dk = coboundary(kappa)
         assert dk.payload_kind == "lazy" and dk.degree == 2
-        assert is_cocycle(dk)
         c = random_cochain(it, 2, RAlphaGroup(), random.Random(5))
         assert c.payload_kind == "lazy"
-        chk = is_cocycle(c)
-        assert not chk
-        assert chk.location == ((-4, 2), (4, 3), (-2, -4))
-        assert chk.detail == (
-            "(3*a+8/3)*x0^3 + (12*a^2-8*a-115/3)*x0^2 + "
-            "(24*a^3-64*a^2-133/3*a+472/3)*x0 + "
-            "16*a^4-76*a^3+176/3*a^2+490/3*a-1309/6")
+        for lazy in (dk, c):
+            with pytest.raises(DegreeError):
+                is_cocycle(lazy)
         z2 = gallery.get_presentation("z2-reflection")
         c = random_cochain(z2, 1, RAlphaGroup(), random.Random(3))
         assert c.payload_kind == "table"
@@ -364,6 +356,33 @@ class TestQuotientCochains:
         assert not chk
         assert chk.location == ((0,), (0,))
         assert chk.detail == "(-3*a-5/3)*x0^3 + (a+1/3)*x0^2 + (a-2)*x0 + a-1"
+
+    @pytest.mark.parametrize("source", [
+        "random", "coboundary", "random-cocycle", "sum"])
+    def test_lazy_cochains_are_refused(self, source, monkeypatch):
+        # no exact test decides a lazy cochain (degree 2 over an infinite
+        # K): each question is refused, the cocycle test before d(c) is taken
+        it = gallery.get_presentation("irrational-torus")
+        R = RAlphaGroup()
+        rng = random.Random(29)
+        kappa = gallery.get("irrational-torus").cocycles["kappa"]
+        c = {"random": lambda: random_cochain(it, 2, R, rng),
+             "coboundary": lambda: coboundary(kappa),
+             "random-cocycle": lambda: random_cocycle(it, 2, R, rng),
+             "sum": lambda: (random_cochain(it, 2, R, rng)
+                             + coboundary(kappa))}[source]()
+        assert (c.payload_kind, c.degree) == ("lazy", 2)
+
+        def no_coboundary(c):
+            raise AssertionError("a coboundary was taken")
+
+        monkeypatch.setattr(cech, "coboundary", no_coboundary)
+        with pytest.raises(DegreeError, match="no decidable cocycle test"):
+            is_cocycle(c)
+        with pytest.raises(ParseError, match="no decidable zero test"):
+            c.is_zero()
+        with pytest.raises(ParseError, match="cannot be serialized"):
+            c.to_dict()
 
     def test_crossed_cache_stays_bounded(self):
         # the cache keys hold the crossed value, so every fresh cocycle adds
@@ -1124,7 +1143,7 @@ class TestClassesEqual:
     def test_infinite_quotient_above_degree_one_is_refused_first(
             self, monkeypatch):
         # the degree is refused before either cochain is checked: no lazy
-        # coboundary is probed, and a non-cocycle gets the same refusal
+        # coboundary is taken, and a non-cocycle gets the same refusal
         it = gallery.get_presentation("irrational-torus")
         R = RAlphaGroup()
         rng = random.Random(43)
@@ -1140,7 +1159,8 @@ class TestClassesEqual:
             with pytest.raises(DegreeError, match="needs a finite group"):
                 classes_equal(a, b)
         monkeypatch.undo()
-        assert not is_cocycle(bad)
+        with pytest.raises(DegreeError):
+            is_cocycle(bad)
 
     def test_quotient_witness_one_degree_up(self):
         # d(x0^(D+1)) on the irrational torus lies in class D; its only
@@ -1280,6 +1300,9 @@ class TestConnectingMap:
         rp2 = gallery.get_presentation("rp2")
         gen = cohomology(rp2, ZmodGroup(2), 1).representatives[0]
         ses = ses_mod(2)
+        shifted = CoefficientSES(
+            ses.a, ses.b, ses.c, ses.injection, ses.surjection,
+            lambda c: (c % 2) - 2, ses.injection_preimage, ses.name)
         d1 = connecting_map(ses, gen)
-        d2 = connecting_map(ses, gen, lift_fn=lambda c: (c % 2) - 2)
+        d2 = connecting_map(shifted, gen)
         assert classes_equal(d1, d2).equal

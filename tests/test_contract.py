@@ -1,5 +1,6 @@
 """The package contract: the standard library only, no floating point, a
-light start-up, and no code under src/ that nothing calls."""
+light start-up, and no code or parameter default under src/ that nothing
+calls or sets."""
 
 import ast
 import os
@@ -158,3 +159,70 @@ def test_every_function_has_a_caller():
         "them, or list them in UNCALLED with the reason they stay")
     assert set(UNCALLED) - uncalled == set(), (
         "these have a caller now: take them off UNCALLED")
+
+
+# parameter defaults under src/ that no call in src/ passes, by position or
+# by keyword, each with the reason the parameter stays
+UNSET = {
+    "bundle.cocycle_from_bundle(alpha)":
+        "the shift of the trivialization tau_alpha, whose cocycle is "
+        "f + d(alpha); acceptance criterion and benchmark workload pass it",
+    "cech.random_cocycle(distinguished)":
+        "adds multiples of given classes to the random coboundary; the "
+        "benchmark workloads draw cocycles in nonzero classes with it",
+    "cli.run(out)":
+        "the stream a report is written to; the tests capture it",
+    "coeff.Scalar.__init__(den)":
+        "the denominator of the public constructor Scalar(num, den); src/ "
+        "builds reduced scalars through _make, the tests through Scalar",
+    "presentation.FiniteNerve.from_facets(alternating)":
+        "the nerve model; the tests build repeats-allowed nerves with it",
+    "presentation.circle_arc_nerve(alternating)":
+        "the nerve model; the tests build repeats-allowed circles with it",
+}
+
+
+def _set_by(call, index, arg):
+    """Whether a call passes the parameter at position index (None when it
+    is keyword-only) named arg."""
+    if any(k.arg in (arg, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return (len(call.args) > index
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_default_is_set_by_a_caller():
+    trees, defs = _defs()
+    calls = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(
+                    n.func, (ast.Name, ast.Attribute)):
+                name = (n.func.id if isinstance(n.func, ast.Name)
+                        else n.func.attr)
+                calls.setdefault(name, []).append(n)
+    unset = set()
+    for name, node, is_method in defs:
+        a = node.args
+        # a constructor call is a call of __init__; a bound call passes
+        # self or cls itself
+        callee = name.split(".")[1] if node.name == "__init__" else node.name
+        static = any(getattr(d, "id", None) == "staticmethod"
+                     for d in node.decorator_list)
+        shift = 1 if is_method and not static else 0
+        params = a.posonlyargs + a.args
+        first = len(params) - len(a.defaults)
+        defaulted = [(i - shift, p.arg) for i, p in enumerate(params)
+                     if i >= first]
+        defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                      if d is not None]
+        unset |= {f"{name}({arg})" for index, arg in defaulted
+                  if not any(_set_by(c, index, arg)
+                             for c in calls.get(callee, ()))}
+    assert unset - set(UNSET) == set(), (
+        "no call in src/ sets these defaults: drop the parameter, or list it "
+        "in UNSET with the reason it stays")
+    assert set(UNSET) - unset == set(), (
+        "a call in src/ sets these now: take them off UNSET")
