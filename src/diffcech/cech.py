@@ -249,10 +249,8 @@ class Cochain:
         if self.payload_kind == "values":
             return {
                 "degree": self.degree,
-                "values": {
-                    _tuple_key(t): self.group.format_el(v)
-                    for t, v in sorted(self.payload.items())
-                },
+                "values": {_tuple_key(t): self.group.format_el(v)
+                           for t, v in self.payload.items()},
             }
         if self.payload_kind == "function":
             return {"degree": 0, "function": str(self.payload)}
@@ -344,7 +342,7 @@ def _parse_in_widest(cls, text: str) -> FunctionElement:
 
 
 def _tuple_key(t) -> str:
-    return "(" + ",".join(str(i) for i in t) + ")"
+    return "(" + ",".join(map(str, t)) + ")"
 
 
 def _parse_tuple_key(key: str) -> Tuple[int, ...]:
@@ -355,7 +353,7 @@ def _parse_tuple_key(key: str) -> Tuple[int, ...]:
     if not inner:
         return ()
     try:
-        return tuple(int(p) for p in inner.split(","))
+        return tuple(map(int, inner.split(",")))
     except ValueError:
         raise ParseError(f"bad tuple key {key!r}")
 
@@ -417,9 +415,8 @@ def _quotient_cochain(pres, k: int, value: Callable) -> Cochain:
 
 def zero_cochain(pres, degree: int, group: Group) -> Cochain:
     if pres.kind == "nerve":
-        z = group.zero()
-        return Cochain.nerve(pres, degree, group,
-                             {t: z for t in pres.tuples(degree)})
+        return Cochain(pres, degree, group, "values",
+                       dict.fromkeys(pres.tuples(degree), group.zero()))
     if group.tag != "R(alpha)":
         raise ParseError("quotient cochains are valued in the R model")
     zero = pres.function_class().zero()
@@ -696,8 +693,11 @@ def _nerve_vector(c: Cochain) -> list:
 
 
 def _nerve_from_vector(pres, degree, group, vec) -> Cochain:
+    """The cochain of an engine's sparse {position: value} vector, built
+    trusted: only its entries are made canonical."""
+    vec = {j: group.canonical(v) for j, v in vec.items()}
     zero = group.zero()
-    return Cochain.nerve(pres, degree, group, {
+    return Cochain(pres, degree, group, "values", {
         t: vec.get(j, zero) for j, t in enumerate(pres.tuples(degree))})
 
 
@@ -741,8 +741,12 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
         lambda: boundary_matrix(alt, k), getattr(group, "m", 0), field)
     reps = [_nerve_from_vector(alt, k, group, z) for z in reps]
     if alt is not pres:
-        reps = [Cochain.nerve(pres, k, group, {t: r.value_at(t) for t in tuples})
-                for r in reps]
+        # each ordered tuple is sorted once, for every representative
+        zero, neg = group.zero(), group.neg
+        signs = [(t,) + _sort_parity(t) for t in tuples]
+        reps = [Cochain(pres, k, group, "values", {
+            t: zero if not e else r.payload[s] if e > 0 else neg(r.payload[s])
+            for t, e, s in signs}) for r in reps]
 
     def oracle(c: Cochain):
         _require_degree(c, pres, k, group)
@@ -767,8 +771,9 @@ def _components(pres, group: Group) -> CohomologyReport:
     _within_side("the complex for H^0 left by the unit pivots",
                  0, len(comps), 0)
     _within_values(0, len(comps), n)
-    reps = [Cochain.nerve(pres, 0, group, {
-        (i,): group.canonical(int(i in comp)) for i in range(n)})
+    one, zero = group.canonical(1), group.zero()
+    reps = [Cochain(pres, 0, group, "values", {
+        (i,): one if i in comp else zero for i in range(n)})
         for comp in map(set, comps)]
 
     def oracle(c):

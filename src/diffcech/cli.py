@@ -60,13 +60,35 @@ def _cochain_arg(arg: str):
     return serialize.cochain_document_from_dict(_read_doc(arg))
 
 
-def _bundle_arg(arg: str):
+def _bundle_arg(arg: str, doc=None, base=None):
+    """The bundle of a gallery reference or a document: doc, when it was
+    read already, built on base, when that was built from its base field."""
     if arg.startswith("gallery:"):
         entry = gallery.get(arg[len("gallery:"):])
         if entry.kind != "bundle":
             raise ParseError(f"gallery entry {entry.name!r} is not a bundle")
         return entry.obj
-    return serialize.bundle_from_dict(_read_doc(arg))
+    return serialize.bundle_from_dict(_read_doc(arg) if doc is None else doc,
+                                      base)
+
+
+def _bundle_pair(arg1: str, arg2: str):
+    """The bundles of isomorphic.  When both documents hold the same base
+    field, the second is built on the first's base, which is not read
+    again.  Of the first document only its base field is kept meanwhile."""
+    doc = None if arg1.startswith("gallery:") else _read_doc(arg1)
+    b1 = _bundle_arg(arg1, doc)
+    field = doc["base"] if isinstance(doc, dict) else None
+    doc = None if arg2.startswith("gallery:") else _read_doc(arg2)
+    same = (field is not None and isinstance(doc, dict)
+            and _same_json(field, doc.get("base")))
+    return b1, _bundle_arg(arg2, doc, b1.base if same else None)
+
+
+def _same_json(a, b) -> bool:
+    """Equal as JSON values: == alone takes 1, 1.0 and true as equal."""
+    return a == b and json.dumps(a, sort_keys=True) == json.dumps(
+        b, sort_keys=True)
 
 
 def _compact(doc: dict) -> str:
@@ -129,9 +151,7 @@ def cmd_classify_bundle(args, out) -> int:
 
 
 def cmd_isomorphic(args, out) -> int:
-    b1 = _bundle_arg(args.file1)
-    b2 = _bundle_arg(args.file2)
-    res = isomorphic(b1, b2)
+    res = isomorphic(*_bundle_pair(args.file1, args.file2))
     if res.equal:
         out("isomorphic")
         out(f"witness: {_compact(res.witness.to_dict())}")

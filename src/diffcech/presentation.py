@@ -10,7 +10,6 @@ refinements.
 
 from __future__ import annotations
 
-from collections import Counter
 from copy import copy
 from itertools import combinations, product
 from math import comb
@@ -37,6 +36,17 @@ def _within_limit(k, count):
             f"(diffcech.presentation.MAX_TUPLES)")
 
 
+def _refuse_entry(face, i):
+    """Refuse a face holding an entry that is not an int (named by repr, the
+    least first), or else the chart index i, which is out of range."""
+    odd = [x for x in face if type(x) is not int]
+    if odd:
+        raise ParseError(f"face {sorted(face, key=repr)} holds "
+                         f"{min(odd, key=repr)!r}, which is not an integer "
+                         f"chart index")
+    raise ParseError(f"face {sorted(face)} references unknown chart {i}")
+
+
 class FiniteNerve:
     """Nerve of a good cover, given by its abstract simplicial complex.
 
@@ -59,18 +69,22 @@ class FiniteNerve:
         self._validate()
 
     def _validate(self):
+        """Check the faces, and group them by size (``_by_size``)."""
         n = len(self.charts)
+        by_size: Dict[int, List[frozenset]] = {}
         for f in self.faces:
             if not f:
                 raise ParseError("empty face in nerve")
             for i in f:
-                if not (0 <= i < n):
-                    raise ParseError(f"face {sorted(f)} references unknown chart {i}")
+                if type(i) is not int or not 0 <= i < n:
+                    _refuse_entry(f, i)
+            by_size.setdefault(len(f), []).append(f)
         for i in range(n):
             if frozenset([i]) not in self.faces:
                 raise ParseError(f"missing singleton face [{i}]")
+        # the faces of an edge are singletons, checked above
         for f in self.faces:
-            if len(f) > 1:
+            if len(f) > 2:
                 for i in f:
                     sub = f - {i}
                     if sub not in self.faces:
@@ -78,6 +92,7 @@ class FiniteNerve:
                             f"alive tuple {sorted(f)} is not face-closed: "
                             f"missing face {sorted(sub)}"
                         )
+        self._by_size = by_size
 
     @staticmethod
     def from_facets(nchart: int, facets, k_max: int, alternating: bool = True,
@@ -112,17 +127,15 @@ class FiniteNerve:
         cache = self._tuple_cache
         if self.alternating and k not in cache:
             cache[k] = sorted(
-                tuple(sorted(f)) for f in self.faces if len(f) == k + 1)
+                tuple(sorted(f)) for f in self._by_size.get(k + 1, ()))
             _within_limit(k, len(cache[k]))
         if k not in cache:
             # nbrs[i]: the charts sharing an edge face with chart i, itself
             # included, increasing
             nbrs = [{i} for i in range(len(self.charts))]
-            for f in self.faces:
-                if len(f) == 2:
-                    i, j = f
-                    nbrs[i].add(j)
-                    nbrs[j].add(i)
+            for i, j in self._by_size.get(2, ()):
+                nbrs[i].add(j)
+                nbrs[j].add(i)
             nbrs = [sorted(nb) for nb in nbrs]
             level = cache[len(cache) - 1] if cache else [()]
             for j in range(len(cache), k + 1):
@@ -143,14 +156,15 @@ class FiniteNerve:
         With repeats allowed, the tuples of length L on a face of s charts
         are the s! S(L, s) maps of L positions onto it, and every degree up
         to k is checked in turn, as tuples(k) lists them."""
-        sizes = Counter(map(len, self.faces))
         if self.alternating:
-            _within_limit(k, sizes[k + 1])
-            return sizes[k + 1]
+            total = len(self._by_size.get(k + 1, ()))
+            _within_limit(k, total)
+            return total
         for j in range(k + 1):
-            total = sum(f * sum((-1) ** i * comb(s, i) * (s - i) ** (j + 1)
-                                for i in range(s + 1))
-                        for s, f in sizes.items())
+            total = sum(len(fs) * sum((-1) ** i * comb(s, i)
+                                      * (s - i) ** (j + 1)
+                                      for i in range(s + 1))
+                        for s, fs in self._by_size.items())
             _within_limit(j, total)
         return total
 
@@ -158,8 +172,8 @@ class FiniteNerve:
         """The alternating nerve of the same cover.  Its cochains are the
         alternating cochains of this one, restricted to increasing tuples: a
         subcomplex of the ordered complex with the same cohomology (Serre,
-        Ann. Math. 1955).  The faces were validated with this nerve, so the
-        twin is a copy with its own tuple caches."""
+        Ann. Math. 1955).  The faces were validated and grouped by size with
+        this nerve, so the twin is a copy with its own tuple caches."""
         twin = copy(self)
         twin.alternating = True
         twin._tuple_cache, twin._index_cache = {}, {}
@@ -172,13 +186,14 @@ class FiniteNerve:
         return self._index_cache[k]
 
     def components(self) -> List[List[int]]:
-        """Connected components of the chart intersection graph."""
+        """Connected components of the chart intersection graph: faces are
+        closed under subsets, so its edges are the faces of size 2."""
         n = len(self.charts)
         seen, comps = set(), []
-        adj = {i: set() for i in range(n)}
-        for f in self.faces:
-            for i in f:
-                adj[i] |= f
+        adj = [[] for _ in range(n)]
+        for i, j in self._by_size.get(2, ()):
+            adj[i].append(j)
+            adj[j].append(i)
         for i in range(n):
             if i in seen:
                 continue
@@ -189,7 +204,7 @@ class FiniteNerve:
                     continue
                 seen.add(j)
                 comp.append(j)
-                stack.extend(adj[j] - seen)
+                stack.extend(adj[j])
             comps.append(sorted(comp))
         return comps
 

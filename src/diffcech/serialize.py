@@ -89,14 +89,14 @@ def _reads_fields(fn):
     """Refuse a document over MAX_DOCUMENT_CHARS before any of it is parsed,
     and report a field of the wrong type or value as a ParseError."""
     @functools.wraps(fn)
-    def read(doc):
+    def read(doc, *args):
         chars = _expression_chars(doc)
         if chars > MAX_DOCUMENT_CHARS:
             raise ParseError(f"document holds {chars} characters of "
                              f"expressions, over the limit of "
                              f"{MAX_DOCUMENT_CHARS}")
         try:
-            return fn(doc)
+            return fn(doc, *args)
         except (TypeError, ValueError) as e:
             raise ParseError(f"malformed document field: {e}")
     return read
@@ -179,11 +179,15 @@ def bundle_to_dict(b: BundlePresentation, base_spec=None) -> dict:
 
 
 @_reads_fields
-def bundle_from_dict(doc: dict) -> BundlePresentation:
+def bundle_from_dict(doc: dict, base=None) -> BundlePresentation:
+    """A bundle document; base, when given, is a presentation already built
+    from a base field that is the same JSON value as doc's, and is used in
+    place of reading that field again."""
     for field in ("base", "group", "cocycle"):
         if field not in doc:
             raise ParseError(f"bundle document is missing {field!r}")
-    base = resolve_presentation(doc["base"])
+    if base is None:
+        base = resolve_presentation(doc["base"])
     group = group_from_tag(doc["group"])
     cocycle = Cochain.from_dict(base, group, doc["cocycle"])
     return BundlePresentation(base, group, cocycle, doc.get("name"))

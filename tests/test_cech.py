@@ -1306,3 +1306,87 @@ class TestConnectingMap:
         d1 = connecting_map(ses, gen)
         d2 = connecting_map(shifted, gen)
         assert classes_equal(d1, d2).equal
+
+
+def _rebuilt(c):
+    """c through the checked constructor: every value made canonical again,
+    stored in tuples(k) order."""
+    return Cochain.nerve(c.pres, c.degree, c.group, dict(c.payload))
+
+
+def _typed(c):
+    return [(t, type(v), v) for t, v in c.payload.items()]
+
+
+def _gallery_nerve(name, full):
+    pres = gallery.get_presentation(name)
+    return gallery.full_variant(pres) if full else pres
+
+
+def _assert_in_tuple_order(c):
+    assert list(c.payload) == c.pres.tuples(c.degree)
+    fmt = c.group.format_el
+    assert list(c.to_dict()["values"].items()) == [
+        (cech._tuple_key(t), fmt(v)) for t, v in sorted(c.payload.items())]
+
+
+class TestTrustedNerveCochains:
+    """H^k generators and class witnesses are built without the checks of
+    Cochain.nerve, and to_dict walks a payload in its stored order; each
+    agrees with the checked and sorted routes."""
+
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("name", GALLERY_NERVES)
+    def test_generators_and_witnesses_match_their_rebuilds(self, name, full):
+        pres = _gallery_nerve(name, full)
+        rng = random.Random(f"trusted:{name}:{full}")
+        for tag in ("Z", "Z/2", "Z/3", "R(alpha)"):
+            group = group_from_tag(tag)
+            for k in range(min(3, pres.k_max)):
+                rep = cohomology(pres, group, k)
+                for r in rep.representatives:
+                    assert _typed(r) == _typed(_rebuilt(r)), (tag, k)
+                    _assert_in_tuple_order(r)
+                if k == 0:
+                    continue
+                f1 = random_cocycle(pres, k, group, rng, rep.representatives)
+                f2 = f1 + coboundary(random_cochain(pres, k - 1, group, rng))
+                res = classes_equal(f1, f2)
+                assert res.equal, (tag, k)
+                assert _typed(res.witness) == _typed(_rebuilt(res.witness))
+                assert coboundary(res.witness) == f2 - f1
+
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("name", GALLERY_NERVES)
+    def test_values_are_stored_in_tuple_order(self, name, full):
+        pres = _gallery_nerve(name, full)
+        rng = random.Random(f"order:{name}:{full}")
+        z = ZGroup()
+        for k in range(min(3, pres.k_max)):
+            tuples = pres.tuples(k)
+            vals = {t: rng.randrange(-5, 6)
+                    for t in rng.sample(tuples, len(tuples))}
+            c = Cochain.nerve(pres, k, z, vals)
+            items = list(c.to_dict()["values"].items())
+            rng.shuffle(items)
+            read = Cochain.from_dict(pres, z, {"degree": k,
+                                               "values": dict(items)})
+            e = random_cochain(pres, k, z, rng)
+            cases = [c, read, c + e, c - e, -c, c.scale_int(3),
+                     push_coefficients(GroupHom.reduction(2), c),
+                     zero_cochain(pres, k, z)]
+            if k < pres.k_max:
+                cases.append(coboundary(c))
+            for x in cases:
+                _assert_in_tuple_order(x)
+            assert read == c
+
+    def test_pullback_and_connecting_map_are_stored_in_tuple_order(self):
+        m = gallery.circle_double_cover()
+        rng = random.Random(71)
+        for k in (0, 1):
+            c = random_cochain(m.target, k, ZGroup(), rng)
+            _assert_in_tuple_order(pullback_cochain(m, c))
+        rp2 = gallery.get_presentation("rp2")
+        for gen in cohomology(rp2, ZmodGroup(2), 1).representatives:
+            _assert_in_tuple_order(connecting_map(ses_mod(2), gen))

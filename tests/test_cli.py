@@ -13,7 +13,7 @@ from diffcech import gallery, serialize
 from diffcech.cech import MAX_MATRIX_SIDE
 from diffcech.cli import run
 from diffcech.funclass import AffineMap
-from diffcech.presentation import Generator, GroupQuotient
+from diffcech.presentation import FiniteNerve, Generator, GroupQuotient
 
 from test_reduce import _projective_planes
 
@@ -136,7 +136,105 @@ class TestBundles:
         assert any(ln.startswith("distinct") for ln in lines)
 
 
+class TestSharedBase:
+    """isomorphic builds the base once when both documents hold the same
+    base field, and builds two otherwise, with the same report."""
+
+    @staticmethod
+    def _bundles(tmp_path, alive2=None):
+        base = serialize.presentation_to_dict(gallery.get_presentation("circle6"))
+        winding = {"(0,1)": "0", "(0,5)": "-1", "(1,2)": "0", "(2,3)": "0",
+                   "(3,4)": "0", "(4,5)": "0"}
+        # b differs from a by d(g) for g = 3 on chart 2, c is twice a
+        shifted = dict(winding, **{"(1,2)": "3", "(2,3)": "-3"})
+        doubled = dict(winding, **{"(0,5)": "-2"})
+        paths = []
+        for name, values, alive in (("a", winding, None),
+                                    ("b", shifted, alive2),
+                                    ("c", doubled, alive2)):
+            doc = {"base": dict(base, alive=alive or base["alive"]),
+                   "group": "Z", "cocycle": {"degree": 1, "values": values}}
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            paths.append(str(path))
+        return paths
+
+    @staticmethod
+    def _counted(monkeypatch):
+        built = []
+        init = FiniteNerve.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FiniteNerve, "__init__", counting)
+        return built
+
+    def test_equal_bases_are_built_once(self, tmp_path, monkeypatch):
+        a, b, c = self._bundles(tmp_path)
+        built = self._counted(monkeypatch)
+        code, lines = _run(["isomorphic", a, b])
+        assert code == 0 and lines[2] == "isomorphic"
+        assert len(built) == 1
+        code, lines = _run(["isomorphic", a, c])
+        assert code == 1 and lines[2].startswith("distinct: ")
+        assert len(built) == 2
+
+    def test_reordered_base_is_built_again_alike(self, tmp_path, monkeypatch):
+        a, b, c = self._bundles(tmp_path)
+        shared = [_run(["isomorphic", a, x]) for x in (b, c)]
+        base = serialize.presentation_to_dict(gallery.get_presentation("circle6"))
+        a, b, c = self._bundles(tmp_path, alive2=base["alive"][::-1])
+        built = self._counted(monkeypatch)
+        assert [_run(["isomorphic", a, x]) for x in (b, c)] == shared
+        assert len(built) == 4
+        assert [code for code, _ in shared] == [0, 1]
+
+    def test_different_bases_are_refused(self, tmp_path):
+        a, b, _ = self._bundles(tmp_path)
+        doc = json.loads(Path(b).read_text())
+        doc["base"] = serialize.presentation_to_dict(
+            gallery.get_presentation("circle3"))
+        doc["cocycle"]["values"] = {"(0,1)": "0", "(0,2)": "0", "(1,2)": "0"}
+        Path(b).write_text(json.dumps(doc))
+        code, lines = _run(["isomorphic", a, b])
+        assert code == 2
+        assert lines[2] == "error: bundles live over different bases or groups"
+
+    def test_float_entries_equal_to_the_first_base_are_refused(self, tmp_path):
+        # 0.0 == 0 in Python, so an equal base by == alone would share the
+        # first nerve and skip the check that refuses the second document
+        a, b, _ = self._bundles(tmp_path)
+        doc = json.loads(Path(b).read_text())
+        doc["base"]["alive"][-1] = [float(i) for i in doc["base"]["alive"][-1]]
+        Path(b).write_text(json.dumps(doc))
+        code, lines = _run(["isomorphic", a, b])
+        assert code == 2
+        assert lines[2] == ("error: face [4.0, 5.0] holds 4.0, which is not an "
+                            "integer chart index")
+
+
 class TestErrors:
+    @pytest.mark.parametrize("alive,message", [
+        ([[0], [1], [2], [0, 1], [0.0, 2.0], [1, 2]],
+         "face [0.0, 2.0] holds 0.0, which is not an integer chart index"),
+        ([[0], [True], [2], [0, 1], [0, 2], [1, 2]],
+         "face [True] holds True, which is not an integer chart index"),
+    ])
+    def test_non_integer_chart_index(self, tmp_path, alive, message):
+        # such a nerve used to be read, and its reports printed keys like
+        # "(0.0,2.0)" and "(True)" that no cochain document may hold
+        doc = {"kind": "nerve", "charts": ["U0", "U1", "U2"], "alive": alive,
+               "k_max": 2, "alternating": True}
+        p = tmp_path / "float.json"
+        p.write_text(json.dumps(doc))
+        for k in ("0", "1"):
+            code, lines = _run(["cohomology", "--degree", k, "--coeff", "Z",
+                                str(p)])
+            assert code == 2
+            assert lines[2] == f"error: {message}"
+
     def test_malformed_presentation(self, tmp_path):
         doc = {"kind": "nerve", "charts": ["U0", "U1", "U2"],
                "alive": [[0], [1], [2], [0, 1], [0, 2], [0, 1, 2]],

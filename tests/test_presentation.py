@@ -109,6 +109,74 @@ class TestFiniteNerve:
         n = FiniteNerve.from_facets(4, [(0, 1), (2, 3)], k_max=4)
         assert n.components() == [[0, 1], [2, 3]]
 
+    @staticmethod
+    def _components_of_every_face(nerve):
+        # union-find over the charts of every face, not only the edges
+        root = list(range(len(nerve.charts)))
+
+        def find(i):
+            while root[i] != i:
+                i = root[i]
+            return i
+
+        for f in nerve.faces:
+            first, *rest = f
+            for j in rest:
+                root[find(j)] = find(first)
+        comps = {}
+        for i in range(len(root)):
+            comps.setdefault(find(i), []).append(i)
+        return sorted(comps.values())
+
+    def test_components_and_counts_match_every_face(self):
+        rng = random.Random(2025)
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            facets = [rng.sample(range(n), rng.randint(1, min(n, 4)))
+                      for _ in range(rng.randint(0, 5))]
+            for alternating in (True, False):
+                nerve = FiniteNerve.from_facets(n, facets, 3, alternating)
+                assert nerve.components() == self._components_of_every_face(
+                    nerve), (n, facets)
+                for k in range(4):
+                    assert nerve.count(k) == len(nerve.tuples(k)), (n, facets, k)
+                twin = nerve.twin()
+                assert twin._by_size is nerve._by_size
+                assert twin.tuples(2) == self._product_and_filter(twin, 2)
+
+    # each message, and the order of the checks: faces with no chart or an
+    # unknown one first, then the singletons, then faces of 3 or more charts
+    @pytest.mark.parametrize("nchart,faces,message", [
+        (2, [[0], [1], []], "empty face in nerve"),
+        (2, [[0], [1], [1, 2]], "face [1, 2] references unknown chart 2"),
+        (2, [[0], [0, 1]], "missing singleton face [1]"),
+        (3, [[0], [1], [2], [0, 1], [1, 2], [0, 1, 2]],
+         "alive tuple [0, 1, 2] is not face-closed: missing face [0, 2]"),
+        (3, [[0], [2], [0, 1, 2]], "missing singleton face [1]"),
+    ])
+    def test_validation_messages(self, nchart, faces, message):
+        with pytest.raises(ParseError) as err:
+            FiniteNerve(list(range(nchart)), [frozenset(f) for f in faces],
+                        k_max=3)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("faces,message", [
+        ([[0], [1], [0.0, 1.0]],
+         "face [0.0, 1.0] holds 0.0, which is not an integer chart index"),
+        ([[0], [True], [0, 1]],
+         "face [True] holds True, which is not an integer chart index"),
+        ([[0], [1], [0, "1"]],
+         "face ['1', 0] holds '1', which is not an integer chart index"),
+        ([[0], [1], [0, 7.5]],
+         "face [0, 7.5] holds 7.5, which is not an integer chart index"),
+    ])
+    def test_chart_indices_must_be_ints(self, faces, message):
+        # 0.0 and True equal 0 and 1 as set members, so each would pass the
+        # range check and be printed in tuple keys no reader takes back
+        with pytest.raises(ParseError) as err:
+            FiniteNerve(["U0", "U1"], [frozenset(f) for f in faces], k_max=2)
+        assert str(err.value) == message
+
 
 class TestGroupQuotient:
     def test_noncommuting_generators_rejected(self):
