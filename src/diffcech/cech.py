@@ -1,4 +1,5 @@
-"""Cochains, the coboundary operator, and cohomology of presentations.
+"""Cochains, the coboundary operator, the cocycle test, nerve cohomology and
+class comparison; quotient requests are dispatched to the engines of `grpcoh`.
 
 The coboundary is the alternating sum over the degeneracy maps,
 (d f)(x0,...,x_{k+1}) = sum_i (-1)^i f(d_i(x0,...,x_{k+1})).  Nerve cochains
@@ -20,10 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .coeff import (
     CoefficientSES,
     Group,
-    ONE,
     RAlphaGroup,
-    Scalar,
-    ZERO,
     ZGroup,
     ZmodGroup,
 )
@@ -788,111 +786,6 @@ def _components(pres, group: Group) -> CohomologyReport:
         representatives=reps, oracle=oracle)
 
 
-def _field_cohomology_from_matrices(pres, k: int, group, A, B,
-                                    to_vector, from_vector,
-                                    note: str = "") -> CohomologyReport:
-    """H^k = ker A / im B over Q(a) for the row matrices A of d_k and B of
-    d_{k-1} (n x 0 in degree 0) of a quotient's function-class system,
-    reduced by `linalg`.  The representatives are the kernel vectors that
-    leave the span of B, chosen greedily in order: the kernel pivots of
-    [B | kernel].  Restricted to the kernel's free coordinates, a vector of
-    ker A loses nothing, each kernel vector is a unit vector there, and the
-    columns of B are coboundaries in ker A; so [B | kernel] has the pivots
-    of [B_free | I], whose unit column j is a pivot unless some vector of
-    the span of B_free ends at j (`linalg.trailing_pivots`).  The forward
-    pass on A gives the free columns, and only the picked kernel vectors
-    are back-solved: each is fixed by its free entries, whichever others
-    are built.  The oracle refuses a cochain of another presentation or
-    degree, and a v off ker A; its coordinates solve [B_free | chosen] on
-    the free entries of v and are Scalars."""
-    free, kernel = linalg.kernel(A)
-    B_free = [B[j] for j in free]
-    ends = set(linalg.trailing_pivots([list(col) for col in zip(*B_free)]))
-    picked = [i for i in range(len(free)) if i not in ends]
-    B_chosen = [row + [int(i == p) for p in picked]
-                for i, row in enumerate(B_free)]
-    width = len(B[0]) if B else 0
-
-    def oracle(c: Cochain):
-        _require_degree(c, pres, k, group)
-        v = to_vector(c)
-        if any(sum([a * x for a, x in zip(row, v) if a and x], ZERO)
-               for row in A):
-            raise CocycleError("class oracle applied to a non-cocycle")
-        return tuple(linalg.solve(B_chosen, [v[j] for j in free])[width:])
-
-    reps = list(map(from_vector, kernel([free[i] for i in picked])))
-    return CohomologyReport(pres, k, group, free_rank=len(picked),
-                            representatives=reps, oracle=oracle, note=note)
-
-
-def _add_into(row, j, x):
-    """row[j] += x, with the first contribution to a ZERO cell written as is."""
-    v = row[j]
-    row[j] = x if v is ZERO else v + x
-
-
-def _generator_rows(pres, cls) -> List[List[Scalar]]:
-    """Matrix of alpha |-> (alpha.g_i - alpha)_i in the coordinates of cls,
-    one row block per generator g_i, read off its monomial images.  It
-    stands for d_0 on all of K: its kernel is the K-invariant part of cls,
-    and a crossed cochain is fixed by its generator values."""
-    basis = cls.basis
-    d = len(basis)
-    where = {e: t for t, e in enumerate(basis)}
-    M = []
-    for g in pres.generators:
-        block = [[ZERO] * d for _ in range(d)]
-        for j, e in enumerate(basis):
-            for e_out, x in g.affine.monomial_image(e).items():
-                block[where[e_out]][j] = x
-        for j in range(d):
-            _add_into(block[j], j, -ONE)
-        M += block
-    return M
-
-
-def _generator_vector(c: Cochain, cls) -> list:
-    """Coordinates in cls of a degree-1 quotient cochain at the generators,
-    in the row order of `_generator_rows`."""
-    pres = c.pres
-    return [x for i in range(pres.rank) for x in
-            c.q_value((pres.gen_power(i),)).in_class(cls).coordinates()]
-
-
-def _quotient_invariants(pres, group) -> CohomologyReport:
-    """H^0 of a quotient: the K-invariant functions of its class, the
-    kernel of the generator rows."""
-    cls = pres.function_class()
-    # with no generator there is no row to read the width off: one zero row
-    # keeps every function invariant
-    A = _generator_rows(pres, cls) or [[ZERO] * cls.dimension]
-    return _field_cohomology_from_matrices(
-        pres, 0, group, A, [[] for _ in range(cls.dimension)],
-        lambda c: c.q_value(()).in_class(cls).coordinates(),
-        lambda v: Cochain.function(pres, cls.from_coordinates(v)),
-        f"invariants of class (n={cls.n}, D={cls.max_degree})")
-
-
-def _finite_quotient_vanishing(pres, k: int, group) -> CohomologyReport:
-    """H^k of a finite K for k >= 1 is 0 with no matrix built: averaging a
-    cocycle f over K gives g with dg = +-f (`average.trivializing_homotopy`).
-    The oracle refuses a cochain of another presentation or degree, and a
-    non-cocycle, by scanning its coboundary's table."""
-    # refuse a K^(k+1) over the limit, as a tabulated H^k would
-    _quotient_points(pres, k + 1)
-    cls = pres.function_class()
-
-    def oracle(c: Cochain):
-        _require_degree(c, pres, k, group)
-        _require_cocycle(c)
-        return ()
-
-    return CohomologyReport(
-        pres, k, group, oracle=oracle,
-        note=f"relative to class (n={cls.n}, D={cls.max_degree})")
-
-
 def cohomology(pres, group: Group, k: int) -> CohomologyReport:
     """Compute H^k of the presentation with the given coefficient group."""
     if pres.kind == "nerve":
@@ -904,21 +797,9 @@ def cohomology(pres, group: Group, k: int) -> CohomologyReport:
         if not k:
             return _components(pres, group)
         return _integer_cohomology(pres, k, group)
-    if k < 0:
-        raise DegreeError(f"quotient cohomology has no degree {k}")
-    if group.tag != "R(alpha)":
-        raise ParseError("quotient cohomology uses the R model coefficients")
-    if k == 0:
-        return _quotient_invariants(pres, group)
-    if pres.is_finite():
-        return _finite_quotient_vanishing(pres, k, group)
-    if k == 1:
-        from .grpcoh import h1_group
+    from .grpcoh import quotient_cohomology
 
-        return h1_group(pres)
-    raise DegreeError(
-        "infinite-group quotient cohomology is supported in degrees 0 and 1"
-    )
+    return quotient_cohomology(pres, group, k)
 
 
 def h0_global_sections(pres, group: Group) -> CohomologyReport:
@@ -929,7 +810,7 @@ def h0_global_sections(pres, group: Group) -> CohomologyReport:
         rep = _components(pres, group)
         rep.note = f"{len(rep.representatives)} component(s)"
         return rep
-    return _quotient_invariants(pres, group)
+    return cohomology(pres, group, 0)
 
 
 def _require_nerve_tag(group: Group):
@@ -1042,35 +923,9 @@ def classes_equal(f1: Cochain, f2: Cochain) -> ClassComparison:
             )
         alpha = _nerve_from_vector(pres, k - 1, f1.group, sol)
         return ClassComparison(True, alpha, "witness found")
+    from .grpcoh import _quotient_classes_equal
+
     return _quotient_classes_equal(pres, k, diff)
-
-
-def _quotient_classes_equal(pres, k: int, diff: Cochain) -> ClassComparison:
-    """Degree 1 solves d(alpha) = diff on the generator rows, one degree up:
-    crossed data is fixed by its generator values.  Above degree 1 over a
-    finite K, averaging gives alpha with d(alpha) = (-1)^k diff."""
-    if k == 0:
-        if diff.is_zero():
-            return ClassComparison(True, None, "equal functions")
-        return ClassComparison(False, None, "functions differ")
-    if k > 1:
-        from .average import _homotopy
-
-        # f1 and f2 are checked cocycles, so diff is one
-        g = _homotopy(pres, diff)
-        return ClassComparison(True, g.scale_int((-1) ** k), "witness found")
-    # unknown degree-0 alpha in the widened class
-    wide = pres.function_class().widen(1)
-    sol = linalg.solve(_generator_rows(pres, wide),
-                       _generator_vector(diff, wide))
-    if sol is None:
-        return ClassComparison(
-            False, None,
-            f"no witness in class (n={wide.n}, D={wide.max_degree})",
-        )
-    return ClassComparison(
-        True, Cochain.function(pres, wide.from_coordinates(sol)),
-        "witness found")
 
 
 # ---------------------------------------------------------------------------

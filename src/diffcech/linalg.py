@@ -20,10 +20,10 @@ pivot columns, so it comes out the same whichever other columns are
 reduced.  ``rank`` and ``trailing_pivots`` read pivots
 alone and run the forward pass only; ``solve`` back-substitutes only the
 right-hand side; ``kernel`` only the free columns whose vectors are asked
-for; ``rref`` and ``nullspace`` every column.  Used for the function-class
-linear systems of quotient presentations; nerve cohomology needs none of
-it, since its integer matrices go through the Smith normal form of
-``coeff``.
+for; ``rref`` every column.  Used by the quotient engines of ``grpcoh`` for
+the function-class linear systems of quotient presentations; nerve
+cohomology needs none of it, since its integer matrices go through the
+Smith normal form of ``coeff``.
 """
 
 from __future__ import annotations
@@ -268,16 +268,6 @@ def kernel(M):
         return basis
 
     return [j for j in range(n) if j not in pivot_set], vectors
-
-
-def nullspace(M) -> Tuple[List[list], List[int]]:
-    """Basis of the kernel, one vector per free column in ascending order,
-    and those free columns (``kernel``, with every free column
-    back-solved in one pass).  Each vector is the identity at the free
-    columns, so a kernel vector is fixed by its entries there; the free
-    column of a vector is its last nonzero entry."""
-    free, vectors = kernel(M)
-    return vectors(free), free
 
 
 def trailing_pivots(M) -> List[int]:

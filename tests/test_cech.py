@@ -14,9 +14,7 @@ from diffcech.cech import (
     MAX_MATRIX_SIDE,
     Cochain,
     GroupHom,
-    _add_into,
     _crossed_single,
-    _generator_rows,
     _quotient_points,
     MAX_K_TUPLES,
     boundary_matrix,
@@ -49,7 +47,7 @@ from diffcech.coeff import (
 )
 from diffcech.errors import CocycleError, DegreeError, ParseError, TagError
 from diffcech.funclass import AffineMap, act
-from diffcech.grpcoh import h1_group
+from diffcech.grpcoh import _add_into, _generator_rows, h1_group
 from diffcech.presentation import (
     FiniteNerve,
     Generator,
@@ -60,6 +58,7 @@ from diffcech.presentation import (
 
 from test_golden import CASES as GOLDEN_CASES, GOLDEN
 from test_grpcoh import GALLERY_QUOTIENTS, _mixed, principal_crossed
+from test_linalg import _nullspace
 
 
 class TestNerveCochains:
@@ -519,6 +518,40 @@ class TestQuotientCohomology:
             with pytest.raises(DegreeError,
                                match=f"quotient cohomology has no degree {k}$"):
                 cohomology(pres, RAlphaGroup(), k)
+
+    def test_quotient_refusals_in_order(self):
+        # the degree is refused before the coefficients are read, and an
+        # infinite K has cohomology in degrees 0 and 1 only
+        pres = gallery.get_presentation("irrational-torus")
+        with pytest.raises(DegreeError,
+                           match="^quotient cohomology has no degree -1$"):
+            cohomology(pres, ZGroup(), -1)
+        with pytest.raises(
+                ParseError,
+                match="^quotient cohomology uses the R model coefficients$"):
+            cohomology(pres, ZGroup(), 0)
+        with pytest.raises(DegreeError, match="^infinite-group quotient "
+                           "cohomology is supported in degrees 0 and 1$"):
+            cohomology(pres, RAlphaGroup(), 2)
+
+    @pytest.mark.parametrize("name", GALLERY_QUOTIENTS)
+    def test_global_sections_of_a_quotient(self, name):
+        # the K-invariant functions are valued in the R model alone: over Z
+        # they used to be reported as "H^0(Z) = Z"; over R(alpha) the report
+        # is that of cohomology in degree 0, representatives included
+        pres = gallery.get_presentation(name)
+        for tag in ("Z", "Z/2", "prod[Z,Z/2]"):
+            with pytest.raises(
+                    ParseError,
+                    match="^quotient cohomology uses the R model "
+                          "coefficients$"):
+                h0_global_sections(pres, group_from_tag(tag))
+        R = RAlphaGroup()
+        sec = h0_global_sections(pres, R)
+        assert sec.note.startswith("invariants of class")
+        assert (json.dumps(sec.to_dict(), sort_keys=True)
+                == json.dumps(cohomology(pres, R, 0).to_dict(),
+                              sort_keys=True))
 
 
 GALLERY_NERVES = [
@@ -1047,7 +1080,7 @@ class TestIndependentRoutes:
         # and the oracle's coordinates are the same bytes
         cls = pres.function_class()
         rep = cohomology(pres, RAlphaGroup(), 0)
-        kernel, _ = linalg.nullspace(_coboundary_matrix(pres, 0, cls))
+        kernel, _ = _nullspace(_coboundary_matrix(pres, 0, cls))
         assert rep.dimension == len(kernel)
         tabulated = [_quotient_from_vector(pres, 0, cls, v) for v in kernel]
         assert ([json.dumps(r.to_dict()) for r in rep.representatives]

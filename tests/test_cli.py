@@ -71,6 +71,17 @@ class TestCohomology:
             assert code == 2, source
             assert lines[2:] == ["error: quotient cohomology has no degree -1"]
 
+    @pytest.mark.parametrize("degree,coeff,message", [
+        ("1", "Z", "quotient cohomology uses the R model coefficients"),
+        ("2", "R(alpha)", "infinite-group quotient cohomology is supported "
+                          "in degrees 0 and 1"),
+    ])
+    def test_quotient_refusals(self, degree, coeff, message):
+        code, lines = _run(["cohomology", "--degree", degree, "--coeff", coeff,
+                            "gallery:irrational-torus"])
+        assert code == 2
+        assert lines[2:] == [f"error: {message}"]
+
 
 class TestCheckCocycle:
     def test_yes(self):
