@@ -14,7 +14,7 @@ from fractions import Fraction
 from .cech import Cochain, _quotient_cochain, _require_cocycle
 from .coeff import GroupElement, RAlphaGroup, Scalar
 from .errors import DegreeError, ParseError
-from .funclass import FunctionElement
+from .funclass import FunctionElement, signed_sum
 
 
 class FiniteTranslationGroupoid:
@@ -59,11 +59,11 @@ def _homotopy(pres, f: Cochain) -> Cochain:
     quotient; d of the result is (-1)^k f, so f must already be checked."""
     w = Scalar.of(Fraction(1, pres.k_order()))
     elements = pres.k_elements()
+    cls = pres.function_class()
 
     def average_last(kt):
-        total = pres.function_class().zero()
-        for gamma in elements:
-            total = total + f.q_value(kt + (gamma,))
-        return total.scale(w)
+        # kt is a stored point of the finite K, and so is each kt + (gamma,)
+        return signed_sum(cls, [(1, f._q(kt + (gamma,)))
+                                for gamma in elements]).scale(w)
 
     return _quotient_cochain(pres, f.degree - 1, average_last)

@@ -34,7 +34,7 @@ from .errors import (
     TagError,
 )
 from .exprs import parse_poly_terms
-from .funclass import FunctionElement, act
+from .funclass import FunctionElement, act, signed_sum
 from .reduce import Reduction
 
 DEFAULT_SEED = 1729
@@ -101,18 +101,7 @@ class Cochain:
     # -- constructors ---------------------------------------------------
     @staticmethod
     def nerve(pres, degree: int, group: Group, values: Dict) -> "Cochain":
-        if pres.kind != "nerve":
-            raise ParseError("nerve cochain needs a nerve presentation")
-        tuples = pres.tuples(degree)
-        vals = {}
-        for t in tuples:
-            if t not in values:
-                raise ParseError(f"missing cochain value at tuple {t}")
-            vals[t] = group.canonical(values[t])
-        for t in values:
-            if tuple(t) not in vals:
-                raise ParseError(f"cochain value at dead or unknown tuple {t}")
-        return Cochain(pres, degree, group, "values", vals)
+        return _nerve_cochain(pres, degree, group, values, group.canonical)
 
     @staticmethod
     def function(pres, h: FunctionElement) -> "Cochain":
@@ -167,20 +156,25 @@ class Cochain:
 
     def q_value(self, ktuple) -> FunctionElement:
         """Quotient value at a tuple of group elements (length = degree)."""
-        pres = self.pres
-        ktuple = tuple(pres.k_canonical(k) for k in ktuple)
+        ktuple = tuple(self.pres.k_canonical(k) for k in ktuple)
+        if self.payload_kind == "values":
+            raise ParseError("q_value applies to quotient cochains")
+        return self._q(ktuple)
+
+    def _q(self, kt) -> FunctionElement:
+        """The quotient value at kt, trusted to be a tuple of canonical group
+        tuples: a stored point of a finite K, a tuple that `q_value` has made
+        canonical, or a face or `_k_sub` shift of one.  Nothing is checked."""
         k = self.payload_kind
         if k == "function":
             return self.payload
         if k == "table":
-            return self.payload[ktuple]
-        if k not in ("crossed", "lazy"):
-            raise ParseError("q_value applies to quotient cochains")
-        v = self._memo.get(ktuple)
+            return self.payload[kt]
+        v = self._memo.get(kt)
         if v is None:
-            v = self._memo[ktuple] = (
-                crossed_value(pres, self.payload, ktuple[0]) if k == "crossed"
-                else self.payload(ktuple))
+            v = self._memo[kt] = (
+                crossed_value(self.pres, self.payload, kt[0]) if k == "crossed"
+                else self.payload(kt))
         return v
 
     # -- arithmetic -------------------------------------------------------
@@ -196,7 +190,7 @@ class Cochain:
             self._check_compatible(o)
         ops, k = (self,) + others, self.payload_kind
         if k == "lazy" or any(o.payload_kind != k for o in others):
-            k, payload = "lazy", lambda kt: fn(*(c.q_value(kt) for c in ops))
+            k, payload = "lazy", lambda kt: fn(*(c._q(kt) for c in ops))
         elif k == "function":
             payload = fn(*(c.payload for c in ops))
         else:
@@ -210,7 +204,7 @@ class Cochain:
         return self._valuewise(self.group.neg)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
+        return self._valuewise(self.group.sub, other)
 
     def scale_int(self, n: int) -> "Cochain":
         return self._valuewise(lambda v: self.group.mul_int(n, v))
@@ -290,7 +284,8 @@ class Cochain:
                 _parse_tuple_key(key): group.parse_el(_value_text(v))
                 for key, v in doc["values"].items()
             }
-            return Cochain.nerve(pres, k, group, vals)
+            # parse_el returns canonical values
+            return _nerve_cochain(pres, k, group, vals, lambda v: v)
         if group.tag != "R(alpha)":
             raise ParseError("quotient cochains are valued in the R model")
         want = {"function": 0, "crossed": 1}.get(field, k)
@@ -316,6 +311,24 @@ class Cochain:
             for key, text in doc["table"].items()
         }
         return Cochain.table(pres, k, vals)
+
+
+def _nerve_cochain(pres, degree: int, group: Group, values: Dict,
+                   canonical: Callable) -> Cochain:
+    """The nerve cochain of canonical(values[t]) at each alive tuple t; a
+    missing value is refused first, then a value at a dead or unknown
+    tuple."""
+    if pres.kind != "nerve":
+        raise ParseError("nerve cochain needs a nerve presentation")
+    vals = {}
+    for t in pres.tuples(degree):
+        if t not in values:
+            raise ParseError(f"missing cochain value at tuple {t}")
+        vals[t] = canonical(values[t])
+    for t in values:
+        if tuple(t) not in vals:
+            raise ParseError(f"cochain value at dead or unknown tuple {t}")
+    return Cochain(pres, degree, group, "values", vals)
 
 
 def _value_text(v) -> str:
@@ -519,13 +532,15 @@ def coboundary(c: Cochain) -> Cochain:
         return Cochain(pres, k + 1, g, "values", out)
 
     def dvalue(kt):
+        # kt is canonical: a stored point, or a tuple q_value has made so;
+        # the one point that may not be, (g_i,) of a torsion-1 generator in
+        # degree 1, has no shift and only the face ()
         k1 = kt[0]
-        shifted = tuple(pres.k_add(kj, pres.k_neg(k1)) for kj in kt[1:])
-        acc = act(pres.affine_of(k1), c.q_value(shifted))
-        for i in range(1, k + 2):
-            v = c.q_value(kt[: i - 1] + kt[i:])
-            acc = acc + (-v if i % 2 else v)
-        return acc
+        head = act(pres.affine_of(k1),
+                   c._q(tuple(pres._k_sub(kj, k1) for kj in kt[1:])))
+        return signed_sum(head.cls, [(1, head)] + [
+            (-1 if i % 2 else 1, c._q(kt[: i - 1] + kt[i:]))
+            for i in range(1, k + 2)])
 
     # d of a degree-0 function is principal crossed data; d of crossed data
     # satisfies no relation a priori and is evaluated lazily

@@ -408,6 +408,9 @@ class Group:
     def neg(self, x):
         raise NotImplementedError
 
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
     def canonical(self, x):
         raise NotImplementedError
 
@@ -582,6 +585,9 @@ class RAlphaGroup(Group):
     def neg(self, x):
         return -x
 
+    def sub(self, x, y):
+        return x - y
+
     def canonical(self, x):
         if isinstance(x, (int, Fraction)):
             return Scalar.of(x)
@@ -598,9 +604,12 @@ class RAlphaGroup(Group):
         return x / n
 
     def random(self, rng):
-        return Scalar.of(Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 3]))) + (
-            ALPHA * Fraction(rng.randrange(-3, 4))
-        )
+        """n/d + m*a for n, d and m drawn in that order, built canonical:
+        with g = gcd(n, d), the numerator n/g + (m*d/g)*a over d/g has
+        content prime to d/g."""
+        n, d = rng.randrange(-6, 7), rng.choice([1, 2, 3])
+        g = gcd(n, d)
+        return _make(_ztrim([n // g, rng.randrange(-3, 4) * d // g]), (d // g,))
 
     def format_el(self, x):
         return str(x)

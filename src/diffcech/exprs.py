@@ -1,8 +1,9 @@
 """Exact polynomials in x0..x(n-1) over Q(a): arithmetic, parsing, printing.
 
 A polynomial is a dict {exponent tuple: nonzero Scalar} whose tuples all have
-the arity n.  `add_terms`, `neg_terms`, `scale_terms` and `mul_terms` are the
-one arithmetic on such dicts; the parser and `funclass` both use them.
+the arity n.  `add_terms`, `sum_terms`, `neg_terms`, `scale_terms` and
+`mul_terms` are the one arithmetic on such dicts; the parser and `funclass`
+both use them.
 
 Grammar: integers, the scalar symbol ``a``, variables ``x0, x1, ...`` (plain
 ``x`` is an alias for ``x0``), operators + - * / ^ and parentheses.  A divisor
@@ -73,6 +74,27 @@ def add_terms(p, q):
         else:
             out[e] = s
     return out
+
+
+def sum_terms(signed):
+    """The sum of sign * p over the (sign, p) pairs, sign 1 or -1, added term
+    by term into one dict: the first p is copied, and no negated or partial
+    copy of another is made."""
+    out = None
+    for sign, p in signed:
+        if out is None:
+            out = dict(p) if sign > 0 else neg_terms(p)
+            continue
+        for e, c in p.items():
+            if sign < 0:
+                c = -c
+            if e in out:
+                c = out[e] + c
+                if not c.znum:
+                    del out[e]
+                    continue
+            out[e] = c
+    return {} if out is None else out
 
 
 def neg_terms(p):

@@ -16,7 +16,7 @@ from typing import Dict, Sequence, Tuple
 from .coeff import ZERO, RAlphaGroup, Scalar
 from .errors import ClassError
 from .exprs import (add_terms, format_poly_terms, mul_terms, neg_terms,
-                    parse_poly_terms, scale_terms)
+                    parse_poly_terms, scale_terms, sum_terms)
 from . import linalg
 
 Expo = Tuple[int, ...]
@@ -253,19 +253,15 @@ class FunctionElement:
             return _make(cls, self.terms)
         return FunctionElement(cls, self.terms)  # narrowing: check degrees
 
-    def _join(self, other: "FunctionElement") -> FunctionClass:
-        if self.cls.n != other.cls.n:
-            raise ClassError("arity mismatch")
-        return self.cls if self.cls.max_degree >= other.cls.max_degree else other.cls
-
     def __add__(self, other):
-        return _make(self._join(other), add_terms(self.terms, other.terms))
+        return _make(_join(self.cls, other.cls),
+                     add_terms(self.terms, other.terms))
 
     def __neg__(self):
         return _make(self.cls, neg_terms(self.terms))
 
     def __sub__(self, other):
-        return self + (-other)
+        return signed_sum(self.cls, ((1, self), (-1, other)))
 
     def scale(self, s) -> "FunctionElement":
         return _make(self.cls, scale_terms(self.terms, Scalar.of(s)))
@@ -329,6 +325,25 @@ def _make(cls: FunctionClass, terms: Dict[Expo, Scalar]) -> FunctionElement:
     h.cls = cls
     h.terms = terms
     return h
+
+
+def _join(a: FunctionClass, b: FunctionClass) -> FunctionClass:
+    """The class of a sum: the wider of a and b, a when they are as wide."""
+    if a.n != b.n:
+        raise ClassError("arity mismatch")
+    return a if a.max_degree >= b.max_degree else b
+
+
+def signed_sum(cls: FunctionClass, signed) -> FunctionElement:
+    """The sum of s * h over the (s, h) pairs, s = 1 or -1, added into one
+    dict (`exprs.sum_terms`); its class is the one that adding the hs to an
+    element of cls one by one gives."""
+    parts = []
+    for s, h in signed:
+        if h.cls is not cls:
+            cls = _join(cls, h.cls)
+        parts.append((s, h.terms))
+    return _make(cls, sum_terms(parts))
 
 
 def act(phi: AffineMap, h: FunctionElement) -> FunctionElement:

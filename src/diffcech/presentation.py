@@ -329,8 +329,13 @@ class GroupQuotient:
     def k_add(self, k1, k2):
         return self.k_canonical(tuple(a + b for a, b in zip(k1, k2)))
 
-    def k_neg(self, k):
-        return self.k_canonical(tuple(-a for a in k))
+    def _k_sub(self, k1, k2) -> Tuple[int, ...]:
+        """k1 - k2, reduced by the torsion; k1 and k2 are trusted to be
+        canonical tuples of this group, and nothing is checked."""
+        if self._torsion_free:
+            return tuple([a - b for a, b in zip(k1, k2)])
+        return tuple([(a - b) % t if t else a - b
+                      for a, b, t in zip(k1, k2, self._torsion)])
 
     def gen_power(self, i: int, n: int = 1) -> Tuple[int, ...]:
         """The exponent vector of g_i^n, not reduced by the torsion."""

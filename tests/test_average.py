@@ -7,14 +7,22 @@ import pytest
 from diffcech import gallery
 from diffcech.average import (
     FiniteTranslationGroupoid,
+    _homotopy,
     haar_average,
     trivializing_homotopy,
 )
-from diffcech.cech import MAX_K_TUPLES, Cochain, coboundary, random_cocycle
+from diffcech.cech import (
+    MAX_K_TUPLES,
+    Cochain,
+    _quotient_points,
+    coboundary,
+    random_cocycle,
+)
 from diffcech.coeff import GroupElement, RAlphaGroup, Scalar
 from diffcech.errors import ParseError
 
-from test_cech import _klein_four, _z4_rotation
+from test_cech import _klein_four, _textbook_d, _z4_rotation
+from test_grpcoh import GALLERY_QUOTIENTS
 from test_presentation import random_point
 
 
@@ -97,6 +105,25 @@ class TestTrivializingHomotopy:
                     sign = (-1) ** k
                     assert (coboundary(g) - f.scale_int(sign)).is_zero(), (
                         pres.name, k)
+
+    @pytest.mark.parametrize("pres", [
+        *(gallery.get_presentation(name) for name in GALLERY_QUOTIENTS
+          if gallery.get_presentation(name).is_finite()),
+        _z4_rotation(1), _klein_four(1)],
+        ids=[name for name in GALLERY_QUOTIENTS
+             if gallery.get_presentation(name).is_finite()]
+        + ["z4-rotation", "klein-four"])
+    def test_homotopy_is_inverted_by_the_textbook_d(self, pres):
+        # d(_homotopy(f)) = (-1)^k f at every point of K^k, with d written
+        # out as the alternating sum of q_values, in degrees 1 and 2
+        rng = random.Random(47)
+        for k in (1, 2):
+            for _ in range(3):
+                f = random_cocycle(pres, k, RAlphaGroup(), rng)
+                g = _homotopy(pres, f)
+                for kt in _quotient_points(pres, k):
+                    v = f.q_value(kt)
+                    assert _textbook_d(g, kt) == (-v if k % 2 else v), kt
 
     def test_cohomology_vanishes(self):
         from diffcech.cech import cohomology

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -102,6 +103,29 @@ class TestNerveCochains:
         assert (w + w).payload == w.scale_int(2).payload
         z = zero_cochain(c3, 1, ZGroup())
         assert (w + z).payload == w.payload
+
+    def test_documents_are_read_as_nerve_cochains(self):
+        # a document's values are parsed canonical and stored as
+        # Cochain.nerve stores the raw values; by both routes a missing
+        # value is refused before a value at a dead tuple
+        c3 = gallery.get_presentation("circle3")
+        g = ZmodGroup(4)
+        raw = {(0, 1): 7, (0, 2): -1, (1, 2): 4}
+        doc = {"degree": 1, "values": {"(0,1)": "7", "(0,2)": -1,
+                                       "(1,2)": "4"}}
+        c = Cochain.from_dict(c3, g, doc)
+        assert c.payload == Cochain.nerve(c3, 1, g, raw).payload == {
+            (0, 1): 3, (0, 2): 3, (1, 2): 0}
+        missing = "missing cochain value at tuple (1, 2)"
+        dead = "cochain value at dead or unknown tuple (0, 5)"
+        for values, message in (({(0, 1): 1, (0, 2): 1, (0, 5): 1}, missing),
+                                ({**raw, (0, 5): 1}, dead)):
+            doc = {"degree": 1, "values": {
+                f"({a},{b})": str(v) for (a, b), v in values.items()}}
+            with pytest.raises(ParseError, match=re.escape(message)):
+                Cochain.from_dict(c3, g, doc)
+            with pytest.raises(ParseError, match=re.escape(message)):
+                Cochain.nerve(c3, 1, g, values)
 
     def test_mismatch_rejected(self):
         c3 = gallery.get_presentation("circle3")
@@ -649,6 +673,11 @@ def _quotient_from_vector(pres, k, cls, vec):
     return cech._quotient_cochain(pres, k, values.__getitem__)
 
 
+def _k_neg(pres, k):
+    """The inverse of the group element k, made canonical."""
+    return pres.k_canonical(tuple(-a for a in k))
+
+
 def _coboundary_matrix(pres, k, cls):
     """Rows of d: C^k -> C^{k+1} of a quotient, in the coordinates of cls,
     tabulated on all of K^(k+1) for a finite K (the generators in degree 1
@@ -671,7 +700,7 @@ def _coboundary_matrix(pres, k, cls):
     for r, kt in enumerate(rows):
         block = M[r * d:(r + 1) * d]
         k1 = kt[0]
-        c = start[tuple(pres.k_add(kj, pres.k_neg(k1)) for kj in kt[1:])]
+        c = start[tuple(pres.k_add(kj, _k_neg(pres, k1)) for kj in kt[1:])]
         phi = pres.affine_of(k1)
         for j, e in enumerate(basis):
             for e_out, x in phi.monomial_image(e).items():
@@ -682,6 +711,20 @@ def _coboundary_matrix(pres, k, cls):
             for j in range(d):
                 _add_into(block[j], c + j, sign)
     return M
+
+
+def _textbook_d(c, kt):
+    """(dc)(k_0, ..., k_k) = k_0.c(k_1 - k_0, ..., k_k - k_0) plus
+    (-1)^i c(kt without k_{i-1}) for i = 1..k+1, for c of degree k, term by
+    term with the public q_value, act, + and unary -; the shifts are left
+    for q_value to reduce."""
+    pres, k0 = c.pres, kt[0]
+    acc = act(pres.affine_of(k0), c.q_value(
+        tuple(tuple(a - b for a, b in zip(kj, k0)) for kj in kt[1:])))
+    for i in range(1, len(kt) + 1):
+        v = c.q_value(kt[:i - 1] + kt[i:])
+        acc = acc + (-v if i % 2 else v)
+    return acc
 
 
 def _unit_cochain_matrix(pres, k, cls):
@@ -1041,6 +1084,46 @@ class TestIndependentRoutes:
                 assert got == want, (k, cls)
                 assert ([[type(x) for x in row] for row in got]
                         == [[type(x) for x in row] for row in want])
+
+    @pytest.mark.parametrize("pres", [
+        gallery.get_presentation("z2-reflection"), _z4_rotation()],
+        ids=["z2-reflection", "z4-rotation"])
+    def test_coboundary_matrix_on_random_tables(self, pres):
+        # d of random cochains (a function in degree 0, tables above), read
+        # back in coordinates, against the matrix of d times their
+        # coordinates
+        rng = random.Random(43)
+        cls = pres.function_class()
+        for k in range(3):
+            M = _coboundary_matrix(pres, k, cls)
+            for _ in range(3):
+                c = random_cochain(pres, k, RAlphaGroup(), rng)
+                x = _quotient_vector(c, cls)
+                want = [sum((a * b for a, b in zip(row, x) if a), ZERO)
+                        for row in M]
+                assert _quotient_vector(coboundary(c), cls) == want, k
+
+    @pytest.mark.parametrize("pres", [
+        gallery.get_presentation("irrational-torus"), _mixed()],
+        ids=["irrational-torus", "mixed"])
+    def test_coboundary_is_the_textbook_sum(self, pres):
+        # d of a function (crossed data), of random crossed data and of a
+        # lazy cochain, at seeded random tuples, against the alternating
+        # sum; each tuple is also given with its torsion exponents raised
+        # by their orders, which q_value must reduce
+        rng = random.Random(41)
+        orders = [g.torsion for g in pres.generators]
+        for k in range(3):
+            for _ in range(3):
+                c = random_cochain(pres, k, RAlphaGroup(), rng)
+                dc = coboundary(c)
+                for _ in range(4):
+                    kt = tuple(pres.random_k(rng) for _ in range(k + 1))
+                    want = _textbook_d(c, kt)
+                    assert dc.q_value(kt) == want, (k, kt)
+                    raised = tuple(tuple(x + t for x, t in zip(kj, orders))
+                                   for kj in kt)
+                    assert coboundary(c).q_value(raised) == want, (k, kt)
 
     @pytest.mark.parametrize("pres", [
         *(gallery.get_presentation(name) for name in GALLERY_QUOTIENTS),

@@ -9,6 +9,7 @@ import pytest
 from diffcech.coeff import (
     ALPHA,
     GroupElement,
+    ProductGroup,
     QmodZGroup,
     RAlphaGroup,
     Scalar,
@@ -420,6 +421,42 @@ class TestGroups:
             assert g.tag == tag
             for x in (g.zero(), g.random(rng)):
                 assert g.parse_el(g.format_el(x)) == x
+
+    def test_parse_el_is_canonical(self):
+        # Cochain.from_dict stores what parse_el returns without making it
+        # canonical again, which is exact only if this holds; the values
+        # are written unreduced where the group has a reduction
+        def unreduced(g, rng):
+            if isinstance(g, ProductGroup):
+                return tuple(unreduced(f, rng) for f in g.factors)
+            if isinstance(g, ZmodGroup):
+                return rng.randrange(-3 * g.m, 3 * g.m)
+            if isinstance(g, QmodZGroup):
+                return Fraction(rng.randrange(-20, 21), rng.choice([1, 4, 6]))
+            return g.random(rng)
+
+        rng = random.Random(19)
+        for g in [ZGroup(), ZmodGroup(5), QmodZGroup(), RAlphaGroup(),
+                  group_from_tag("prod[Z,Z/3,Q/Z,R(alpha)]")]:
+            for _ in range(40):
+                for x in (g.random(rng), unreduced(g, rng)):
+                    y = g.parse_el(g.format_el(x))
+                    assert g.canonical(y) == y == g.canonical(x), (g, x)
+
+    def test_random_scalar_is_the_fraction_formula(self):
+        # R(alpha) draws n/d + m*a built canonical; the sum of Fractions it
+        # replaced gives the same scalars from the same draws
+        g = RAlphaGroup()
+        for seed in range(2000):
+            rng, twin = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                want = Scalar.of(Fraction(twin.randrange(-6, 7),
+                                          twin.choice([1, 2, 3]))) + (
+                    ALPHA * Fraction(twin.randrange(-3, 4)))
+                got = g.random(rng)
+                assert (got.znum, got.zden) == (want.znum, want.zden), seed
+                assert Scalar(got.num, got.den) == got
+            assert rng.getstate() == twin.getstate()
 
     def test_unknown_tag(self):
         with pytest.raises(ParseError):
