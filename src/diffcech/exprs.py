@@ -1,9 +1,8 @@
 """Exact polynomials in x0..x(n-1) over Q(a): arithmetic, parsing, printing.
 
 A polynomial is a dict {exponent tuple: nonzero Scalar} whose tuples all have
-the arity n.  `add_terms`, `sum_terms`, `neg_terms`, `scale_terms` and
-`mul_terms` are the one arithmetic on such dicts; the parser and `funclass`
-both use them.
+the arity n.  `sum_terms`, `neg_terms`, `scale_terms` and `mul_terms` are
+the one arithmetic on such dicts; the parser and `funclass` both use them.
 
 Grammar: integers, the scalar symbol ``a``, variables ``x0, x1, ...`` (plain
 ``x`` is an alias for ``x0``), operators + - * / ^ and parentheses.  A divisor
@@ -63,23 +62,11 @@ def _tokenize(text):
     return toks
 
 
-def add_terms(p, q):
-    """p + q for {exponent tuple: Scalar} dicts of one arity; terms that
-    cancel are dropped, as in every helper below."""
-    out = dict(p)
-    for e, c in q.items():
-        s = out[e] + c if e in out else c
-        if s.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
-
-
 def sum_terms(signed):
-    """The sum of sign * p over the (sign, p) pairs, sign 1 or -1, added term
-    by term into one dict: the first p is copied, and no negated or partial
-    copy of another is made."""
+    """The sum of sign * p over the (sign, p) pairs, sign 1 or -1, for
+    {exponent tuple: Scalar} dicts of one arity, added term by term into one
+    dict: the first p is copied, and no negated or partial copy of another
+    is made.  Terms that cancel are dropped, as in every helper below."""
     out = None
     for sign, p in signed:
         if out is None:
@@ -164,7 +151,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.next()
             t = self.term()
-            v = add_terms(v, neg_terms(t) if op == "-" else t)
+            v = sum_terms(((1, v), (-1 if op == "-" else 1, t)))
             if _degree(v) > MAX_EXPONENT:
                 raise ParseError(f"sum of degree {_degree(v)} in {self.text!r} "
                                  f"exceeds the degree limit of {MAX_EXPONENT}")

@@ -15,7 +15,7 @@ from typing import Dict, Sequence, Tuple
 
 from .coeff import ZERO, RAlphaGroup, Scalar
 from .errors import ClassError
-from .exprs import (add_terms, format_poly_terms, mul_terms, neg_terms,
+from .exprs import (format_poly_terms, mul_terms, neg_terms,
                     parse_poly_terms, scale_terms, sum_terms)
 from . import linalg
 
@@ -255,13 +255,14 @@ class FunctionElement:
 
     def __add__(self, other):
         return _make(_join(self.cls, other.cls),
-                     add_terms(self.terms, other.terms))
+                     sum_terms(((1, self.terms), (1, other.terms))))
 
     def __neg__(self):
         return _make(self.cls, neg_terms(self.terms))
 
     def __sub__(self, other):
-        return signed_sum(self.cls, ((1, self), (-1, other)))
+        return _make(_join(self.cls, other.cls),
+                     sum_terms(((1, self.terms), (-1, other.terms))))
 
     def scale(self, s) -> "FunctionElement":
         return _make(self.cls, scale_terms(self.terms, Scalar.of(s)))

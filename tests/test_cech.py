@@ -341,6 +341,35 @@ class TestQuotientCochains:
             assert _quotient_from_vector(pres, k, cls, vec) == c, k
 
     @pytest.mark.parametrize("name", ["z2-reflection", "irrational-torus"])
+    def test_public_readers_check_their_input(self, name):
+        # the package reads stored values at canonical tuples unchecked, so
+        # every payload kind must refuse a wrong-rank or non-integral group
+        # element at q_value, as k_add and affine_of do
+        pres = gallery.get_presentation(name)
+        rng = random.Random(61)
+        rank = pres.rank
+        good, long = (1,) * rank, (1,) * (rank + 1)
+        half = (Fraction(1, 2),) + (0,) * (rank - 1)
+        for k in range(3):
+            c = random_cochain(pres, k, RAlphaGroup(), rng)
+            for c in (c, coboundary(c)):
+                n = c.degree
+                if n == 0:
+                    continue
+                with pytest.raises(ParseError, match=re.escape(
+                        f"group element {long} has wrong rank")):
+                    c.q_value((good,) * (n - 1) + (long,))
+                with pytest.raises(ParseError, match="non-integral exponent "
+                                   "1/2"):
+                    c.q_value((half,) + (good,) * (n - 1))
+        with pytest.raises(ParseError, match="non-integral exponent 3/2"):
+            pres.k_add(half, good)
+        with pytest.raises(ParseError, match="wrong rank"):
+            pres.k_add(long, long)
+        with pytest.raises(ParseError, match="wrong rank"):
+            pres.affine_of(long)
+
+    @pytest.mark.parametrize("name", ["z2-reflection", "irrational-torus"])
     def test_negative_degree_refused(self, name):
         # a degree-0 random cocycle is d of a degree -1 cochain, which a
         # quotient does not have; a nerve's degree -1 is the empty tuple
