@@ -342,7 +342,7 @@ class GroupQuotient:
         return tuple(n if j == i else 0 for j in range(self.rank))
 
     def is_finite(self) -> bool:
-        return all(g.torsion for g in self.generators)
+        return all(self._torsion)
 
     def k_order(self) -> int:
         if not self.is_finite():
@@ -355,10 +355,8 @@ class GroupQuotient:
     def k_elements(self) -> List[Tuple[int, ...]]:
         if not self.is_finite():
             raise DegreeError("acting group is infinite")
-        return [
-            self.k_canonical(k)
-            for k in product(*[range(g.torsion) for g in self.generators])
-        ] if self.generators else [()]
+        # each exponent is below its order: canonical as it is made
+        return list(product(*[range(t) for t in self._torsion]))
 
     def affine_of(self, k) -> AffineMap:
         """The affine action of the group element with exponent vector k.
