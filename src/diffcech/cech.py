@@ -156,10 +156,9 @@ class Cochain:
 
     def q_value(self, ktuple) -> FunctionElement:
         """Quotient value at a tuple of group elements (length = degree)."""
-        ktuple = tuple(self.pres.k_canonical(k) for k in ktuple)
         if self.payload_kind == "values":
             raise ParseError("q_value applies to quotient cochains")
-        return self._q(ktuple)
+        return self._q(tuple(self.pres.k_canonical(k) for k in ktuple))
 
     def _q(self, kt) -> FunctionElement:
         """The quotient value at kt, trusted to be a tuple of canonical group

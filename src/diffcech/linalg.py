@@ -3,15 +3,16 @@
 Matrices are lists of rows.  Entries may be ints, Fractions or Scalars of
 Q(a), mixed freely; an entry is zero when it is falsy, and every reduced
 entry is a canonical Scalar.  ``rref`` reduces fraction-free, after Bareiss
-(Math. Comp. 1968).  Each row is cleared of denominators once, into a sparse
-primitive row over Z when every entry is rational and over Z[a] otherwise.
-An element of Z[a] is an integer coefficient tuple, as inside ``Scalar``,
-and this module does its arithmetic with ``coeff``'s private helpers
-``_zmul``, ``_zadd``, ``_zquo`` and ``_zgcd``.  A row is eliminated as
-p * row - f * pivot row, with p and f divided by their gcd, on nonzero
-entries only, and is then divided by its integer content.  Each output entry
-is one quotient, made canonical at the end.  The reduced row echelon form is
-unique, so the pivot rows may be chosen for small multipliers.
+(Math. Comp. 1968), in one arithmetic: each row is cleared of denominators
+once, into a sparse primitive row over Z[a], and a rational entry becomes a
+polynomial of length 1.  An element of Z[a] is an integer coefficient tuple,
+as inside ``Scalar``, and this module does its arithmetic with ``coeff``'s
+private helpers ``_zmul``, ``_zadd``, ``_zquo`` and ``_zgcd``.  A row is
+eliminated as p * row - f * pivot row, with p and f divided by their gcd, on
+nonzero entries only, and is then divided by its integer content.  Each
+output entry is one quotient, made canonical at the end.  The reduced row
+echelon form is unique, so the pivot rows may be chosen for small
+multipliers.
 
 The reduction runs in two steps: a forward pass, which fixes the pivots, and
 a back substitution of the columns asked for, which carries no other
@@ -28,48 +29,13 @@ Smith normal form of ``coeff``.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import List, Optional, Tuple
 
 from .coeff import (ONE, ZERO, Scalar, _make, _zadd, _zgcd, _zmul, _zneg, _zquo,
                     _ztrim)
 
 _Z_ONE = (1,)
-
-
-# ---------------------------------------------------------------------------
-# rows over Z: {column: nonzero int}
-
-
-def _int_row(row):
-    """Nonzero rational entries {column: x} as a primitive row over Z."""
-    parts = {j: (x.znum[0], x.zden[0]) if x.__class__ is Scalar
-             else (x.numerator, x.denominator) for j, x in row.items()}
-    m = lcm(*[d for _, d in parts.values()])
-    return _int_primitive({j: n * (m // d) for j, (n, d) in parts.items()})
-
-
-def _int_primitive(row):
-    c = gcd(*row.values())
-    return {j: x // c for j, x in row.items()} if c > 1 else row
-
-
-def _int_eliminate(row, piv, col):
-    """p * row - f * piv for the entries p of piv and f of row at col, over
-    the gcd of p and f taken with the sign of p."""
-    p, f = piv[col], row[col]
-    g = gcd(p, f)
-    if p < 0:
-        g = -g
-    p, f = p // g, f // g
-    new = row.copy() if p == 1 else {j: p * x for j, x in row.items()}
-    for j, y in piv.items():
-        v = new.get(j, 0) - f * y
-        if v:
-            new[j] = v
-        else:
-            del new[j]
-    return _int_primitive(new)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +73,8 @@ def _poly_primitive(row):
 
 
 def _poly_eliminate(row, piv, col):
-    """``_int_eliminate`` over Z[a]: the gcd takes the sign of lead(p)."""
+    """p * row - f * piv for the entries p of piv and f of row at col, over
+    the gcd of p and f taken with the sign of lead(p), then made primitive."""
     p, f = piv[col], row[col]
     g = _zgcd(p, f)
     if p[-1] < 0:
@@ -154,42 +121,36 @@ def apply_integer_map(fn, vec):
 
 def _forward(M):
     """The forward pass of the reduction of M: its pivot columns ascending,
-    their pivot rows, primitive over Z[a] when poly and over Z otherwise and
-    each with no entry before its pivot, and poly."""
+    and their pivot rows, primitive over Z[a] and each with no entry before
+    its pivot."""
     n = len(M[0]) if M else 0
     # the zero Scalar is mostly the one ZERO, passed over without a call
     rows = [{j: x for j, x in enumerate(row) if x is not ZERO and x}
             for row in M]
-    poly = any(x.__class__ is Scalar and (len(x.znum) > 1 or len(x.zden) > 1)
-               for row in rows for x in row.values())
-    if poly:
-        lift, eliminate, size = _poly_row, _poly_eliminate, _poly_size
-    else:
-        lift, eliminate, size = _int_row, _int_eliminate, abs
-    active = [r for r in map(lift, rows) if r]
+    active = [r for r in map(_poly_row, rows) if r]
     done, pivots = [], []
     for col in range(n):
         hits = [row for row in active if col in row]
         if not hits:
             continue
         # the smallest pivot entry, then the sparsest row
-        piv = min(hits, key=lambda row: (size(row[col]), len(row)))
+        piv = min(hits, key=lambda row: (_poly_size(row[col]), len(row)))
         active = [row for row in active if col not in row]
         for row in hits:
             if row is not piv:
-                row = eliminate(row, piv, col)
+                row = _poly_eliminate(row, piv, col)
                 if row:
                     active.append(row)
         done.append(piv)
         pivots.append(col)
         if not active:
             break
-    return pivots, done, poly
+    return pivots, done
 
 
-def _back(pivots, done, poly, cols):
+def _back(pivots, done, cols):
     """The columns cols of the reduced row echelon form, from the forward
-    pass (pivots, done, poly): one {column: nonzero canonical Scalar} per
+    pass (pivots, done): one {column: nonzero canonical Scalar} per
     pivot row, its pivot left out.  A row operation acts on each column
     alone, with multipliers read at pivot columns, and the reduced form is
     unique; so each row carries only its pivot and the non-pivot columns of
@@ -197,8 +158,6 @@ def _back(pivots, done, poly, cols):
     have multiplied it by: its entry at a later pivot column c is s times
     the forward row's, read off as c is eliminated."""
     keep = set(cols).difference(pivots)
-    eliminate, mul, one = ((_poly_eliminate, _zmul, _Z_ONE) if poly
-                           else (_int_eliminate, int.__mul__, 1))
     rows = []
     # from the last pivot row up, so that every row used is already reduced
     # and brings in no pivot column but its own
@@ -206,18 +165,17 @@ def _back(pivots, done, poly, cols):
         old = done[k]
         row = {j: x for j, x in old.items() if j in keep}
         row[pivots[k]] = old[pivots[k]]
-        row[-1] = one
+        row[-1] = _Z_ONE
         for col, piv in zip(pivots[:k:-1], rows):
             if col in old:
-                row[col] = mul(row[-1], old[col])
-                row = eliminate(row, piv, col)
+                row[col] = _zmul(row[-1], old[col])
+                row = _poly_eliminate(row, piv, col)
         del row[-1]
         rows.append(row)
     out = []
     for col, row in zip(pivots, reversed(rows)):
         d = row.pop(col)
-        out.append({j: _quotient(x, d) if poly else _quotient((x,), (d,))
-                    for j, x in row.items()})
+        out.append({j: _quotient(x, d) for j, x in row.items()})
     return out
 
 
@@ -227,9 +185,9 @@ def rref(M) -> Tuple[List[list], List[int]]:
     every column."""
     m = len(M)
     n = len(M[0]) if m else 0
-    pivots, done, poly = _forward(M)
+    pivots, done = _forward(M)
     R = []
-    for col, row in zip(pivots, _back(pivots, done, poly, range(n))):
+    for col, row in zip(pivots, _back(pivots, done, range(n))):
         out = [ZERO] * n
         out[col] = ONE
         for j, x in row.items():
@@ -253,11 +211,11 @@ def kernel(M):
     entries at the free columns, so it does not depend on which others
     are.  With no column there is none, and no reduction."""
     n = len(M[0]) if M else 0
-    pivots, done, poly = _forward(M) if n else ([], [], False)
+    pivots, done = _forward(M) if n else ([], [])
     pivot_set = set(pivots)
 
     def vectors(cols):
-        rows = _back(pivots, done, poly, cols)
+        rows = _back(pivots, done, cols)
         basis = []
         for j in cols:
             v = [0] * n
@@ -288,11 +246,10 @@ def solve(M, b) -> Optional[list]:
     unknowns 0, x at each pivot column is that column's entry in the
     reduced form, a Scalar, which the other columns do not change."""
     n = len(M[0]) if M else 0
-    pivots, done, poly = _forward([list(row) + [bv]
-                                   for row, bv in zip(M, b)])
+    pivots, done = _forward([list(row) + [bv] for row, bv in zip(M, b)])
     if pivots and pivots[-1] == n:
         return None
     x = [0] * n
-    for col, row in zip(pivots, _back(pivots, done, poly, [n])):
+    for col, row in zip(pivots, _back(pivots, done, [n])):
         x[col] = row.get(n, ZERO)
     return x

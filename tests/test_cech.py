@@ -344,7 +344,8 @@ class TestQuotientCochains:
     def test_public_readers_check_their_input(self, name):
         # the package reads stored values at canonical tuples unchecked, so
         # every payload kind must refuse a wrong-rank or non-integral group
-        # element at q_value, as k_add and affine_of do
+        # element at q_value, as k_add and affine_of do; a nerve cochain has
+        # no group tuples, and refuses before any is read
         pres = gallery.get_presentation(name)
         rng = random.Random(61)
         rank = pres.rank
@@ -368,6 +369,9 @@ class TestQuotientCochains:
             pres.k_add(long, long)
         with pytest.raises(ParseError, match="wrong rank"):
             pres.affine_of(long)
+        with pytest.raises(ParseError, match="q_value applies to quotient "
+                           "cochains"):
+            gallery.get("circle3").cocycles["winding1"].q_value(((0,),))
 
     @pytest.mark.parametrize("name", ["z2-reflection", "irrational-torus"])
     def test_negative_degree_refused(self, name):

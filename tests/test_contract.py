@@ -85,6 +85,9 @@ UNCALLED = {
         "the class test of a report, beside class_coordinates",
     "cech.random_cocycle":
         "draws the cocycles of the benchmark workloads",
+    "linalg.rank":
+        "perfbench/tracer.py wraps it by name until it reads in-package spans "
+        "(ROADMAP item 2, stage b)",
     "gallery.full_variant":
         "gallery example: the repeats-allowed twin of a nerve",
     "gallery.circle_double_cover":
@@ -117,22 +120,33 @@ def _defs():
 
 def _references(trees):
     """Each attribute ("attr") and plain ("name") reference in src/, keyed by
-    kind and name, as the list of the sets of defs it sits in."""
+    kind and name, as the list of (module, the set of defs it sits in, and
+    for an attribute of a plain name that name)."""
     refs = {}
 
-    def visit(n, inside):
+    def visit(mod, n, inside):
         if isinstance(n, ast.Attribute):
-            refs.setdefault(("attr", n.attr), []).append(inside)
+            base = n.value.id if isinstance(n.value, ast.Name) else None
+            refs.setdefault(("attr", n.attr), []).append((mod, inside, base))
         elif isinstance(n, ast.Name):
-            refs.setdefault(("name", n.id), []).append(inside)
+            refs.setdefault(("name", n.id), []).append((mod, inside, None))
         if isinstance(n, ast.FunctionDef):
             inside = inside | {n}
         for child in ast.iter_child_nodes(n):
-            visit(child, inside)
+            visit(mod, child, inside)
 
-    for tree in trees.values():
-        visit(tree, frozenset())
+    for mod, tree in trees.items():
+        visit(mod, tree, frozenset())
     return refs
+
+
+def _from_imports(trees):
+    """{module: the (source module, name) pairs it from-imports} in src/."""
+    return {mod: {(n.module.rpartition(".")[2], a.name)
+                  for n in ast.walk(tree)
+                  if isinstance(n, ast.ImportFrom) and n.module
+                  for a in n.names}
+            for mod, tree in trees.items()}
 
 
 def test_every_function_has_a_caller():
@@ -142,18 +156,27 @@ def test_every_function_has_a_caller():
     names = {name for name, _, _ in defs}
     assert set(UNCALLED) <= names, set(UNCALLED) - names
     refs = _references(trees)
+    imports = _from_imports(trees)
 
-    def called(node, is_method):
-        # outside its own def: an attribute reference, or for a function
-        # also a plain name
-        kinds = ("attr",) if is_method else ("attr", "name")
-        return any(node not in inside for kind in kinds
-                   for inside in refs.get((kind, node.name), ()))
+    def called(name, node, is_method):
+        # outside its own def: for a method, an attribute reference of its
+        # name; for a function, its plain name in its own module or in one
+        # that from-imports it, or an attribute of its module's name
+        mod = name.split(".")[0]
+        if is_method:
+            return any(node not in inside
+                       for _, inside, _ in refs.get(("attr", node.name), ()))
+        return (any(node not in inside and base == mod
+                    for _, inside, base in refs.get(("attr", node.name), ()))
+                or any(node not in inside and (
+                    user == mod or (mod, node.name) in imports[user])
+                    for user, inside, _ in refs.get(("name", node.name), ())))
 
     uncalled = {name for name, node, is_method in defs
                 if not (node.name.startswith("__")
                         and node.name.endswith("__"))
-                and name not in exported and not called(node, is_method)}
+                and name not in exported
+                and not called(name, node, is_method)}
     assert uncalled - set(UNCALLED) == set(), (
         "no caller in src/: delete these, move them into the tests that use "
         "them, or list them in UNCALLED with the reason they stay")

@@ -422,9 +422,9 @@ class TestFreeCoordinateChoice:
             forward.append(((len(M), len(M[0]) if M else 0), out[1]))
             return out
 
-        def counting_back(pivots, done, poly, cols):
+        def counting_back(pivots, done, cols):
             back.append((done, list(cols)))
-            return original[1](pivots, done, poly, cols)
+            return original[1](pivots, done, cols)
 
         def counting_rref(M):
             rrefs.append(M)

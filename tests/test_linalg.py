@@ -3,6 +3,7 @@ canonical Scalars."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,6 +11,39 @@ from diffcech import gallery, linalg
 from diffcech.grpcoh import _generator_rows
 from diffcech.coeff import ALPHA, ZERO, Scalar
 from diffcech.presentation import GroupQuotient
+
+_ROW, _ELIMINATE = linalg._poly_row, linalg._poly_eliminate
+
+
+def _primitive(row):
+    return gcd(*[c for x in row.values() for c in x]) in (0, 1)
+
+
+def _checked_row(row):
+    """``linalg._poly_row``, checked: the lifted row is primitive."""
+    out = _ROW(row)
+    assert _primitive(out), out
+    return out
+
+
+def _checked_eliminate(row, piv, col):
+    """``linalg._poly_eliminate``, checked: the row comes out primitive and
+    clear at col, and where the pivot row has no entry it keeps the sign of
+    each leading coefficient, since its multiplier p / gcd(p, f) has a
+    positive one."""
+    out = _ELIMINATE(row, piv, col)
+    assert col not in out and _primitive(out), out
+    assert all((out[j][-1] > 0) == (x[-1] > 0)
+               for j, x in row.items() if j not in piv), (row, piv, out)
+    return out
+
+
+@pytest.fixture(autouse=True)
+def _checked_elimination(monkeypatch):
+    # the reduced form is unique, so a row's sign and content never show in
+    # an output; every reduction in this module checks them as it runs
+    monkeypatch.setattr(linalg, "_poly_row", _checked_row)
+    monkeypatch.setattr(linalg, "_poly_eliminate", _checked_eliminate)
 
 
 def _random_matrix(rng, m, n, rank):
