@@ -107,6 +107,7 @@ class Cochain:
     def function(pres, h: FunctionElement) -> "Cochain":
         if pres.kind != "quotient":
             raise ParseError("function cochain needs a quotient presentation")
+        _check_arity(pres, [h])
         return Cochain(pres, 0, RAlphaGroup(), "function", h)
 
     @staticmethod
@@ -115,6 +116,7 @@ class Cochain:
         law and stored as `_quotient_points` says (a table on finite K)."""
         if pres.kind != "quotient":
             raise ParseError("crossed cochain needs a quotient presentation")
+        _check_arity(pres, values.values())
         vals = {i: values.get(i, pres.function_class().zero())
                 for i in range(pres.rank)}
         return _quotient_cochain(
@@ -124,6 +126,7 @@ class Cochain:
     def table(pres, degree: int, table: Dict[Tuple, FunctionElement]) -> "Cochain":
         if pres.kind != "quotient" or not pres.is_finite():
             raise ParseError("table cochains need a finite-group quotient")
+        _check_arity(pres, table.values())
         full = {}
         for kt in _k_tuples(pres, degree):
             if kt not in table:
@@ -158,7 +161,11 @@ class Cochain:
         """Quotient value at a tuple of group elements (length = degree)."""
         if self.payload_kind == "values":
             raise ParseError("q_value applies to quotient cochains")
-        return self._q(tuple(self.pres.k_canonical(k) for k in ktuple))
+        kt = tuple(self.pres.k_canonical(k) for k in ktuple)
+        if len(kt) != self.degree:
+            raise ParseError(f"a degree-{self.degree} cochain is read at "
+                             f"{self.degree} group elements, not {len(kt)}")
+        return self._q(kt)
 
     def _q(self, kt) -> FunctionElement:
         """The quotient value at kt, trusted to be a tuple of canonical group
@@ -312,6 +319,16 @@ class Cochain:
         return Cochain.table(pres, k, vals)
 
 
+def _check_arity(pres, values):
+    """Refuse a function whose variables are not the quotient's
+    coordinates.  `act_function` returns a constant without reading the
+    affine map, so this is where such a value is caught."""
+    for h in values:
+        if h.cls.n != pres.dim:
+            raise ClassError(f"a function of {h.cls.n} variables on a "
+                             f"quotient of dimension {pres.dim}")
+
+
 def _nerve_cochain(pres, degree: int, group: Group, values: Dict,
                    canonical: Callable) -> Cochain:
     """The nerve cochain of canonical(values[t]) at each alive tuple t; a
@@ -438,7 +455,11 @@ def zero_cochain(pres, degree: int, group: Group) -> Cochain:
 
 
 def crossed_value(pres, values: Dict[int, FunctionElement], k) -> FunctionElement:
-    """Extend generator data by the law kappa(k+k') = kappa(k) + kappa(k').k."""
+    """Extend generator data by the law kappa(k+k') = kappa(k) + kappa(k').k.
+
+    Each generator's part is acted on by the prefix of k before it through
+    `act_function`, so a constant part, and the first part, build no
+    affine map."""
     k = pres.k_canonical(k)
     cls = pres.function_class()
     acc = cls.zero()
@@ -446,9 +467,8 @@ def crossed_value(pres, values: Dict[int, FunctionElement], k) -> FunctionElemen
     for i, n in enumerate(k):
         if n == 0:
             continue
-        part = _crossed_single(pres, values[i], i, n)
-        acc = acc + (act(pres.affine_of(prefix), part)
-                     if part.terms and any(prefix) else part)
+        acc = acc + pres.act_function(_crossed_single(pres, values[i], i, n),
+                                      prefix)
         prefix = pres.k_add(prefix, pres.gen_power(i, n))
     return acc
 
@@ -460,6 +480,9 @@ def _crossed_single(pres, val: FunctionElement, i: int, n: int) -> FunctionEleme
     S is built over the binary prefixes p of |n|, shortest first, in a loop,
     so that no exponent is too large for the stack; each S(p) is cached under
     (val, i, p).  n itself is looked up first; S(n) of a zero val is val.
+    Each action goes through `act_function`: a constant val makes every S(p)
+    constant, so S(n) = n * val is summed without an affine map, while other
+    data builds O(log |n|) of them.
     """
     if n == 1 or not val.terms:
         return val
@@ -479,13 +502,13 @@ def _crossed_single(pres, val: FunctionElement, i: int, n: int) -> FunctionEleme
         part, acc = acc, (None if p == n else cache.get(key))
         if acc is None:
             if p < 0:
-                acc = -act(pres.affine_of(pres.gen_power(i, p)), part)
+                acc = -pres.act_function(part, pres.gen_power(i, p))
             else:
                 m = p // 2
-                acc = part + act(pres.affine_of(pres.gen_power(i, m)), part)
+                acc = part + pres.act_function(part, pres.gen_power(i, m))
                 if p % 2:
-                    acc = acc + act(pres.affine_of(pres.gen_power(i, p - 1)),
-                                    val)
+                    acc = acc + pres.act_function(val,
+                                                  pres.gen_power(i, p - 1))
             if len(cache) >= CROSSED_CACHE_SIZE:
                 cache.clear()
             cache[key] = acc
@@ -502,8 +525,8 @@ def crossed_relations(pres, values: Dict[int, FunctionElement]):
     """
     for i, gi in enumerate(pres.generators):
         for j in range(i + 1, pres.rank):
-            lhs = values[i] + act(gi.affine, values[j])
-            rhs = values[j] + act(pres.generators[j].affine, values[i])
+            lhs = values[i] + pres.act_function(values[j], pres.gen_power(i))
+            rhs = values[j] + pres.act_function(values[i], pres.gen_power(j))
             yield f"(g{i + 1},g{j + 1})", lhs - rhs
         if gi.torsion:
             yield (f"g{i + 1}^(torsion)",
@@ -535,8 +558,8 @@ def coboundary(c: Cochain) -> Cochain:
         # the one point that may not be, (g_i,) of a torsion-1 generator in
         # degree 1, has no shift and only the face ()
         k1 = kt[0]
-        head = act(pres.affine_of(k1),
-                   c._q(tuple(pres._k_sub(kj, k1) for kj in kt[1:])))
+        head = pres.act_function(
+            c._q(tuple(pres._k_sub(kj, k1) for kj in kt[1:])), k1)
         return signed_sum(head.cls, [(1, head)] + [
             (-1 if i % 2 else 1, c._q(kt[: i - 1] + kt[i:]))
             for i in range(1, k + 2)])
@@ -586,8 +609,8 @@ def _cocycle_check(c: Cochain) -> CocycleCheck:
             return CocycleCheck(True, detail="top degree")
         zero = c.group.zero()
     elif c.degree == 0:
-        for i, g in enumerate(pres.generators):
-            diff = act(g.affine, c.payload) - c.payload
+        for i in range(pres.rank):
+            diff = pres.act_function(c.payload, pres.gen_power(i)) - c.payload
             if not diff.is_zero():
                 return CocycleCheck(False, f"g{i + 1}", str(diff))
         return CocycleCheck(True)

@@ -16,7 +16,7 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CompatibilityError, DegreeError, ParseError
-from .funclass import AffineMap, FunctionClass
+from .funclass import AffineMap, FunctionClass, act
 
 # most alive tuples a nerve may have in one degree; cochain groups and
 # boundary matrices grow with this count
@@ -413,6 +413,17 @@ class GroupQuotient:
 
     def act_point(self, point, k):
         return self.affine_of(k).apply(point)
+
+    def act_function(self, h, k):
+        """h.k, the function y |-> h(phi_k(y)) for the affine map phi_k of
+        the group element k: `funclass.act` with `affine_of(k)`.  Every
+        affine map fixes a constant, and the identity element acts as the
+        identity, so there h itself is returned and no map is built.  k is
+        read as given: an unreduced power that reduces to the identity is
+        still acted by, through its map."""
+        if not any(k) or all(not any(e) for e in h.terms):
+            return h
+        return act(self.affine_of(k), h)
 
     def function_class(self) -> FunctionClass:
         return self._function_class

@@ -46,8 +46,9 @@ from diffcech.coeff import (
     ses_mod,
     sparse_apply,
 )
-from diffcech.errors import CocycleError, DegreeError, ParseError, TagError
-from diffcech.funclass import AffineMap, act
+from diffcech.errors import (
+    ClassError, CocycleError, DegreeError, ParseError, TagError)
+from diffcech.funclass import AffineMap, FunctionClass, act
 from diffcech.grpcoh import _add_into, _generator_rows, h1_group
 from diffcech.presentation import (
     FiniteNerve,
@@ -345,16 +346,28 @@ class TestQuotientCochains:
         # the package reads stored values at canonical tuples unchecked, so
         # every payload kind must refuse a wrong-rank or non-integral group
         # element at q_value, as k_add and affine_of do; a nerve cochain has
-        # no group tuples, and refuses before any is read
+        # no group tuples, and refuses before any is read; every payload
+        # kind must also refuse a tuple whose length is not its degree, once
+        # each element is canonical, and keep nothing for it
         pres = gallery.get_presentation(name)
         rng = random.Random(61)
         rank = pres.rank
         good, long = (1,) * rank, (1,) * (rank + 1)
         half = (Fraction(1, 2),) + (0,) * (rank - 1)
+        kinds = set()
         for k in range(3):
             c = random_cochain(pres, k, RAlphaGroup(), rng)
             for c in (c, coboundary(c)):
                 n = c.degree
+                kinds.add(c.payload_kind)
+                for m in sorted({max(n - 1, 0), n + 1} - {n}):
+                    with pytest.raises(ParseError, match=re.escape(
+                            f"a degree-{n} cochain is read at {n} group "
+                            f"elements, not {m}")):
+                        c.q_value((good,) * m)
+                    with pytest.raises(ParseError, match="wrong rank"):
+                        c.q_value((long,) * (m + 1))
+                assert all(len(kt) == n for kt in c._memo)
                 if n == 0:
                     continue
                 with pytest.raises(ParseError, match=re.escape(
@@ -372,6 +385,31 @@ class TestQuotientCochains:
         with pytest.raises(ParseError, match="q_value applies to quotient "
                            "cochains"):
             gallery.get("circle3").cocycles["winding1"].q_value(((0,),))
+        assert kinds == ({"function", "table"} if pres.is_finite()
+                         else {"function", "crossed", "lazy"})
+        kappa = gallery.get("irrational-torus").cocycles["kappa"]
+        for kt in ((), ((0, 1), (2, 3))):
+            with pytest.raises(ParseError, match=f"not {len(kt)}$"):
+                kappa.q_value(kt)
+
+    @pytest.mark.parametrize("name", ["z2-reflection", "irrational-torus"])
+    def test_constructors_refuse_another_arity(self, name):
+        # the action returns a constant without its affine map, which would
+        # have refused another number of variables; so the constructors
+        # refuse it, constant or not, before anything is acted on
+        pres = gallery.get_presentation(name)
+        wide = FunctionClass(pres.dim + 1, 1)
+        for h in (FunctionClass(0, 1).parse("3*a"), wide.parse("3*a"),
+                  wide.parse("1 + x0")):
+            makes = [lambda: Cochain.function(pres, h),
+                     lambda: Cochain.crossed(pres, {0: h})]
+            if pres.is_finite():
+                makes.append(lambda: Cochain.table(pres, 0, {(): h}))
+            for make in makes:
+                with pytest.raises(ClassError, match=(
+                        f"a function of {h.cls.n} variables on a quotient "
+                        f"of dimension {pres.dim}")):
+                    make()
 
     @pytest.mark.parametrize("name", ["z2-reflection", "irrational-torus"])
     def test_negative_degree_refused(self, name):
@@ -466,6 +504,17 @@ class TestQuotientCochains:
         n = 2 ** 3000 + 1
         assert crossed_value(it, kappa.payload, (0, n)) == cls.from_coordinates(
             [ALPHA * n] + [Scalar.of(0)] * 3)
+        # kappa is constant and builds no affine map; d(x0^2) in a D = 1
+        # class builds one per prefix of 2^992 + 1, where the former
+        # recursion ran out of stack
+        it = GroupQuotient(1, it.generators, True, 1)
+        cls = it.function_class()
+        square = {0: cls.parse("(x0+1)^2 - x0^2"),
+                  1: cls.parse("(x0+a)^2 - x0^2")}
+        n = 2 ** 992 + 1
+        assert crossed_value(it, square, (0, n)) == cls.from_coordinates(
+            [ALPHA * ALPHA * n * n, ALPHA * 2 * n])
+        assert len(it._affine_cache) > 992
 
     @pytest.mark.parametrize("cache_size", [CROSSED_CACHE_SIZE, 5])
     def test_crossed_loop_matches_the_recursion(self, cache_size,

@@ -11,7 +11,7 @@ from diffcech import gallery
 from diffcech.cech import Cochain
 from diffcech.coeff import ALPHA, Scalar
 from diffcech.errors import CompatibilityError, DegreeError, ParseError
-from diffcech.funclass import AffineMap
+from diffcech.funclass import AffineMap, act
 from diffcech.presentation import (
     MAX_CLASS_DIMENSION,
     MAX_TUPLES,
@@ -23,12 +23,28 @@ from diffcech.presentation import (
     common_refinement,
     joint_circle_nerve,
 )
+from test_cech import _lattice2, _z4_rotation
+from test_grpcoh import GALLERY_QUOTIENTS, _mixed
 
 
 def random_point(pres, rng):
     """A random point of a quotient's nebula, with entries in Z + aZ."""
     return tuple(Scalar.of(rng.randrange(-5, 6)) + ALPHA * rng.randrange(-2, 3)
                  for _ in range(pres.dim))
+
+
+def _square_data(cls):
+    """d(x0^2) on the irrational torus, as generator data: crossed, and
+    not constant, so that an action by any element but the identity
+    builds its affine map."""
+    return {0: cls.parse("(x0+1)^2 - x0^2"), 1: cls.parse("(x0+a)^2 - x0^2")}
+
+
+def _square_value(cls, k):
+    """d(x0^2) at k = (m, n): (x0 + m + n*a)^2 - x0^2, in closed form."""
+    shift = Scalar.of(k[0]) + ALPHA * k[1]
+    return cls.from_coordinates([shift * shift, shift * 2]
+                                + [0] * (cls.dimension - 2))
 
 
 class TestFiniteNerve:
@@ -291,12 +307,12 @@ class TestGroupQuotient:
             [Scalar.of(k[0]) + ALPHA * k[1]])
 
     def test_crossed_value_composes_logarithmically(self, monkeypatch):
-        # kappa at (10^6, -10^6) on a fresh torus: a few compositions per bit
+        # d(x0^2) at (10^6, -10^6) on a fresh torus: a few compositions per
+        # bit; kappa, which is constant, at the same element: none
         gens = gallery.get_presentation("irrational-torus").generators
         it = GroupQuotient(1, gens, free=True, function_class_degree=3)
         cls = it.function_class()
-        kappa = Cochain.crossed(it, {0: cls.zero(), 1: cls.from_coordinates(
-            [ALPHA] + [0] * (cls.dimension - 1))})
+        square = Cochain.crossed(it, _square_data(cls))
         calls = []
         compose = AffineMap.compose
 
@@ -305,16 +321,26 @@ class TestGroupQuotient:
             return compose(self, other)
 
         monkeypatch.setattr(AffineMap, "compose", counting)
-        v = kappa.q_value(((10**6, -10**6),))
-        assert len(calls) <= 5 * math.log2(10**6)
+        k = (10**6, -10**6)
+        v = square.q_value((k,))
+        assert 0 < len(calls) <= 5 * math.log2(10**6)
+        assert v == _square_value(cls, k)
+        it = GroupQuotient(1, gens, free=True, function_class_degree=3)
+        cls = it.function_class()
+        kappa = Cochain.crossed(it, {0: cls.zero(), 1: cls.from_coordinates(
+            [ALPHA] + [0] * (cls.dimension - 1))})
+        calls.clear()
+        v = kappa.q_value((k,))
+        assert calls == []
         assert v == cls.from_coordinates(
             [-10**6 * ALPHA] + [0] * (cls.dimension - 1))
 
     def test_crossed_value_looks_up_each_prefix_a_few_times(self):
-        # the crossed sum asks for g^m at each binary prefix m of n, one
-        # prefix longer each time; each walk stops at the longest cached
-        # prefix, so the cache lookups grow with the bits of n, not with
-        # their square (about 200 per bit at 2^400 with shortest-first walks)
+        # the crossed sum of d(x0^2) asks for g^m at each binary prefix m of
+        # n, one prefix longer each time; each walk stops at the longest
+        # cached prefix, so the cache lookups grow with the bits of n, not
+        # with their square (about 200 per bit at 2^400 with shortest-first
+        # walks); kappa, which is constant, looks up no map at all
         class Counting(dict):
             gets = 0
 
@@ -327,11 +353,16 @@ class TestGroupQuotient:
             it = GroupQuotient(1, gens, free=True, function_class_degree=1)
             it._affine_cache = Counting()
             cls = it.function_class()
+            square = Cochain.crossed(it, _square_data(cls))
+            assert square.q_value(((0, n),)) == _square_value(cls, (0, n))
+            assert 0 < it._affine_cache.gets <= 5 * n.bit_length(), n
+            it = GroupQuotient(1, gens, free=True, function_class_degree=1)
+            it._affine_cache = Counting()
             kappa = Cochain.crossed(it, {0: cls.zero(), 1: cls.from_coordinates(
                 [ALPHA] + [0] * (cls.dimension - 1))})
             assert kappa.q_value(((0, n),)) == cls.from_coordinates(
                 [n * ALPHA] + [0] * (cls.dimension - 1))
-            assert it._affine_cache.gets <= 5 * n.bit_length(), n
+            assert it._affine_cache.gets == 0, n
 
     def test_canonical_torsion_reduction(self):
         z2 = gallery.get_presentation("z2-reflection")
@@ -384,6 +415,39 @@ class TestGroupQuotient:
             y = random_point(it, rng)
             both = it.act_point(it.act_point(y, k1), k2)
             assert both == it.act_point(y, it.k_add(k1, k2))
+
+    @pytest.mark.parametrize("pres", [
+        *(gallery.get_presentation(name) for name in GALLERY_QUOTIENTS),
+        _lattice2(), _z4_rotation(), _mixed()],
+        ids=GALLERY_QUOTIENTS + ["lattice2", "z4-rotation", "mixed"])
+    def test_act_function_is_act_by_the_affine_map(self, pres):
+        # act_function may skip the map only where the map fixes h: against
+        # act by affine_of(k) itself, for h random in the class and widened,
+        # constant and zero, and k the identity, each generator and its
+        # inverse, random elements, torsion multiples that reduce to the
+        # identity, and exponents of 2^70
+        rng = random.Random(f"act-function:{pres.name}")
+        cls = pres.function_class()
+        hs = [c.random(rng) for c in (cls, cls.widen(1)) for _ in range(3)]
+        hs += [cls.from_coordinates([ALPHA * 3 - Fraction(1, 2)]
+                                    + [0] * (cls.dimension - 1)),
+               cls.zero()]
+        r = pres.rank
+        ks = [pres.k_identity()]
+        ks += [pres.gen_power(i, s) for i in range(r) for s in (1, -1)]
+        ks += [pres.random_k(rng) for _ in range(5)]
+        ks += [pres.gen_power(i, m * g.torsion)
+               for i, g in enumerate(pres.generators) if g.torsion
+               for m in (1, -2)]
+        ks += [pres.gen_power(i, s * 2**70) for i in range(r) for s in (1, -1)]
+        ks.append(tuple(rng.choice((1, -1)) * 2**70 for _ in range(r)))
+        assert any(any(k) and not any(pres.k_canonical(k)) for k in ks) == (
+            any(g.torsion for g in pres.generators))
+        for h in hs:
+            for k in ks:
+                got = pres.act_function(h, k)
+                want = act(pres.affine_of(k), h)
+                assert got == want and got.cls == want.cls, (h, k)
 
     def test_translation_action_value(self):
         it = gallery.get_presentation("irrational-torus")
