@@ -3,7 +3,9 @@ class comparison; quotient requests are dispatched to the engines of `grpcoh`.
 
 The coboundary is the alternating sum over the degeneracy maps,
 (d f)(x0,...,x_{k+1}) = sum_i (-1)^i f(d_i(x0,...,x_{k+1})).  Nerve cochains
-are tables of group values over alive tuples.  A degree-k quotient cochain is
+are sparse tables of group values over alive tuples: only nonzero values are
+stored, and a tuple the table does not hold reads as the group's zero
+(`Cochain._at`).  A degree-k quotient cochain is
 a function-valued map on K^k, stored as one function in degree 0, a full table
 over K^k for finite K, crossed data (one function per group generator,
 extended by the cocycle law) in degree 1 over infinite K, and a lazily
@@ -15,7 +17,8 @@ its values there.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .coeff import (
@@ -116,6 +119,9 @@ class Cochain:
         law and stored as `_quotient_points` says (a table on finite K)."""
         if pres.kind != "quotient":
             raise ParseError("crossed cochain needs a quotient presentation")
+        for i in values:
+            if i not in range(pres.rank):
+                raise ParseError(f"crossed key {i!r} out of range")
         _check_arity(pres, values.values())
         vals = {i: values.get(i, pres.function_class().zero())
                 for i in range(pres.rank)}
@@ -145,17 +151,27 @@ class Cochain:
 
     # -- value access ----------------------------------------------------
     def value_at(self, t):
-        """Nerve value at an arbitrary alive tuple (alternating extension)."""
+        """Nerve value at an alive (k+1)-tuple; in alternating mode at any
+        ordering of one (alternating extension), and zero where a chart
+        repeats.  Any other tuple is refused."""
         if self.payload_kind != "values":
             raise ParseError("value_at applies to nerve cochains")
         t = tuple(t)
-        if self.pres.alternating:
-            sign, s = _sort_parity(t)
-            if sign == 0:
-                return self.group.zero()
-            v = self.payload[s]
-            return v if sign == 1 else self.group.neg(v)
-        return self.payload[t]
+        sign, s = _sort_parity(t) if self.pres.alternating else (1, t)
+        if len(t) != self.degree + 1 or sign and (
+                s not in self.pres.index(self.degree)):
+            raise ParseError(f"a degree-{self.degree} nerve cochain is read "
+                             f"at alive {self.degree + 1}-tuples, not at {t}")
+        if sign == 0:
+            return self.group.zero()
+        v = self._at(s)
+        return v if sign == 1 else self.group.neg(v)
+
+    def _at(self, t):
+        """The nerve value at a tuple in stored form: the payload holds no
+        zero, so a tuple it does not hold reads as the group's zero.  Every
+        read of a nerve payload at a tuple goes through here."""
+        return self.payload.get(t, self.group.zero())
 
     def q_value(self, ktuple) -> FunctionElement:
         """Quotient value at a tuple of group elements (length = degree)."""
@@ -199,6 +215,11 @@ class Cochain:
             k, payload = "lazy", lambda kt: fn(*(c._q(kt) for c in ops))
         elif k == "function":
             payload = fn(*(c.payload for c in ops))
+        elif k == "values":
+            # fn is additive, so it is zero where every operand is
+            keys = sorted(set().union(*(c.payload for c in ops)))
+            return _stored(self.pres, self.degree, self.group, (
+                (t, fn(*(c._at(t) for c in ops))) for t in keys))
         else:
             payload = {p: fn(*(c.payload[p] for c in ops)) for p in self.payload}
         return Cochain(self.pres, self.degree, self.group, k, payload)
@@ -218,8 +239,7 @@ class Cochain:
     def is_zero(self) -> bool:
         k = self.payload_kind
         if k == "values":
-            z = self.group.zero()
-            return all(v == z for v in self.payload.values())
+            return not self.payload
         if k == "function":
             return self.payload.is_zero()
         if k in ("crossed", "table"):
@@ -331,20 +351,27 @@ def _check_arity(pres, values):
 
 def _nerve_cochain(pres, degree: int, group: Group, values: Dict,
                    canonical: Callable) -> Cochain:
-    """The nerve cochain of canonical(values[t]) at each alive tuple t; a
-    missing value is refused first, then a value at a dead or unknown
-    tuple."""
+    """The nerve cochain of canonical(values[t]) at each alive tuple t that
+    values holds, and zero at the others; the values at alive tuples are
+    made canonical first, in tuple order, then a value at a dead or unknown
+    tuple is refused."""
     if pres.kind != "nerve":
         raise ParseError("nerve cochain needs a nerve presentation")
-    vals = {}
-    for t in pres.tuples(degree):
-        if t not in values:
-            raise ParseError(f"missing cochain value at tuple {t}")
-        vals[t] = canonical(values[t])
-    for t in values:
-        if tuple(t) not in vals:
-            raise ParseError(f"cochain value at dead or unknown tuple {t}")
-    return Cochain(pres, degree, group, "values", vals)
+    vals = [(t, canonical(values[t])) for t in pres.tuples(degree)
+            if t in values]
+    if len(vals) < len(values):
+        index = pres.index(degree)
+        t = next(t for t in values if t not in index)
+        raise ParseError(f"cochain value at dead or unknown tuple {t}")
+    return _stored(pres, degree, group, vals)
+
+
+def _stored(pres, degree: int, group: Group, items) -> Cochain:
+    """The nerve cochain of the (tuple, canonical value) pairs in items,
+    given in tuple order, with the zero values left out."""
+    zero = group.zero()
+    return Cochain(pres, degree, group, "values",
+                   {t: v for t, v in items if v != zero})
 
 
 def _value_text(v) -> str:
@@ -442,8 +469,8 @@ def _quotient_cochain(pres, k: int, value: Callable) -> Cochain:
 
 def zero_cochain(pres, degree: int, group: Group) -> Cochain:
     if pres.kind == "nerve":
-        return Cochain(pres, degree, group, "values",
-                       dict.fromkeys(pres.tuples(degree), group.zero()))
+        pres.tuples(degree)  # refuses a degree over k_max
+        return Cochain(pres, degree, group, "values", {})
     if group.tag != "R(alpha)":
         raise ParseError("quotient cochains are valued in the R model")
     zero = pres.function_class().zero()
@@ -467,6 +494,8 @@ def crossed_value(pres, values: Dict[int, FunctionElement], k) -> FunctionElemen
     for i, n in enumerate(k):
         if n == 0:
             continue
+        if i not in values:
+            raise ParseError(f"crossed key {i!r} out of range of the data")
         acc = acc + pres.act_function(_crossed_single(pres, values[i], i, n),
                                       prefix)
         prefix = pres.k_add(prefix, pres.gen_power(i, n))
@@ -543,15 +572,15 @@ def coboundary(c: Cochain) -> Cochain:
     if pres.kind == "nerve":
         if k + 1 > pres.k_max:
             raise DegreeError(f"degree {k + 1} exceeds k_max={pres.k_max}")
-        g = c.group
-        out = {}
+        g, at = c.group, c._at
+        out = []
         for t in pres.tuples(k + 1):
             acc = g.zero()
             for i in range(k + 2):
-                v = c.payload[t[:i] + t[i + 1 :]]
+                v = at(t[:i] + t[i + 1 :])
                 acc = g.add(acc, v if i % 2 == 0 else g.neg(v))
-            out[t] = acc
-        return Cochain(pres, k + 1, g, "values", out)
+            out.append((t, acc))
+        return _stored(pres, k + 1, g, out)
 
     def dvalue(kt):
         # kt is canonical: a stored point, or a tuple q_value has made so;
@@ -723,17 +752,19 @@ class CohomologyReport:
                 f"{self.group_description()})")
 
 
-def _nerve_vector(c: Cochain) -> list:
-    return [c.payload[t] for t in c.pres.tuples(c.degree)]
+def _nerve_vector(c: Cochain, tuples) -> list:
+    """The values of c at tuples, a list of tuples in stored form, as the
+    dense vector the engines read."""
+    return [c._at(t) for t in tuples]
 
 
 def _nerve_from_vector(pres, degree, group, vec) -> Cochain:
     """The cochain of an engine's sparse {position: value} vector, built
-    trusted: only its entries are made canonical."""
-    vec = {j: group.canonical(v) for j, v in vec.items()}
-    zero = group.zero()
-    return Cochain(pres, degree, group, "values", {
-        t: vec.get(j, zero) for j, t in enumerate(pres.tuples(degree))})
+    trusted: only its entries are made canonical, and those that are zero
+    are left out."""
+    tuples = pres.tuples(degree)
+    return _stored(pres, degree, group, (
+        (tuples[j], group.canonical(vec[j])) for j in sorted(vec)))
 
 
 def _reduction(pres, k: int) -> Reduction:
@@ -747,12 +778,12 @@ def _reduction(pres, k: int) -> Reduction:
     return red
 
 
-def _within_values(k: int, gens: int, n: int):
-    # each generator is printed with n values
-    if gens * n > MAX_MATRIX_SIDE ** 2:
+def _within_values(k: int, values: int):
+    # the nonzero values that the generators of H^k print
+    if values > MAX_MATRIX_SIDE ** 2:
         raise DegreeError(
-            f"{gens} critical {k}-cells by {n} {k}-cells exceed the limit of "
-            f"{MAX_MATRIX_SIDE ** 2} generator values "
+            f"the generators of H^{k} hold {values} nonzero values, over the "
+            f"limit of {MAX_MATRIX_SIDE ** 2} "
             f"(diffcech.cech.MAX_MATRIX_SIDE squared)")
 
 
@@ -763,31 +794,40 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
     cochain, power by power of a.  A repeats-allowed nerve is computed on
     its alternating twin: the representatives are the alternating
     extensions of the twin's, and the oracle checks the cocycle law on the
-    ordered complex and reads the restriction to increasing tuples."""
+    ordered complex and reads the restriction to increasing tuples.  The
+    ordered tuples are counted, not listed."""
     alt = pres
     if not pres.alternating:
         pres.count(k + 1)
         alt = pres.twin()
     red = _reduction(alt, k)
-    tuples = pres.tuples(k)
-    _within_values(k, len(red.cells[1]), len(tuples))
     field = group.tag == "R(alpha)"
     free, factors, reps, coords = red.cohomology(
         lambda: boundary_matrix(alt, k), getattr(group, "m", 0), field)
     reps = [_nerve_from_vector(alt, k, group, z) for z in reps]
+    values = sum(len(r.payload) for r in reps)
     if alt is not pres:
-        # each ordered tuple is sorted once, for every representative
-        zero, neg = group.zero(), group.neg
-        signs = [(t,) + _sort_parity(t) for t in tuples]
-        reps = [Cochain(pres, k, group, "values", {
-            t: zero if not e else r.payload[s] if e > 0 else neg(r.payload[s])
-            for t, e, s in signs}) for r in reps]
+        # an increasing tuple is printed at each of its (k+1)! orderings
+        values *= factorial(k + 1)
+    _within_values(k, values)
+    if alt is not pres and values:
+        # the value at an increasing tuple s, with the sign of the
+        # permutation, at each ordering of s; a tuple that repeats a chart
+        # is zero.  A face of k+1 charts exists, and its orderings were
+        # counted, so there are few permutations
+        neg = group.neg
+        signs = [(p, _sort_parity(p)[0] > 0)
+                 for p in permutations(range(k + 1))]
+        reps = [Cochain(pres, k, group, "values", dict(sorted(
+            (tuple(s[i] for i in p), v if even else neg(v))
+            for s, v in r.payload.items() for p, even in signs)))
+            for r in reps]
 
     def oracle(c: Cochain):
         _require_degree(c, pres, k, group)
         if alt is not pres:
             _require_cocycle(c)
-        vec = [c.payload[t] for t in alt.tuples(k)]
+        vec = _nerve_vector(c, alt.tuples(k))
         return tuple(linalg.apply_integer_map(coords, vec) if field
                      else coords(vec))
 
@@ -802,19 +842,18 @@ def _components(pres, group: Group) -> CohomologyReport:
     elsewhere; its coordinate is the value at the component's first chart.
     The edges that d_0 would list are counted, and refused, first."""
     pres.count(1)
-    comps, n = pres.components(), len(pres.tuples(0))
+    comps = pres.components()
     _within_side("the complex for H^0 left by the unit pivots",
                  0, len(comps), 0)
-    _within_values(0, len(comps), n)
-    one, zero = group.canonical(1), group.zero()
-    reps = [Cochain(pres, 0, group, "values", {
-        (i,): one if i in comp else zero for i in range(n)})
-        for comp in map(set, comps)]
+    one = group.canonical(1)
+    reps = [_stored(pres, 0, group, (((i,), one) for i in comp))
+            for comp in comps]
+    _within_values(0, sum(len(r.payload) for r in reps))
 
     def oracle(c):
         _require_degree(c, pres, 0, group)
         _require_cocycle(c)
-        return tuple(c.payload[(comp[0],)] for comp in comps)
+        return tuple(_nerve_vector(c, [(comp[0],) for comp in comps]))
 
     m = getattr(group, "m", 0)
     return CohomologyReport(
@@ -951,7 +990,8 @@ def classes_equal(f1: Cochain, f2: Cochain) -> ClassComparison:
                                        "equal as global sections")
             return ClassComparison(False, None,
                                    "degree-0 classes differ value-wise")
-        sol = _reduction(pres, k).solve(_nerve_vector(diff), f1.group)
+        sol = _reduction(pres, k).solve(
+            _nerve_vector(diff, pres.tuples(k)), f1.group)
         if sol is None:
             return ClassComparison(
                 False, None,

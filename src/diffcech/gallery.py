@@ -81,8 +81,7 @@ def _build():
                      "one contractible chart"))
 
     circle3 = circle_arc_nerve(_CIRCLE3_ARCS, k_max=4, name="circle3")
-    winding1 = Cochain.nerve(circle3, 1, ZGroup(),
-                             {(0, 1): 0, (0, 2): -1, (1, 2): 0})
+    winding1 = Cochain.nerve(circle3, 1, ZGroup(), {(0, 2): -1})
     add(GalleryEntry(
         "circle3", "presentation", circle3,
         "circle covered by three arcs (pairwise overlaps, no triple)",
@@ -91,10 +90,7 @@ def _build():
     ))
 
     circle6 = circle_arc_nerve(_CIRCLE6_ARCS, k_max=4, name="circle6")
-    winding1_6 = Cochain.nerve(
-        circle6, 1, ZGroup(),
-        {t: (-1 if t == (0, 5) else 0) for t in circle6.tuples(1)},
-    )
+    winding1_6 = Cochain.nerve(circle6, 1, ZGroup(), {(0, 5): -1})
     add(GalleryEntry(
         "circle6", "presentation", circle6,
         "circle covered by six short arcs",

@@ -111,11 +111,19 @@ def presentation_from_dict(doc: dict):
         for field in ("charts", "alive", "k_max"):
             if field not in doc:
                 raise ParseError(f"nerve document is missing {field!r}")
+        # int() would read 2.9 as 2 and bool() "false" as true
+        k_max, alternating = doc["k_max"], doc.get("alternating", True)
+        if type(k_max) is not int:
+            raise ParseError(f"nerve field 'k_max' must be an integer, "
+                             f"got {k_max!r}")
+        if type(alternating) is not bool:
+            raise ParseError(f"nerve field 'alternating' must be true or "
+                             f"false, got {alternating!r}")
         return FiniteNerve(
             doc["charts"],
             [frozenset(f) for f in doc["alive"]],
-            int(doc["k_max"]),
-            bool(doc.get("alternating", True)),
+            k_max,
+            alternating,
             doc.get("name"),
         )
     if kind == "quotient":

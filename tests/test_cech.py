@@ -107,8 +107,9 @@ class TestNerveCochains:
 
     def test_documents_are_read_as_nerve_cochains(self):
         # a document's values are parsed canonical and stored as
-        # Cochain.nerve stores the raw values; by both routes a missing
-        # value is refused before a value at a dead tuple
+        # Cochain.nerve stores the raw values, with the zeros left out; a
+        # value that is left out reads as zero, and by both routes a value
+        # at a dead tuple is refused
         c3 = gallery.get_presentation("circle3")
         g = ZmodGroup(4)
         raw = {(0, 1): 7, (0, 2): -1, (1, 2): 4}
@@ -116,17 +117,35 @@ class TestNerveCochains:
                                        "(1,2)": "4"}}
         c = Cochain.from_dict(c3, g, doc)
         assert c.payload == Cochain.nerve(c3, 1, g, raw).payload == {
-            (0, 1): 3, (0, 2): 3, (1, 2): 0}
-        missing = "missing cochain value at tuple (1, 2)"
+            (0, 1): 3, (0, 2): 3}
+        del doc["values"]["(1,2)"]
+        assert Cochain.from_dict(c3, g, doc) == c
+        assert c.value_at((1, 2)) == c.value_at((2, 1)) == 0
         dead = "cochain value at dead or unknown tuple (0, 5)"
-        for values, message in (({(0, 1): 1, (0, 2): 1, (0, 5): 1}, missing),
-                                ({**raw, (0, 5): 1}, dead)):
+        for values in ({(0, 1): 1, (0, 2): 1, (0, 5): 1}, {**raw, (0, 5): 1}):
             doc = {"degree": 1, "values": {
                 f"({a},{b})": str(v) for (a, b), v in values.items()}}
-            with pytest.raises(ParseError, match=re.escape(message)):
+            with pytest.raises(ParseError, match=re.escape(dead)):
                 Cochain.from_dict(c3, g, doc)
-            with pytest.raises(ParseError, match=re.escape(message)):
+            with pytest.raises(ParseError, match=re.escape(dead)):
                 Cochain.nerve(c3, 1, g, values)
+
+    def test_value_at_reads_alive_tuples(self):
+        # a tuple that the payload does not hold reads as zero, so a tuple
+        # that is not alive, or not of the cochain's length, is refused
+        t9 = gallery.get_presentation("torus9")
+        for pres in (t9, gallery.full_variant(t9)):
+            c = random_cochain(pres, 1, ZGroup(), random.Random(5))
+            dead = next((a, b) for a in range(9) for b in range(9)
+                        if a != b and frozenset((a, b)) not in pres.faces)
+            for t in (dead, (0,), (0, 1, 2), (0, 9)):
+                with pytest.raises(ParseError, match=re.escape(
+                        f"read at alive 2-tuples, not at {t}")):
+                    c.value_at(t)
+            for t in pres.tuples(1):
+                assert c.value_at(t) == c._at(t)
+                assert c.value_at(t[::-1]) == (-c._at(t) if pres.alternating
+                                               else c._at(t[::-1]))
 
     def test_mismatch_rejected(self):
         c3 = gallery.get_presentation("circle3")
@@ -177,7 +196,7 @@ class TestCochains:
 
     @staticmethod
     def _value(c, p):
-        return c.payload[p] if c.pres.kind == "nerve" else c.q_value(p)
+        return c._at(p) if c.pres.kind == "nerve" else c.q_value(p)
 
     @pytest.mark.parametrize("case", [
         ("circle3", 1, "Z"), ("circle3", 1, "Z/4"), ("circle3", 1, "R(alpha)"),
@@ -391,6 +410,15 @@ class TestQuotientCochains:
         for kt in ((), ((0, 1), (2, 3))):
             with pytest.raises(ParseError, match=f"not {len(kt)}$"):
                 kappa.q_value(kt)
+        # crossed data is keyed by the generators 0..rank-1: a key past
+        # them is refused, as is an element that reads a key the data lacks
+        x0 = pres.function_class().parse("x0")
+        with pytest.raises(ParseError, match=re.escape(
+                f"crossed key {rank + 3} out of range")):
+            Cochain.crossed(pres, {rank + 3: x0})
+        with pytest.raises(ParseError, match=re.escape(
+                f"crossed key {rank - 1} out of range")):
+            crossed_value(pres, {0: x0} if rank > 1 else {}, good)
 
     @pytest.mark.parametrize("name", ["z2-reflection", "irrational-torus"])
     def test_constructors_refuse_another_arity(self, name):
@@ -1004,7 +1032,7 @@ class TestIndependentRoutes:
             width = len(pres.tuples(k - 1)) if k else 0
             B = (_dense_rows(boundary_matrix(pres, k - 1), width) if k
                  else [[] for _ in tuples])
-            reps = [[r.payload[t] for t in tuples]
+            reps = [[r._at(t) for t in tuples]
                     for r in rep.representatives]
             A = [row + [v[i] for v in reps] for i, row in enumerate(B)]
             for _ in range(3):
@@ -1115,8 +1143,8 @@ class TestIndependentRoutes:
             for _ in range(3):
                 c = random_cochain(pres, k, ZGroup(), rng)
                 dc = coboundary(c)
-                assert sparse_apply(M, [c.payload[t] for t in cols]) == [
-                    dc.payload[t] for t in rows], k
+                assert sparse_apply(M, [c._at(t) for t in cols]) == [
+                    dc._at(t) for t in rows], k
         for k in mats:
             for row in mats.get(k + 1, ()):
                 dd = {}
@@ -1514,7 +1542,11 @@ def _gallery_nerve(name, full):
 
 
 def _assert_in_tuple_order(c):
-    assert list(c.payload) == c.pres.tuples(c.degree)
+    # the payload holds the nonzero values only, in tuple order
+    zero = c.group.zero()
+    assert list(c.payload) == [t for t in c.pres.tuples(c.degree)
+                               if t in c.payload]
+    assert all(v != zero for v in c.payload.values())
     fmt = c.group.format_el
     assert list(c.to_dict()["values"].items()) == [
         (cech._tuple_key(t), fmt(v)) for t, v in sorted(c.payload.items())]
@@ -1580,3 +1612,140 @@ class TestTrustedNerveCochains:
         rp2 = gallery.get_presentation("rp2")
         for gen in cohomology(rp2, ZmodGroup(2), 1).representatives:
             _assert_in_tuple_order(connecting_map(ses_mod(2), gen))
+
+
+def _densified(c):
+    """c as a dense table: its value at every tuple, zero where the payload
+    holds none."""
+    return {t: c._at(t) for t in c.pres.tuples(c.degree)}
+
+
+def _without_zeros(table, group):
+    zero = group.zero()
+    return {t: v for t, v in table.items() if v != zero}
+
+
+def _dense_from_vector(pres, k, group, vec):
+    """An engine's sparse {position: value} vector as a dense table, with
+    its entries made canonical and a zero at every other tuple."""
+    zero = group.zero()
+    return {t: group.canonical(vec[j]) if j in vec else zero
+            for j, t in enumerate(pres.tuples(k))}
+
+
+def _dense_representatives(pres, k, group):
+    """The generators of H^k by the dense route: in degree 0 one table per
+    component, 1 on it and 0 elsewhere; above, the engine's vectors on the
+    alternating complex as dense tables, and with repeats allowed the value
+    at each ordered tuple read off its sorted tuple by the sign of the
+    sort, or 0 where a chart repeats."""
+    zero = group.zero()
+    if k == 0:
+        one = group.canonical(1)
+        return [{t: one if t[0] in comp else zero for t in pres.tuples(0)}
+                for comp in map(set, pres.components())]
+    alt = pres if pres.alternating else pres.twin()
+    reps = cech._reduction(alt, k).cohomology(
+        lambda: boundary_matrix(alt, k), getattr(group, "m", 0),
+        group.tag == "R(alpha)")[2]
+    reps = [_dense_from_vector(alt, k, group, z) for z in reps]
+    if alt is pres:
+        return reps
+    out = []
+    for r in reps:
+        table = {}
+        for t in pres.tuples(k):
+            sign, s = cech._sort_parity(t)
+            table[t] = (zero if not sign else r[s] if sign > 0
+                        else group.neg(r[s]))
+        out.append(table)
+    return out
+
+
+def _dense_coboundary(pres, k, group, table):
+    """d of a dense degree-k table, face by face at every (k+1)-tuple."""
+    out = {}
+    for t in pres.tuples(k + 1):
+        acc = group.zero()
+        for i in range(k + 2):
+            v = table[t[:i] + t[i + 1:]]
+            acc = group.add(acc, v if i % 2 == 0 else group.neg(v))
+        out[t] = acc
+    return out
+
+
+def _dense_witness(pres, k, group, diff):
+    """A dense (k-1)-table alpha with d(alpha) = diff, a dense k-table, by
+    the reduction of the complex as given, or None."""
+    sol = cech._reduction(pres, k).solve(
+        [diff[t] for t in pres.tuples(k)], group)
+    return None if sol is None else _dense_from_vector(pres, k - 1, group,
+                                                       sol)
+
+
+DENSE_ROUTE_CASES = [(name, full) for name in GALLERY_NERVES + [
+    "torus3", "torus4", "torus5", "torus6"] for full in (False, True)]
+
+
+class TestDenseRoute:
+    """The sparse payloads against dense tables computed on their own:
+    every generator, witness and coboundary, densified with zeros, is the
+    dense table, and with its zeros left out it is the payload; a document
+    reads alike with and without its zero values, and to_dict reads
+    back."""
+
+    @staticmethod
+    def _check_payload(c, table):
+        assert _densified(c) == table
+        assert c.payload == _without_zeros(table, c.group)
+        assert list(c.payload) == [t for t in table if t in c.payload]
+
+    @staticmethod
+    def _check_documents(c, table):
+        fmt, key = c.group.format_el, cech._tuple_key
+        zero = c.group.zero()
+        full = {"degree": c.degree,
+                "values": {key(t): fmt(v) for t, v in table.items()}}
+        sparse = {"degree": c.degree,
+                  "values": {key(t): fmt(v) for t, v in table.items()
+                             if v != zero}}
+        for doc in (full, sparse, c.to_dict()):
+            assert Cochain.from_dict(c.pres, c.group, doc) == c
+        assert c.to_dict() == sparse
+
+    @pytest.mark.parametrize("name,full", DENSE_ROUTE_CASES,
+                             ids=[f"{n}-full" if f else n
+                                  for n, f in DENSE_ROUTE_CASES])
+    def test_sparse_payloads_are_the_dense_route(self, name, full):
+        pres = _named_nerve(name)
+        if full:
+            pres = gallery.full_variant(pres)
+        rng = random.Random(f"dense:{name}:{full}")
+        for tag in ("Z", "Z/2", "Z/3", "R(alpha)"):
+            group = group_from_tag(tag)
+            for k in range(min(3, pres.k_max)):
+                rep = cohomology(pres, group, k)
+                tables = _dense_representatives(pres, k, group)
+                assert len(tables) == len(rep.representatives), (tag, k)
+                for r, table in zip(rep.representatives, tables):
+                    self._check_payload(r, table)
+                    self._check_documents(r, table)
+                table = {t: group.random(rng) for t in pres.tuples(k)}
+                c = Cochain.nerve(pres, k, group, table)
+                self._check_payload(c, table)
+                self._check_documents(c, table)
+                if k + 1 <= pres.k_max:
+                    d = _dense_coboundary(pres, k, group, table)
+                    self._check_payload(coboundary(c), d)
+                if k == 0:
+                    continue
+                f1 = random_cocycle(pres, k, group, rng, rep.representatives)
+                f2 = f1 + coboundary(random_cochain(pres, k - 1, group, rng))
+                d1, d2 = _densified(f1), _densified(f2)
+                diff = {t: group.sub(d2[t], d1[t]) for t in d1}
+                self._check_payload(f2 - f1, diff)
+                res = classes_equal(f1, f2)
+                witness = _dense_witness(pres, k, group, diff)
+                assert res.equal and witness is not None, (tag, k)
+                self._check_payload(res.witness, witness)
+                assert _dense_coboundary(pres, k - 1, group, witness) == diff

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from diffcech import gallery, serialize
+from diffcech import cech, gallery, serialize
 from diffcech.cech import MAX_MATRIX_SIDE
 from diffcech.cli import run
 from diffcech.funclass import AffineMap
 from diffcech.presentation import FiniteNerve, Generator, GroupQuotient
 
+from test_cech import _torus_nerve
 from test_reduce import _projective_planes
 
 
@@ -346,6 +347,42 @@ class TestErrors:
             f"0 x 1 x {copies}; a side exceeds the limit of 4096 "
             f"(diffcech.cech.MAX_MATRIX_SIDE)")
 
+    def test_generator_values_are_counted_as_printed(self, tmp_path,
+                                                     monkeypatch):
+        # the cap counts the nonzero values the generators print: H^1 of
+        # the complete graph K92 prints 4095 generators of one value each,
+        # which the former count of 4095 generators by 4186 edges (over
+        # 4096^2) refused
+        n = 92
+        doc = {"kind": "nerve", "name": "K92", "k_max": 2,
+               "alternating": True, "charts": [f"U{i}" for i in range(n)],
+               "alive": [[i] for i in range(n)] + [
+                   [i, j] for i in range(n) for j in range(i + 1, n)]}
+        p = tmp_path / "k92.json"
+        p.write_text(json.dumps(doc))
+        code, lines = _run(["cohomology", "--degree", "1", "--coeff", "Z",
+                            str(p)])
+        assert code == 0 and lines[2] == "H^1(K92; Z) = Z^4095"
+        assert all(ln.count(":") == 4 for ln in lines[3:])
+        assert len(lines) == 3 + 4095
+        # at a side limit of 8 the cap is 64 values: the repeats-allowed
+        # torus6 prints 64, torus7 prints 76
+        monkeypatch.setattr(cech, "MAX_MATRIX_SIDE", 8)
+        for m, last in ((6, None), (7, "error: the generators of H^1 hold 76 "
+                                       "nonzero values, over the limit of 64 "
+                                       "(diffcech.cech.MAX_MATRIX_SIDE "
+                                       "squared)")):
+            p = tmp_path / f"torus{m}.json"
+            p.write_text(json.dumps(serialize.presentation_to_dict(
+                _torus_nerve(m, False))))
+            code, lines = _run(["cohomology", "--degree", "1", "--coeff",
+                                "Z", str(p)])
+            if last is None:
+                assert code == 0 and len(lines) == 5
+                assert sum(ln.count(":") - 3 for ln in lines[3:]) == 64
+            else:
+                assert code == 2 and lines[-1] == last
+
     def test_sum_degree_over_the_cap(self, tmp_path):
         # the common denominator of 1/(a+1) + ... + 1/(a+n) has degree n
         text = "+".join(f"1/(a+{i})" for i in range(1, 91))
@@ -385,6 +422,24 @@ class TestErrors:
     _QUOTIENT = {"kind": "quotient", "dim": 1, "free": True,
                  "generators": [{"torsion": 0,
                                  "affine": {"A": [["1"]], "b": ["1"]}}]}
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("k_max", 2.9, "must be an integer, got 2.9"),
+        ("k_max", True, "must be an integer, got True"),
+        ("k_max", "2", "must be an integer, got '2'"),
+        ("alternating", "false", "must be true or false, got 'false'"),
+        ("alternating", 0, "must be true or false, got 0"),
+        ("alternating", None, "must be true or false, got None"),
+    ])
+    def test_nerve_fields_have_exact_types(self, tmp_path, field, value,
+                                           message):
+        # int() read 2.9 as 2 and true as 1, and bool() read "false" as true
+        p = tmp_path / "nerve.json"
+        p.write_text(json.dumps({**self._NERVE, field: value}))
+        code, lines = _run(["cohomology", "--degree", "0", "--coeff", "Z",
+                            str(p)])
+        assert code == 2
+        assert lines[-1] == f"error: nerve field '{field}' {message}"
 
     @pytest.mark.parametrize("argv,doc", [
         (["cohomology", "--degree", "1", "--coeff", "Z"],

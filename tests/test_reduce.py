@@ -86,7 +86,7 @@ def _unreduced_cohomology(pres, k, group):
         return sparse_apply(U_out, to_gens(sparse_apply(S.Vinv, z)))
 
     def oracle(c):
-        vec = [c.payload[t] for t in pres.tuples(k)]
+        vec = [c._at(t) for t in pres.tuples(k)]
         w = linalg.apply_integer_map(coords, vec) if field else coords(vec)
         return tuple(x % e if e else x for x, e in zip(w, mods))
 
@@ -111,7 +111,7 @@ def _reduced_cohomology(pres, k, group):
         lambda: boundary_matrix(pres, k), getattr(group, "m", 0), field)
 
     def oracle(c):
-        vec = [c.payload[t] for t in pres.tuples(k)]
+        vec = [c._at(t) for t in pres.tuples(k)]
         return tuple(linalg.apply_integer_map(coords, vec) if field
                      else coords(vec))
 
@@ -127,7 +127,7 @@ def _full_solve(f1, f2):
     pres, k, group = f1.pres, f1.degree, f1.group
     diff = f2 - f1
     sol = _snf(boundary_matrix(pres, k - 1), len(pres.tuples(k - 1))
-               ).solve_group([diff.payload[t] for t in pres.tuples(k)], group)
+               ).solve_group([diff._at(t) for t in pres.tuples(k)], group)
     return (None if sol is None
             else _nerve_from_vector(pres, k - 1, group, dict(enumerate(sol))))
 
@@ -340,17 +340,21 @@ def _projective_planes(copies):
 
 def test_limits_are_inclusive(monkeypatch):
     # with a side limit of 13 the SNF may see 13 critical triangles but not
-    # 14, and 2 generators of 75 values (torus5) but not of 147 (torus7)
+    # 14; with a side limit of 8 the generators may print 64 nonzero values
+    # (the repeats-allowed torus6) but not 76 (torus7)
     monkeypatch.setattr(cech, "MAX_MATRIX_SIDE", 13)
     Z = group_from_tag("Z")
     assert cohomology(_projective_planes(13), Z, 1).group_description() == "0"
     with pytest.raises(DegreeError, match="0 x 1 x 14; a side exceeds the "
                                           "limit of 13"):
         cohomology(_projective_planes(14), Z, 1)
-    assert cohomology(_torus_nerve(5, True), Z, 1).free_rank == 2
-    with pytest.raises(DegreeError, match="2 critical 1-cells by 147 1-cells "
-                                          "exceed the limit of 169"):
-        cohomology(_torus_nerve(7, True), Z, 1)
+    monkeypatch.setattr(cech, "MAX_MATRIX_SIDE", 8)
+    rep = cohomology(_torus_nerve(6, False), Z, 1)
+    assert sum(len(r.payload) for r in rep.representatives) == 64
+    with pytest.raises(DegreeError, match="the generators of H\\^1 hold 76 "
+                                          "nonzero values, over the limit "
+                                          "of 64"):
+        cohomology(_torus_nerve(7, False), Z, 1)
 
 
 def _det(M):
@@ -440,8 +444,8 @@ def test_repeats_allowed_is_the_ordered_complex(pres):
             for r in new.representatives:
                 for t in pres.tuples(k):
                     sign, s = cech._sort_parity(t)
-                    want = r.payload[s] if sign else group.zero()
-                    assert r.payload[t] == (want if sign >= 0
+                    want = r._at(s) if sign else group.zero()
+                    assert r._at(t) == (want if sign >= 0
                                             else group.neg(want)), t
             zero = zero_cochain(pres, k, group).payload
             units = (cech.Cochain.nerve(pres, k, group, {
@@ -568,8 +572,8 @@ def test_h0_limits_are_counted_not_listed(monkeypatch):
     # H^0 lists no edge, but refuses the nerves whose d_0 would list more
     # than MAX_TUPLES of them, as when it did list them: on the complete
     # graph K_n that is C(n, 2) edges, or n^2 ordered pairs with repeats
-    # allowed.  The generator-value cap (components times charts) guards
-    # h0_global_sections as well
+    # allowed.  The generator-value cap (the nonzero values the generators
+    # print, one per chart) guards h0_global_sections as well
     monkeypatch.setattr(presentation, "MAX_TUPLES", 36)
     Z = group_from_tag("Z")
     routes = (lambda p: cohomology(p, Z, 0), lambda p: h0_global_sections(p, Z))
@@ -587,14 +591,18 @@ def test_h0_limits_are_counted_not_listed(monkeypatch):
             with pytest.raises(DegreeError, match="alive tuples in degree 1"):
                 h0(pres)
             assert 1 not in pres._tuple_cache
-    monkeypatch.setattr(cech, "MAX_MATRIX_SIDE", 13)
+    monkeypatch.setattr(cech, "MAX_MATRIX_SIDE", 5)
     for h0 in routes:
-        # 12 x 14 generator values are admitted, 13 x 14 are not, and 14
-        # components exceed the side of the complex left by the unit pivots
-        pres = FiniteNerve.from_facets(14, [(0, 1), (2, 3)], 2)
-        assert h0(pres).group_description() == "Z^12"
-        with pytest.raises(DegreeError, match="13 critical 0-cells by 14 "
-                                              "0-cells exceed the limit"):
-            h0(FiniteNerve.from_facets(14, [(0, 1)], 2))
-        with pytest.raises(DegreeError, match="0 x 14 x 0; a side exceeds"):
-            h0(FiniteNerve.from_facets(14, [], 2))
+        # 25 generator values are admitted, 26 are not, and 6 components
+        # exceed the side of the complex left by the unit pivots
+        path = [(i, i + 1) for i in range(25)]
+        pres = FiniteNerve.from_facets(7, [(0, 1), (2, 3)], 2)
+        assert h0(pres).group_description() == "Z^5"
+        pres = FiniteNerve.from_facets(25, path[:24], 2)
+        assert h0(pres).group_description() == "Z"
+        with pytest.raises(DegreeError, match="the generators of H\\^0 hold 26 "
+                                              "nonzero values, over the "
+                                              "limit of 25"):
+            h0(FiniteNerve.from_facets(26, path, 2))
+        with pytest.raises(DegreeError, match="0 x 6 x 0; a side exceeds"):
+            h0(FiniteNerve.from_facets(6, [], 2))
