@@ -30,6 +30,9 @@ from diffcech.grpcoh import h1_group
 from diffcech.presentation import FiniteNerve, Generator, GroupQuotient
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_reports.json")
+# the reports above as they were pinned when nerve cochains printed a value
+# at every tuple, zeros included: only the cases whose text changed
+DENSE = os.path.join(os.path.dirname(__file__), "golden_dense_reports.json")
 R = RAlphaGroup()
 
 
@@ -238,3 +241,34 @@ def test_report_is_byte_identical(name):
     with open(GOLDEN, encoding="utf-8") as fh:
         expected = json.load(fh)
     assert CASES[name]() == expected[name]
+
+
+def _parsed(line, drop_zeros=False):
+    """A report line as (text before its JSON object, the object), with the
+    zero values left out of every nerve "values" table when drop_zeros."""
+    i = line.find("{")
+    if i < 0:
+        return line, None
+
+    def strip(x):
+        if isinstance(x, list):
+            return [strip(v) for v in x]
+        if not isinstance(x, dict):
+            return x
+        return {k: {t: v for t, v in x[k].items() if v != "0"}
+                if k == "values" and drop_zeros else strip(x[k]) for k in x}
+
+    return line[:i], strip(json.loads(line[i:]))
+
+
+def test_each_repinned_report_is_the_dense_one_without_zeros():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        new = json.load(fh)
+    with open(DENSE, encoding="utf-8") as fh:
+        dense = json.load(fh)
+    assert set(dense) < set(new)
+    for name, lines in dense.items():
+        assert lines != new[name], name
+        assert len(lines) == len(new[name]), name
+        for old, line in zip(lines, new[name]):
+            assert _parsed(line) == _parsed(old, drop_zeros=True), name
