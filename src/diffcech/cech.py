@@ -84,10 +84,11 @@ class GroupHom:
 class Cochain:
     """A degree-k cochain on a presentation.
 
-    Payload kinds: "values" (nerve table), "function" (quotient degree 0),
-    "crossed" (quotient degree 1, infinite K), "table" (quotient, finite K),
-    "lazy" (quotient degree >= 2, infinite K).  Arithmetic is value-wise in
-    the coefficient group through `_valuewise`, and lazy when kinds differ.
+    Payload kinds: "values" (nerve table of the nonzero values), "function"
+    (quotient degree 0), "crossed" (quotient degree 1, infinite K), "table"
+    (quotient, finite K), "lazy" (quotient degree >= 2, infinite K).
+    Arithmetic is value-wise in the coefficient group through `_valuewise`,
+    and lazy when kinds differ.
     """
 
     def __init__(self, pres, degree: int, group: Group, payload_kind: str,
