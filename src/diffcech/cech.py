@@ -5,7 +5,7 @@ The coboundary is the alternating sum over the degeneracy maps,
 (d f)(x0,...,x_{k+1}) = sum_i (-1)^i f(d_i(x0,...,x_{k+1})).  Nerve cochains
 are sparse tables of group values over alive tuples: only nonzero values are
 stored, and a tuple the table does not hold reads as the group's zero
-(`Cochain._at`).  A degree-k quotient cochain is
+(`Cochain._values`).  A degree-k quotient cochain is
 a function-valued map on K^k, stored as one function in degree 0, a full table
 over K^k for finite K, crossed data (one function per group generator,
 extended by the cocycle law) in degree 1 over infinite K, and a lazily
@@ -17,7 +17,7 @@ its values there.
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 from math import factorial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -165,14 +165,14 @@ class Cochain:
                              f"at alive {self.degree + 1}-tuples, not at {t}")
         if sign == 0:
             return self.group.zero()
-        v = self._at(s)
+        v = self._values((s,))[0]
         return v if sign == 1 else self.group.neg(v)
 
-    def _at(self, t):
-        """The nerve value at a tuple in stored form: the payload holds no
-        zero, so a tuple it does not hold reads as the group's zero.  Every
-        read of a nerve payload at a tuple goes through here."""
-        return self.payload.get(t, self.group.zero())
+    def _values(self, tuples) -> list:
+        """The nerve values at tuples in stored form, as a list: the payload
+        holds no zero, so a tuple it does not hold reads as the group's
+        zero.  Every read of a nerve payload at a tuple goes through here."""
+        return list(map(self.payload.get, tuples, repeat(self.group.zero())))
 
     def q_value(self, ktuple) -> FunctionElement:
         """Quotient value at a tuple of group elements (length = degree)."""
@@ -219,8 +219,8 @@ class Cochain:
         elif k == "values":
             # fn is additive, so it is zero where every operand is
             keys = sorted(set().union(*(c.payload for c in ops)))
-            return _stored(self.pres, self.degree, self.group, (
-                (t, fn(*(c._at(t) for c in ops))) for t in keys))
+            return _stored(self.pres, self.degree, self.group, zip(
+                keys, map(fn, *(c._values(keys) for c in ops))))
         else:
             payload = {p: fn(*(c.payload[p] for c in ops)) for p in self.payload}
         return Cochain(self.pres, self.degree, self.group, k, payload)
@@ -573,15 +573,14 @@ def coboundary(c: Cochain) -> Cochain:
     if pres.kind == "nerve":
         if k + 1 > pres.k_max:
             raise DegreeError(f"degree {k + 1} exceeds k_max={pres.k_max}")
-        g, at = c.group, c._at
-        out = []
-        for t in pres.tuples(k + 1):
-            acc = g.zero()
-            for i in range(k + 2):
-                v = at(t[:i] + t[i + 1 :])
-                acc = g.add(acc, v if i % 2 == 0 else g.neg(v))
-            out.append((t, acc))
-        return _stored(pres, k + 1, g, out)
+        # the signed values at face i of every tuple, added face by face
+        g, tuples = c.group, pres.tuples(k + 1)
+        total = c._values([t[1:] for t in tuples])
+        for i in range(1, k + 2):
+            face = c._values([t[:i] + t[i + 1 :] for t in tuples])
+            total = list(map(g.add, total,
+                             map(g.neg, face) if i % 2 else face))
+        return _stored(pres, k + 1, g, zip(tuples, total))
 
     def dvalue(kt):
         # kt is canonical: a stored point, or a tuple q_value has made so;
@@ -753,12 +752,6 @@ class CohomologyReport:
                 f"{self.group_description()})")
 
 
-def _nerve_vector(c: Cochain, tuples) -> list:
-    """The values of c at tuples, a list of tuples in stored form, as the
-    dense vector the engines read."""
-    return [c._at(t) for t in tuples]
-
-
 def _nerve_from_vector(pres, degree, group, vec) -> Cochain:
     """The cochain of an engine's sparse {position: value} vector, built
     trusted: only its entries are made canonical, and those that are zero
@@ -828,7 +821,7 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
         _require_degree(c, pres, k, group)
         if alt is not pres:
             _require_cocycle(c)
-        vec = _nerve_vector(c, alt.tuples(k))
+        vec = c._values(alt.tuples(k))
         return tuple(linalg.apply_integer_map(coords, vec) if field
                      else coords(vec))
 
@@ -854,7 +847,7 @@ def _components(pres, group: Group) -> CohomologyReport:
     def oracle(c):
         _require_degree(c, pres, 0, group)
         _require_cocycle(c)
-        return tuple(_nerve_vector(c, [(comp[0],) for comp in comps]))
+        return tuple(c._values([(comp[0],) for comp in comps]))
 
     m = getattr(group, "m", 0)
     return CohomologyReport(
@@ -991,8 +984,8 @@ def classes_equal(f1: Cochain, f2: Cochain) -> ClassComparison:
                                        "equal as global sections")
             return ClassComparison(False, None,
                                    "degree-0 classes differ value-wise")
-        sol = _reduction(pres, k).solve(
-            _nerve_vector(diff, pres.tuples(k)), f1.group)
+        sol = _reduction(pres, k).solve(diff._values(pres.tuples(k)),
+                                        f1.group)
         if sol is None:
             return ClassComparison(
                 False, None,
