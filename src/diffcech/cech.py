@@ -5,7 +5,7 @@ The coboundary is the alternating sum over the degeneracy maps,
 (d f)(x0,...,x_{k+1}) = sum_i (-1)^i f(d_i(x0,...,x_{k+1})).  Nerve cochains
 are sparse tables of group values over alive tuples: only nonzero values are
 stored, and a tuple the table does not hold reads as the group's zero
-(`Cochain._values`).  A degree-k quotient cochain is
+(`_Values`).  A degree-k quotient cochain is
 a function-valued map on K^k, stored as one function in degree 0, a full table
 over K^k for finite K, crossed data (one function per group generator,
 extended by the cocycle law) in degree 1 over infinite K, and a lazily
@@ -17,7 +17,7 @@ its values there.
 from __future__ import annotations
 
 import random
-from itertools import permutations, product, repeat
+from itertools import permutations, product
 from math import factorial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -79,6 +79,18 @@ class GroupHom:
 
     def __repr__(self):
         return f"GroupHom({self.source.tag} -> {self.target.tag}, {self.name})"
+
+
+class _Values(dict):
+    """A nerve cochain's payload: its nonzero values by alive tuple, in
+    tuple order.  A tuple it does not hold reads as the group's zero, and
+    is not stored, so every read payload[t] of a nerve cochain defaults to
+    zero; `_stored` builds it."""
+
+    __slots__ = ("zero",)
+
+    def __missing__(self, t):
+        return self.zero
 
 
 class Cochain:
@@ -165,14 +177,8 @@ class Cochain:
                              f"at alive {self.degree + 1}-tuples, not at {t}")
         if sign == 0:
             return self.group.zero()
-        v = self._values((s,))[0]
+        v = self.payload[s]
         return v if sign == 1 else self.group.neg(v)
-
-    def _values(self, tuples) -> list:
-        """The nerve values at tuples in stored form, as a list: the payload
-        holds no zero, so a tuple it does not hold reads as the group's
-        zero.  Every read of a nerve payload at a tuple goes through here."""
-        return list(map(self.payload.get, tuples, repeat(self.group.zero())))
 
     def q_value(self, ktuple) -> FunctionElement:
         """Quotient value at a tuple of group elements (length = degree)."""
@@ -217,10 +223,15 @@ class Cochain:
         elif k == "function":
             payload = fn(*(c.payload for c in ops))
         elif k == "values":
-            # fn is additive, so it is zero where every operand is
-            keys = sorted(set().union(*(c.payload for c in ops)))
+            # fn is additive, so it is zero where every operand is.  Each
+            # payload holds its keys in tuple order, so when every operand
+            # has the same keys, those of the first serve
+            keys = self.payload
+            if any(o.payload.keys() != keys.keys() for o in others):
+                keys = sorted(set().union(*(c.payload for c in ops)))
             return _stored(self.pres, self.degree, self.group, zip(
-                keys, map(fn, *(c._values(keys) for c in ops))))
+                keys, map(fn, *(map(c.payload.__getitem__, keys)
+                                for c in ops))))
         else:
             payload = {p: fn(*(c.payload[p] for c in ops)) for p in self.payload}
         return Cochain(self.pres, self.degree, self.group, k, payload)
@@ -371,8 +382,9 @@ def _stored(pres, degree: int, group: Group, items) -> Cochain:
     """The nerve cochain of the (tuple, canonical value) pairs in items,
     given in tuple order, with the zero values left out."""
     zero = group.zero()
-    return Cochain(pres, degree, group, "values",
-                   {t: v for t, v in items if v != zero})
+    values = _Values({t: v for t, v in items if v != zero})
+    values.zero = zero
+    return Cochain(pres, degree, group, "values", values)
 
 
 def _value_text(v) -> str:
@@ -471,7 +483,7 @@ def _quotient_cochain(pres, k: int, value: Callable) -> Cochain:
 def zero_cochain(pres, degree: int, group: Group) -> Cochain:
     if pres.kind == "nerve":
         pres.tuples(degree)  # refuses a degree over k_max
-        return Cochain(pres, degree, group, "values", {})
+        return _stored(pres, degree, group, ())
     if group.tag != "R(alpha)":
         raise ParseError("quotient cochains are valued in the R model")
     zero = pres.function_class().zero()
@@ -573,14 +585,15 @@ def coboundary(c: Cochain) -> Cochain:
     if pres.kind == "nerve":
         if k + 1 > pres.k_max:
             raise DegreeError(f"degree {k + 1} exceeds k_max={pres.k_max}")
-        # the signed values at face i of every tuple, added face by face
-        g, tuples = c.group, pres.tuples(k + 1)
-        total = c._values([t[1:] for t in tuples])
-        for i in range(1, k + 2):
-            face = c._values([t[:i] + t[i + 1 :] for t in tuples])
-            total = list(map(g.add, total,
-                             map(g.neg, face) if i % 2 else face))
-        return _stored(pres, k + 1, g, zip(tuples, total))
+        g = c.group
+        out = []
+        for t in pres.tuples(k + 1):
+            acc = g.zero()
+            for i in range(k + 2):
+                v = c.payload[t[:i] + t[i + 1 :]]
+                acc = g.add(acc, v if i % 2 == 0 else g.neg(v))
+            out.append((t, acc))
+        return _stored(pres, k + 1, g, out)
 
     def dvalue(kt):
         # kt is canonical: a stored point, or a tuple q_value has made so;
@@ -752,6 +765,10 @@ class CohomologyReport:
                 f"{self.group_description()})")
 
 
+def _nerve_vector(c: Cochain) -> list:
+    return [c.payload[t] for t in c.pres.tuples(c.degree)]
+
+
 def _nerve_from_vector(pres, degree, group, vec) -> Cochain:
     """The cochain of an engine's sparse {position: value} vector, built
     trusted: only its entries are made canonical, and those that are zero
@@ -812,16 +829,16 @@ def _integer_cohomology(pres, k: int, group: Group) -> CohomologyReport:
         neg = group.neg
         signs = [(p, _sort_parity(p)[0] > 0)
                  for p in permutations(range(k + 1))]
-        reps = [Cochain(pres, k, group, "values", dict(sorted(
+        reps = [_stored(pres, k, group, sorted(
             (tuple(s[i] for i in p), v if even else neg(v))
-            for s, v in r.payload.items() for p, even in signs)))
+            for s, v in r.payload.items() for p, even in signs))
             for r in reps]
 
     def oracle(c: Cochain):
         _require_degree(c, pres, k, group)
         if alt is not pres:
             _require_cocycle(c)
-        vec = c._values(alt.tuples(k))
+        vec = [c.payload[t] for t in alt.tuples(k)]
         return tuple(linalg.apply_integer_map(coords, vec) if field
                      else coords(vec))
 
@@ -847,7 +864,7 @@ def _components(pres, group: Group) -> CohomologyReport:
     def oracle(c):
         _require_degree(c, pres, 0, group)
         _require_cocycle(c)
-        return tuple(c._values([(comp[0],) for comp in comps]))
+        return tuple(c.payload[(comp[0],)] for comp in comps)
 
     m = getattr(group, "m", 0)
     return CohomologyReport(
@@ -984,8 +1001,7 @@ def classes_equal(f1: Cochain, f2: Cochain) -> ClassComparison:
                                        "equal as global sections")
             return ClassComparison(False, None,
                                    "degree-0 classes differ value-wise")
-        sol = _reduction(pres, k).solve(diff._values(pres.tuples(k)),
-                                        f1.group)
+        sol = _reduction(pres, k).solve(_nerve_vector(diff), f1.group)
         if sol is None:
             return ClassComparison(
                 False, None,

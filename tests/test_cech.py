@@ -142,12 +142,10 @@ class TestNerveCochains:
                 with pytest.raises(ParseError, match=re.escape(
                         f"read at alive 2-tuples, not at {t}")):
                     c.value_at(t)
-            tuples = pres.tuples(1)
-            values = dict(zip(tuples, c._values(tuples)))
-            for t in tuples:
-                assert c.value_at(t) == values[t]
-                assert c.value_at(t[::-1]) == (-values[t] if pres.alternating
-                                               else values[t[::-1]])
+            for t in pres.tuples(1):
+                assert c.value_at(t) == c.payload[t]
+                assert c.value_at(t[::-1]) == (
+                    -c.payload[t] if pres.alternating else c.payload[t[::-1]])
 
     def test_mismatch_rejected(self):
         c3 = gallery.get_presentation("circle3")
@@ -198,7 +196,7 @@ class TestCochains:
 
     @staticmethod
     def _value(c, p):
-        return c.value_at(p) if c.pres.kind == "nerve" else c.q_value(p)
+        return c.payload[p] if c.pres.kind == "nerve" else c.q_value(p)
 
     @pytest.mark.parametrize("case", [
         ("circle3", 1, "Z"), ("circle3", 1, "Z/4"), ("circle3", 1, "R(alpha)"),
@@ -1034,7 +1032,8 @@ class TestIndependentRoutes:
             width = len(pres.tuples(k - 1)) if k else 0
             B = (_dense_rows(boundary_matrix(pres, k - 1), width) if k
                  else [[] for _ in tuples])
-            reps = [r._values(tuples) for r in rep.representatives]
+            reps = [[r.payload[t] for t in tuples]
+                    for r in rep.representatives]
             A = [row + [v[i] for v in reps] for i, row in enumerate(B)]
             for _ in range(3):
                 xs = [generic() for _ in reps]
@@ -1144,7 +1143,8 @@ class TestIndependentRoutes:
             for _ in range(3):
                 c = random_cochain(pres, k, ZGroup(), rng)
                 dc = coboundary(c)
-                assert sparse_apply(M, c._values(cols)) == dc._values(rows), k
+                assert sparse_apply(M, [c.payload[t] for t in cols]) == [
+                    dc.payload[t] for t in rows], k
         for k in mats:
             for row in mats.get(k + 1, ()):
                 dd = {}
@@ -1617,8 +1617,7 @@ class TestTrustedNerveCochains:
 def _densified(c):
     """c as a dense table: its value at every tuple, zero where the payload
     holds none."""
-    tuples = c.pres.tuples(c.degree)
-    return dict(zip(tuples, c._values(tuples)))
+    return {t: c.payload[t] for t in c.pres.tuples(c.degree)}
 
 
 def _without_zeros(table, group):

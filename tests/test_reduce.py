@@ -86,7 +86,7 @@ def _unreduced_cohomology(pres, k, group):
         return sparse_apply(U_out, to_gens(sparse_apply(S.Vinv, z)))
 
     def oracle(c):
-        vec = c._values(pres.tuples(k))
+        vec = [c.payload[t] for t in pres.tuples(k)]
         w = linalg.apply_integer_map(coords, vec) if field else coords(vec)
         return tuple(x % e if e else x for x, e in zip(w, mods))
 
@@ -111,7 +111,7 @@ def _reduced_cohomology(pres, k, group):
         lambda: boundary_matrix(pres, k), getattr(group, "m", 0), field)
 
     def oracle(c):
-        vec = c._values(pres.tuples(k))
+        vec = [c.payload[t] for t in pres.tuples(k)]
         return tuple(linalg.apply_integer_map(coords, vec) if field
                      else coords(vec))
 
@@ -127,7 +127,7 @@ def _full_solve(f1, f2):
     pres, k, group = f1.pres, f1.degree, f1.group
     diff = f2 - f1
     sol = _snf(boundary_matrix(pres, k - 1), len(pres.tuples(k - 1))
-               ).solve_group(diff._values(pres.tuples(k)), group)
+               ).solve_group([diff.payload[t] for t in pres.tuples(k)], group)
     return (None if sol is None
             else _nerve_from_vector(pres, k - 1, group, dict(enumerate(sol))))
 
@@ -444,9 +444,9 @@ def test_repeats_allowed_is_the_ordered_complex(pres):
             for r in new.representatives:
                 for t in pres.tuples(k):
                     sign, s = cech._sort_parity(t)
-                    want = r.value_at(s) if sign else group.zero()
-                    assert r.value_at(t) == (want if sign >= 0
-                                             else group.neg(want)), t
+                    want = r.payload[s] if sign else group.zero()
+                    assert r.payload[t] == (want if sign >= 0
+                                            else group.neg(want)), t
             zero = zero_cochain(pres, k, group).payload
             units = (cech.Cochain.nerve(pres, k, group, {
                 **zero, t: group.canonical(1)}) for t in pres.tuples(k)
