@@ -165,14 +165,15 @@ class Cochain:
     # -- value access ----------------------------------------------------
     def value_at(self, t):
         """Nerve value at an alive (k+1)-tuple; in alternating mode at any
-        ordering of one (alternating extension), and zero where a chart
-        repeats.  Any other tuple is refused."""
+        ordering of one (alternating extension), and zero where a chart of
+        an alive face repeats.  Any other tuple is refused."""
         if self.payload_kind != "values":
             raise ParseError("value_at applies to nerve cochains")
         t = tuple(t)
         sign, s = _sort_parity(t) if self.pres.alternating else (1, t)
-        if len(t) != self.degree + 1 or sign and (
-                s not in self.pres.index(self.degree)):
+        if len(t) != self.degree + 1 or (
+                s not in self.pres.index(self.degree) if sign
+                else frozenset(t) not in self.pres.faces):
             raise ParseError(f"a degree-{self.degree} nerve cochain is read "
                              f"at alive {self.degree + 1}-tuples, not at {t}")
         if sign == 0:
@@ -223,12 +224,10 @@ class Cochain:
         elif k == "function":
             payload = fn(*(c.payload for c in ops))
         elif k == "values":
-            # fn is additive, so it is zero where every operand is.  Each
-            # payload holds its keys in tuple order, so when every operand
-            # has the same keys, those of the first serve
-            keys = self.payload
-            if any(o.payload.keys() != keys.keys() for o in others):
-                keys = sorted(set().union(*(c.payload for c in ops)))
+            # fn is additive, so it is zero where every operand is: the
+            # keys are those of self, or the union in tuple order
+            keys = (sorted(set().union(*(c.payload for c in ops))) if others
+                    else self.payload)
             return _stored(self.pres, self.degree, self.group, zip(
                 keys, map(fn, *(map(c.payload.__getitem__, keys)
                                 for c in ops))))

@@ -138,10 +138,18 @@ class TestNerveCochains:
             c = random_cochain(pres, 1, ZGroup(), random.Random(5))
             dead = next((a, b) for a in range(9) for b in range(9)
                         if a != b and frozenset((a, b)) not in pres.faces)
-            for t in (dead, (0,), (0, 1, 2), (0, 9)):
+            for t in (dead, (0,), (0, 1, 2), (0, 9), (9, 9), (99, 99)):
                 with pytest.raises(ParseError, match=re.escape(
                         f"read at alive 2-tuples, not at {t}")):
                     c.value_at(t)
+            # a chart repeated in a dead face is refused too
+            c2 = random_cochain(pres, 2, ZGroup(), random.Random(6))
+            for t in (dead + dead[:1], (dead[0],) + dead, (9, 9, 0)):
+                with pytest.raises(ParseError, match=re.escape(
+                        f"read at alive 3-tuples, not at {t}")):
+                    c2.value_at(t)
+            assert c.value_at((0, 0)) == (
+                0 if pres.alternating else c.payload[(0, 0)])
             for t in pres.tuples(1):
                 assert c.value_at(t) == c.payload[t]
                 assert c.value_at(t[::-1]) == (
